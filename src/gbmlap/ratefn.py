@@ -240,9 +240,16 @@ def rate_R(b: float, zeta: float) -> RateEval:
     if zeta != 0.0 and abs(b - thr) <= _BOUNDARY_WINDOW * max(1.0, thr):
         return RateEval(value=boundary_value(zeta), branch=Branch.BOUNDARY, root=0.0, residual=0.0)
     if zeta != 0.0 and b < thr:
-        res = solve_delta(b, zeta)
+        try:
+            res = solve_delta(b, zeta)
+            value = _hyp_value(b, zeta, res.root)
+        except OverflowError:
+            raise DomainError(
+                f"rate_R overflows double precision at b={b}, zeta={zeta} "
+                "(cosh/sinh of the hyperbolic root exceed 1.8e308)"
+            ) from None
         return RateEval(
-            value=_hyp_value(b, zeta, res.root),
+            value=value,
             branch=Branch.HYPERBOLIC,
             root=res.root,
             residual=res.residual,

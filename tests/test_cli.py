@@ -28,6 +28,22 @@ def test_rate_numerical_error_exit_code(capsys):
     assert "error in rate" in err
 
 
+def test_rate_overflow_exit_code(capsys):
+    code, _, err = _run(capsys, "rate", "--b", "0.01", "--zeta", "2000")
+    assert code == 1
+    assert "error in rate" in err
+    assert "Traceback" not in err
+
+
+def test_bond_exact_below_resolution_exit_code(capsys):
+    code, _, err = _run(
+        capsys, "bond", "--method", "exact", "--r0", "5", "--sigma", "0.2", "--T", "30"
+    )
+    assert code == 1
+    assert "absolute resolution" in err
+    assert "Traceback" not in err
+
+
 def test_bond_zero_rate(capsys):
     code, out, _ = _run(capsys, "bond", "--r0", "0", "--sigma", "0.3", "--T", "1")
     assert code == 0

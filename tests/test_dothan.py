@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from gbmlap.dothan import (
     BondMethod,
@@ -40,14 +41,54 @@ def test_exact_quadrature_stabilized_tail():
     # quadrature reproduces sqrt(y)*(1/(2 sqrt y) - K_1(2 sqrt y))
     for y in (0.25, 1.0, 4.0, 20.0):
         a = 2.0 * math.sqrt(y)
-        val, _, _ = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-10)
+        val = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-10).value
         ref = 1.0 / a - bessel_k(1.0, a)
         assert abs(math.sqrt(y) * (val - ref)) < 1e-8
 
 
 def test_quadrature_lobe_cap():
+    # five lobes is below the extrapolator's minimum, and raw summation of
+    # this tail needs far more
     with pytest.raises(QuadratureNotConverged):
-        sin_sinh_quadrature(lambda z: np.exp(-z), 5.0, tol=1e-12, max_lobes=50)
+        sin_sinh_quadrature(lambda z: np.exp(-z), 5.0, tol=1e-12, max_lobes=5)
+
+
+def test_quadrature_lobe_cap_when_extrapolation_never_settles():
+    # lobes of the same size with random weights: the partial sums wander,
+    # no epsilon diagonal settles and the raw sum must still hit the cap
+    freq = 3.0
+    weights = np.random.default_rng(0).uniform(1.0, 2.0, 200)
+
+    def amplitude(z):
+        lobe = np.floor(freq * np.sinh(z) / math.pi).astype(int)
+        return np.cosh(z) * weights[lobe]
+
+    with pytest.raises(QuadratureNotConverged):
+        sin_sinh_quadrature(amplitude, freq, tol=1e-9, max_lobes=200)
+
+
+def test_quadrature_extrapolated_bessel_identity():
+    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a), at a tolerance the
+    # raw lobe sum cannot reach within its lobe budget
+    for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
+        q = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-12)
+        assert abs(q.value - (1.0 / a - bessel_k(1.0, a))) < 1e-11, (a, q)
+        assert q.summation == "extrapolated"
+        assert q.depth_cap_hits == 0
+        assert q.n_panels >= q.n_lobes
+
+
+def test_quadrature_compact_support_returns_raw_sum():
+    # the partial sums stop changing past z = 1; the epsilon table meets
+    # zero differences and the raw sum ends the loop
+    def amplitude(z):
+        return (1.0 - np.minimum(z, 1.0)) ** 4
+
+    q = sin_sinh_quadrature(amplitude, 5.0, tol=1e-9)
+    assert q.summation == "raw"
+    ref, _ = integrate.quad(lambda z: math.sin(5.0 * math.sinh(z)) * (1.0 - z) ** 4,
+                            0.0, 1.0, epsabs=1e-13)
+    assert abs(q.value - ref) < 1e-9
 
 
 def test_quadrature_validation():
@@ -55,6 +96,22 @@ def test_quadrature_validation():
         sin_sinh_quadrature(lambda z: np.exp(-z), 0.0)
     with pytest.raises(DomainError):
         sin_sinh_quadrature(lambda z: np.exp(-z), 1.0, tol=-1.0)
+
+
+def test_exact_quadrature_long_maturity_extrapolated():
+    q = bond_exact_zero_drift(0.05, 0.5, 200.0)
+    assert q.diagnostics["n_lobes"] <= 64
+    assert q.diagnostics["summation"] == "extrapolated"
+    assert q.diagnostics["depth_cap_hits"] == 0
+    assert q.diagnostics["n_panels"] >= q.diagnostics["n_lobes"]
+    tight = bond_exact_zero_drift(0.05, 0.5, 200.0, quad_tol=1e-11)
+    assert abs(tight.price - q.price) <= 1e-9
+
+
+def test_exact_price_below_quadrature_resolution():
+    # the true price is about e^-150, far below the absolute error estimate
+    with pytest.raises(DomainError, match="absolute resolution"):
+        bond_exact_zero_drift(5.0, 0.2, 30.0)
 
 
 def test_exact_price_in_unit_interval_and_decreasing():

@@ -140,6 +140,9 @@ def test_rate_R_degenerate_and_domain():
         rate_R(-0.1, 0.0)
     with pytest.raises(DomainError):
         rate_R(0.5, -2.0)
+    # cosh of the hyperbolic root overflows double precision
+    with pytest.raises(DomainError, match="overflows"):
+        rate_R(0.01, 2000.0)
 
 
 def test_rate_R_boundary_dispatch():

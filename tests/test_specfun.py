@@ -83,7 +83,7 @@ def test_gamma_poles():
 def test_sine_sinh_bessel_identity():
     # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a)
     for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        val, _, _ = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-9)
+        val = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-9).value
         assert abs(val - (1.0 / a - bessel_k(1.0, a))) < 1e-8
 
 
