@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .asian import (
     AsianInputs,
-    IbsEval,
     OptionKind,
     OptionQuote,
     a_fwd,
@@ -75,7 +74,7 @@ __all__ = [
     "rate_R_zero_drift", "rate_R_series", "rate_R_largeb", "jb",
     "convergence_radius", "boundary_value",
     # asian
-    "OptionKind", "AsianInputs", "IbsEval", "OptionQuote", "ibs_solve_delta",
+    "OptionKind", "AsianInputs", "OptionQuote", "ibs_solve_delta",
     "ibs_solve_xi", "rate_ibs", "a_fwd", "sigma_ln", "european_bs_price",
     "asian_price_approx", "otm_log_price_limit",
     # dothan

@@ -2,10 +2,14 @@
 
 Each helper switches to a short Taylor series below ``_CUTOFF`` so that
 limits at zero are exact and no 0/0 is ever formed.  Above the cutoff the
-direct formula is used; float64 keeps these forms accurate there.
+direct formula is used; float64 keeps these forms accurate there.  The
+(e^x - 1)/x family raises DomainError, naming x, where its value overflows.
 """
 
+import functools
 import math
+
+from .errors import DomainError
 
 _CUTOFF = 1e-4
 
@@ -34,6 +38,21 @@ def tanhc(x: float) -> float:
     return math.tanh(x) / x
 
 
+def _overflow_is_domain_error(fn):
+    """Raise DomainError naming x where ``fn(x)`` (e^x or a product with it) overflows."""
+    @functools.wraps(fn)
+    def guarded(x: float) -> float:
+        try:
+            value = fn(x)
+        except OverflowError:
+            value = math.inf
+        if math.isinf(value):
+            raise DomainError(f"{fn.__name__} overflows double precision at exponent x = {x!r}")
+        return value
+    return guarded
+
+
+@_overflow_is_domain_error
 def expm1_over_x(x: float) -> float:
     """(e^x - 1)/x with value 1 at x = 0; accurate for all x via expm1."""
     if x == 0.0:
@@ -41,6 +60,7 @@ def expm1_over_x(x: float) -> float:
     return math.expm1(x) / x
 
 
+@_overflow_is_domain_error
 def expm1_over_x_d1(x: float) -> float:
     """First derivative of (e^x - 1)/x, i.e. ((x-1)e^x + 1)/x^2."""
     if abs(x) < 0.5:
@@ -60,6 +80,7 @@ def expm1_over_x_d1(x: float) -> float:
     return ((x - 1.0) * math.exp(x) + 1.0) / (x * x)
 
 
+@_overflow_is_domain_error
 def expm1_over_x_d2(x: float) -> float:
     """Second derivative of (e^x - 1)/x, i.e. ((x^2-2x+2)e^x - 2)/x^3."""
     if abs(x) < 0.5:

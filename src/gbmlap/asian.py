@@ -26,14 +26,13 @@ from enum import Enum
 
 from ._mathutil import expm1_over_x, require_finite, sinc, sinhc, tanhc
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
-from .ratefn import Branch, _sine_branch_cap
+from .ratefn import Branch, RateEval, _sine_branch_cap
 from .rootfind import RootResult, solve_bracketed
 from .specfun import norm_cdf
 
 __all__ = [
     "OptionKind",
     "AsianInputs",
-    "IbsEval",
     "OptionQuote",
     "ibs_solve_delta",
     "ibs_solve_xi",
@@ -83,14 +82,8 @@ class AsianInputs:
             raise DomainError(f"t must be > 0, got {self.t}")
 
 
-@dataclass(frozen=True)
-class IbsEval:
-    """I_BS value (>= 0) with the branch taken and its solved root."""
-
-    value: float
-    branch: Branch
-    root: float
-    residual: float
+# kept for perfbench/workloads.py, which keys outputs on `asian.IbsEval is type(out)`
+IbsEval = RateEval
 
 
 @dataclass(frozen=True)
@@ -181,7 +174,7 @@ def _ibs_trig_value(x: float, zeta: float, xi: float) -> float:
     )
 
 
-def rate_ibs(x: float, zeta: float) -> IbsEval:
+def rate_ibs(x: float, zeta: float) -> RateEval:
     """Rate function I_BS(x) >= 0; zero exactly at x = (e^zeta - 1)/zeta."""
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
@@ -189,7 +182,9 @@ def rate_ibs(x: float, zeta: float) -> IbsEval:
     pivot = 1.0 + 0.5 * zeta
     if abs(x - pivot) <= _PIVOT_WINDOW * max(1.0, abs(pivot)):
         value = _ibs_trig_value(x, zeta, 0.0)
-        return IbsEval(value=max(value, 0.0), branch=Branch.BOUNDARY, root=0.0, residual=0.0)
+        return RateEval(
+            value=max(value, 0.0), branch=Branch.BOUNDARY, root=0.0, residual=0.0, evals=0
+        )
     if x > pivot:
         res = ibs_solve_delta(x, zeta)
         value = _ibs_hyp_value(x, zeta, res.root)
@@ -200,7 +195,9 @@ def rate_ibs(x: float, zeta: float) -> IbsEval:
         branch = Branch.TRIGONOMETRIC
     if -1e-9 < value < 0.0:  # roundoff at the rate function's zero
         value = 0.0
-    return IbsEval(value=value, branch=branch, root=res.root, residual=res.residual)
+    return RateEval(
+        value=value, branch=branch, root=res.root, residual=res.residual, evals=res.iterations
+    )
 
 
 def a_fwd(s0: float, a: float, t: float) -> float:

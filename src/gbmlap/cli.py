@@ -21,53 +21,27 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 
 from . import __version__, asian, dothan, oracles, ratefn, reference
 from .asian import AsianInputs, OptionKind
-from .errors import (
-    BranchError,
-    DomainError,
-    MaxIterations,
-    NoRootInInterval,
-    NoSignChange,
-    QuadratureNotConverged,
-    ShootingFailed,
-)
-from .model import ModelParams, scale, t_max
-from .validation import run_checks
+from .errors import GbmlapError
+from .model import t_max
+from .validation import run_checks, table1_row, table3_row
 
-_NUMERICAL_ERRORS = (
-    BranchError,
-    DomainError,
-    MaxIterations,
-    NoRootInInterval,
-    NoSignChange,
-    QuadratureNotConverged,
-    ShootingFailed,
-    ValueError,
-)
+# ArithmeticError covers float overflow and division by zero that no
+# library check anticipates; they exit 1 like named errors, not with a traceback
+_NUMERICAL_ERRORS = (GbmlapError, ValueError, ArithmeticError)
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2))  # tuples in diagnostics print as lists
 
 
-def _bond_payload(q: dothan.BondQuote) -> dict:
-    return {
-        "price": q.price,
-        "method": q.method.value,
-        "yield_equiv": q.yield_equiv,
-        "diagnostics": {k: _jsonable(v) for k, v in q.diagnostics.items()},
-    }
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
+def _mc_diagnostics(est: oracles.MCEstimate) -> dict:
+    """An estimate's fields other than its mean: standard error and reproduction key."""
+    return {k: v for k, v in asdict(est).items() if k != "mean"}
 
 
 def _cmd_rate(args) -> int:
@@ -80,6 +54,8 @@ def _cmd_rate(args) -> int:
             "root": ev.root,
             "R": ev.value,
             "J_B": 2.0 * args.b * args.b * ev.value,
+            "residual": ev.residual,
+            "evals": ev.evals,
         }
     )
     return 0
@@ -111,14 +87,10 @@ def _cmd_bond(args, parser) -> int:
             price=est.mean,
             method=dothan.BondMethod.MONTE_CARLO,
             yield_equiv=-math.log(est.mean) / args.T,
-            diagnostics={
-                "stderr": est.stderr,
-                "n_paths": est.n_paths,
-                "n_steps": est.n_steps,
-                "seed": est.seed,
-            },
+            diagnostics=_mc_diagnostics(est),
         )
-    _emit_json(_bond_payload(q))
+    _emit_json({"price": q.price, "method": q.method.value, "yield_equiv": q.yield_equiv,
+                "diagnostics": q.diagnostics})
     return 0
 
 
@@ -133,16 +105,7 @@ def _cmd_asian(args, parser) -> int:
         if args.seed is None:
             parser.error("--seed is required for --method mc")
         est = oracles.mc_asian_price(inp, args.paths, args.steps, args.seed)
-        quote = asian.OptionQuote(
-            price=est.mean,
-            method="mc",
-            diagnostics={
-                "stderr": est.stderr,
-                "n_paths": est.n_paths,
-                "n_steps": est.n_steps,
-                "seed": est.seed,
-            },
-        )
+        quote = asian.OptionQuote(price=est.mean, method="mc", diagnostics=_mc_diagnostics(est))
     else:  # otm-limit
         a = args.r - args.q
         limit = asian.otm_log_price_limit(args.k, args.s0, args.sigma, a, args.T, inp.kind)
@@ -158,10 +121,7 @@ def _cmd_asian(args, parser) -> int:
                 "branch": ev.branch.value,
             },
         )
-    _emit_json(
-        {"price": quote.price, "method": quote.method,
-         "diagnostics": {k: _jsonable(v) for k, v in quote.diagnostics.items()}}
-    )
+    _emit_json({"price": quote.price, "method": quote.method, "diagnostics": quote.diagnostics})
     return 0
 
 
@@ -169,52 +129,26 @@ def _cmd_mc(args) -> int:
     est = oracles.mc_laplace(
         args.theta, args.sigma, args.a, args.T, args.paths, args.steps, args.seed
     )
-    _emit_json(
-        {
-            "mean": est.mean,
-            "stderr": est.stderr,
-            "n_paths": est.n_paths,
-            "n_steps": est.n_steps,
-            "seed": est.seed,
-        }
-    )
+    _emit_json(asdict(est))
     return 0
 
 
-def _table1_row(row) -> list[str]:
-    T, sigma, _, _, _ = row
-    r0 = reference.TABLE1_SCENARIO["r0"]
-    q = dothan.bond_exact_zero_drift(r0, sigma, T)
-    qa = dothan.bond_asymptotic(r0, sigma, 0.0, T)
-    return [
-        f"{T:g}",
-        f"{sigma:.1f}",
-        f"{q.price:.6f}",
-        f"{100.0 * q.yield_equiv:.3f}",
-        f"{100.0 * qa.yield_equiv:.3f}",
-    ]
-
-
-def _reproduce_rows(target: str, threads: int) -> tuple[list[str], list[list[str]]]:
+def _reproduce_rows(target: str) -> tuple[list[str], list[list[str]]]:
     if target == "table1":
         header = ["T", "sigma", "B_exact", "R_exact_pct", "R_asympt_pct"]
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(_table1_row, reference.TABLE1_ROWS))
-        else:
-            rows = [_table1_row(r) for r in reference.TABLE1_ROWS]
+        rows = []
+        for (T, sigma, *_) in reference.TABLE1_ROWS:
+            r = table1_row(T, sigma)
+            rows.append([f"{T:g}", f"{sigma:.1f}", f"{r.b_exact:.6f}",
+                         f"{r.r_exact_pct:.3f}", f"{r.r_asympt_pct:.3f}"])
         return header, rows
     if target == "table3":
         header = ["T", "xi", "neg_log_B_over_T", "B_asympt", "B_reference"]
-        sc = reference.TABLE3_SCENARIO
         rows = []
-        for (T, _, _, _, b_ref) in reference.TABLE3_ROWS:
-            s = scale(ModelParams(sigma=sc["sigma"], a=sc["a"], T=T, theta=sc["r0"]))
-            ev = ratefn.rate_R(s.b, s.zeta)
-            nlb = sc["r0"] * ev.value
-            rows.append(
-                [f"{T:g}", f"{ev.root:.6f}", f"{nlb:.5f}", f"{math.exp(-nlb * T):.3f}", f"{b_ref:.3f}"]
-            )
+        for (T, *_, b_ref) in reference.TABLE3_ROWS:
+            r = table3_row(T)
+            rows.append([f"{T:g}", f"{r.xi:.6f}", f"{r.neg_log_b_over_t:.5f}",
+                         f"{r.b_asympt:.3f}", f"{b_ref:.3f}"])
         return header, rows
     # figure1: maximum maturity for series convergence, per volatility curve
     header = ["r0", "sigma", "T_max"]
@@ -227,10 +161,7 @@ def _reproduce_rows(target: str, threads: int) -> tuple[list[str], list[list[str
 
 
 def _cmd_reproduce(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("GBMLAP_THREADS", "1"))
-    header, rows = _reproduce_rows(args.target, max(1, threads))
+    header, rows = _reproduce_rows(args.target)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -306,8 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="emit benchmark tables / figure data as CSV")
     p_rep.add_argument("target", choices=["table1", "table3", "figure1"])
     p_rep.add_argument("--out", default=None, help="output file (default: stdout)")
-    p_rep.add_argument("--threads", type=int, default=None,
-                       help="row-parallel workers (default: GBMLAP_THREADS or 1)")
 
     p_val = sub.add_parser("validate", help="run the deterministic invariant suite")
     p_val.add_argument("--quick", action="store_true", help="coarse grids, no slow sweeps")

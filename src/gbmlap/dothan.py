@@ -23,8 +23,7 @@ sums; summation stops when the extrapolated value has settled below
 quad_tol (after at least 6 lobes) or when three consecutive lobes each
 contribute less than quad_tol, whichever comes first.  A T = 200 bond
 (r0 = 0.05, sigma = 0.5) then needs 14 lobes instead of 13,465.
-Everything here is stateless; table sweeps may evaluate rows
-concurrently.
+Everything here is stateless.
 """
 
 from __future__ import annotations

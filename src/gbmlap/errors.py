@@ -1,7 +1,14 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library.
+
+All derive from ``GbmlapError`` and keep a ``ValueError`` or ``RuntimeError`` base.
+"""
 
 
-class DomainError(ValueError):
+class GbmlapError(Exception):
+    """Root of every named library error."""
+
+
+class DomainError(GbmlapError, ValueError):
     """An input lies outside an operation's mathematical domain."""
 
 
@@ -9,15 +16,15 @@ class PoleError(DomainError):
     """Gamma function evaluated at a non-positive integer."""
 
 
-class NoSignChange(ValueError):
+class NoSignChange(GbmlapError, ValueError):
     """Bracket endpoints do not straddle a root."""
 
 
-class MaxIterations(RuntimeError):
+class MaxIterations(GbmlapError, RuntimeError):
     """Iteration cap reached before convergence."""
 
 
-class NoRootInInterval(ValueError):
+class NoRootInInterval(GbmlapError, ValueError):
     """A defining equation has no root inside its admissible interval."""
 
 
@@ -25,9 +32,9 @@ class BranchError(DomainError):
     """Parameters fall outside the requested closed-form branch."""
 
 
-class QuadratureNotConverged(RuntimeError):
+class QuadratureNotConverged(GbmlapError, RuntimeError):
     """Oscillatory quadrature exhausted its lobe budget before converging."""
 
 
-class ShootingFailed(RuntimeError):
+class ShootingFailed(GbmlapError, RuntimeError):
     """No bracketing slope or multiplier found for a shooting solve."""

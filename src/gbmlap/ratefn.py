@@ -63,12 +63,13 @@ class Branch(str, Enum):
 
 @dataclass(frozen=True)
 class RateEval:
-    """Rate-function value with the branch taken and its solved root."""
+    """R or I_BS value with its branch, root and solver evaluation count (0 if closed form)."""
 
     value: float
     branch: Branch
     root: float
     residual: float
+    evals: int
 
 
 def _branch_threshold(zeta: float) -> float:
@@ -235,10 +236,12 @@ def rate_R(b: float, zeta: float) -> RateEval:
         raise DomainError(f"rate_R requires b >= 0, got {b}")
     _check_zeta(zeta)
     if b == 0.0:
-        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0)
+        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
     thr = _branch_threshold(zeta)
     if zeta != 0.0 and abs(b - thr) <= _BOUNDARY_WINDOW * max(1.0, thr):
-        return RateEval(value=boundary_value(zeta), branch=Branch.BOUNDARY, root=0.0, residual=0.0)
+        return RateEval(
+            value=boundary_value(zeta), branch=Branch.BOUNDARY, root=0.0, residual=0.0, evals=0
+        )
     if zeta != 0.0 and b < thr:
         try:
             res = solve_delta(b, zeta)
@@ -253,6 +256,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
             branch=Branch.HYPERBOLIC,
             root=res.root,
             residual=res.residual,
+            evals=res.iterations,
         )
     res = solve_xi(b, zeta)
     return RateEval(
@@ -260,6 +264,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
         branch=Branch.TRIGONOMETRIC,
         root=res.root,
         residual=res.residual,
+        evals=res.iterations,
     )
 
 
@@ -269,11 +274,13 @@ def rate_R_zero_drift(b: float) -> RateEval:
     if b < 0.0:
         raise DomainError(f"rate_R_zero_drift requires b >= 0, got {b}")
     if b == 0.0:
-        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0)
+        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
     res = solve_lambda(b)
     lam = res.root
     value = 2.0 * sinc(2.0 * lam) - math.cos(lam) ** 2
-    return RateEval(value=value, branch=Branch.ZERO_DRIFT, root=lam, residual=res.residual)
+    return RateEval(
+        value=value, branch=Branch.ZERO_DRIFT, root=lam, residual=res.residual, evals=res.iterations
+    )
 
 
 def rate_R_series(b: float, order: int = 8) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from gbmlap import asian, dothan, oracles, ratefn, reference
 from gbmlap.asian import AsianInputs, OptionKind
 from gbmlap.model import ModelParams, scale
-from gbmlap.validation import run_checks
+from gbmlap.validation import run_checks, table1_row, table3_row
 
 
 # Magnitudes of the first two omitted coefficients of the small-b series
@@ -43,15 +43,13 @@ def _printed_digits_match(value: float, printed: float, decimals: int) -> bool:
 
 
 def test_criterion_01_table1_reproduction():
-    r0 = reference.TABLE1_SCENARIO["r0"]
     t0 = time.perf_counter()
     bad_b, bad_r = [], []
     for (T, sigma, b_pub, _, r_pub) in reference.TABLE1_ROWS:
-        q = dothan.bond_exact_zero_drift(r0, sigma, T)
-        if abs(q.price - b_pub) > 2e-6:
-            bad_b.append((T, sigma, q.price, b_pub))
-        sc = scale(ModelParams(sigma=sigma, a=0.0, T=T, theta=r0))
-        pct = 100.0 * r0 * ratefn.rate_R(sc.b, sc.zeta).value
+        row = table1_row(T, sigma)
+        if abs(row.b_exact - b_pub) > 2e-6:
+            bad_b.append((T, sigma, row.b_exact, b_pub))
+        pct = row.r_asympt_pct
         if not _printed_digits_match(pct, r_pub, 3):
             bad_r.append((T, sigma, round(pct, 7), r_pub))
     elapsed = time.perf_counter() - t0
@@ -74,16 +72,13 @@ def test_criterion_01_table1_reproduction():
 
 
 def test_criterion_02_table3_reproduction():
-    sc3 = reference.TABLE3_SCENARIO
     t0 = time.perf_counter()
     bad = []
     for (T, xi_pub, nlb_pub, b_pub, _) in reference.TABLE3_ROWS:
-        s = scale(ModelParams(sigma=sc3["sigma"], a=sc3["a"], T=T, theta=sc3["r0"]))
-        ev = ratefn.rate_R(s.b, s.zeta)
-        nlb = sc3["r0"] * ev.value
-        price = math.exp(-nlb * T)
-        if abs(ev.root - xi_pub) > 1e-6:
-            bad.append((T, "xi", ev.root, xi_pub))
+        row = table3_row(T)
+        nlb, price = row.neg_log_b_over_t, row.b_asympt
+        if abs(row.xi - xi_pub) > 1e-6:
+            bad.append((T, "xi", row.xi, xi_pub))
         if abs(nlb - nlb_pub) > 5e-5:
             bad.append((T, "neg_log_B_over_T", nlb, nlb_pub))
         if not _printed_digits_match(price, b_pub, 3):

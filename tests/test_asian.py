@@ -79,7 +79,7 @@ def test_rate_ibs_zero_locus():
 
 def test_rate_ibs_frozen_values():
     ev = rate_ibs(2.0, 0.0)
-    assert ev.branch is Branch.HYPERBOLIC
+    assert ev.branch is Branch.HYPERBOLIC and ev.evals > 0
     assert abs(ev.value - 0.63636749452524) < 1e-12
     ev = rate_ibs(0.5, 0.0)
     assert ev.branch is Branch.TRIGONOMETRIC
@@ -108,6 +108,9 @@ def test_a_fwd():
     assert abs(a_fwd(100.0, 0.09, 20.0) - 280.53597024516367) < 1e-10
     # smooth through the small-drift guard
     assert abs(a_fwd(1.0, 1e-9, 1.0) - (1.0 + 0.5e-9)) < 1e-15
+    # e^(a*t) overflows double precision
+    with pytest.raises(DomainError, match="x = 1000.0"):
+        a_fwd(100.0, 1.0, 1000.0)
 
 
 def test_sigma_ln_atm_limit():

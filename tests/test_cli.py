@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -16,7 +15,7 @@ def test_rate_json(capsys):
     code, out, _ = _run(capsys, "rate", "--b", "0.5196152422706632", "--zeta", "0.9")
     assert code == 0
     payload = json.loads(out)
-    assert set(payload) == {"b", "zeta", "branch", "root", "R", "J_B"}
+    assert set(payload) == {"b", "zeta", "branch", "root", "R", "J_B", "residual", "evals"}
     assert payload["branch"] == "trigonometric"
     assert abs(payload["root"] - 0.507276) < 1e-6
     assert abs(payload["J_B"] - 2.0 * 0.27 * payload["R"]) < 1e-12
@@ -28,10 +27,24 @@ def test_rate_numerical_error_exit_code(capsys):
     assert "error in rate" in err
 
 
-def test_rate_overflow_exit_code(capsys):
-    code, _, err = _run(capsys, "rate", "--b", "0.01", "--zeta", "2000")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate", "--b", "0.01", "--zeta", "2000"],
+        ["rate", "--b", "1e-300", "--zeta", "0.5"],
+        ["bond", "--method", "perpetual", "--r0", "0.05", "--sigma", "0.1", "--a", "-10"],
+        ["bond", "--method", "taylor", "--r0", "0.1", "--sigma", "50", "--T", "1e3"],
+        ["bond", "--method", "small-r0", "--r0", "0.1", "--sigma", "0.3", "--T", "1e4"],
+        ["asian", "--s0", "100", "--k", "110", "--r", "1", "--sigma", "0.3", "--T", "1000",
+         "--kind", "call"],
+    ],
+    ids=["rate-zeta-overflow", "rate-tiny-b", "bond-perpetual-gamma", "bond-taylor-exp",
+         "bond-small-r0-moment", "asian-forward"],
+)
+def test_numerical_failure_exit_code(capsys, argv):
+    code, _, err = _run(capsys, *argv)
     assert code == 1
-    assert "error in rate" in err
+    assert f"error in {argv[0]}" in err
     assert "Traceback" not in err
 
 
@@ -128,33 +141,49 @@ def test_mc_subcommand_deterministic(capsys):
     assert set(payload) == {"mean", "stderr", "n_paths", "n_steps", "seed"}
 
 
+# whole outputs; R_asympt_pct (1, 0.4), (10, 0.1) and table-3 B_asympt T=3 round a truncated cell
+_TABLE1_CSV = (
+    "T,sigma,B_exact,R_exact_pct,R_asympt_pct\n"
+    "1,0.1,0.904853,9.998,9.998\n"
+    "1,0.2,0.904898,9.993,9.993\n"
+    "1,0.3,0.904976,9.985,9.985\n"
+    "1,0.4,0.905087,9.972,9.974\n"
+    "1,0.5,0.905235,9.956,9.959\n"
+    "5,0.1,0.607799,9.958,9.959\n"
+    "5,0.2,0.611650,9.832,9.840\n"
+    "5,0.3,0.618183,9.619,9.655\n"
+    "5,0.4,0.627431,9.322,9.421\n"
+    "5,0.5,0.639230,8.950,9.155\n"
+    "10,0.1,0.373968,9.836,9.840\n"
+    "10,0.2,0.391646,9.374,9.421\n"
+    "10,0.3,0.418920,8.701,8.869\n"
+    "10,0.4,0.452708,7.925,8.282\n"
+    "10,0.5,0.489961,7.134,7.714\n"
+)
+
+_TABLE3_CSV = (
+    "T,xi,neg_log_B_over_T,B_asympt,B_reference\n"
+    "1,0.030345,0.06272,0.939,0.939\n"
+    "2,0.068373,0.06547,0.877,0.877\n"
+    "3,0.112756,0.06821,0.815,0.815\n"
+    "4,0.162296,0.07091,0.753,0.753\n"
+    "5,0.215833,0.07354,0.692,0.693\n"
+    "10,0.507276,0.08454,0.429,0.438\n"
+    "15,0.777869,0.09113,0.255,0.275\n"
+    "20,1.001668,0.09411,0.152,0.179\n"
+)
+
+
 def test_reproduce_table1(capsys):
     code, out, _ = _run(capsys, "reproduce", "table1")
     assert code == 0
-    lines = out.split("\n")
-    assert lines[0] == "T,sigma,B_exact,R_exact_pct,R_asympt_pct"
-    assert lines[1] == "1,0.1,0.904853,9.998,9.998"
-    assert lines[6] == "5,0.1,0.607799,9.958,9.959"
-    assert len([l for l in lines if l]) == 16
-    assert "\r" not in out
-
-
-def test_reproduce_table1_threads_stable(capsys, monkeypatch):
-    _, serial, _ = _run(capsys, "reproduce", "table1")
-    monkeypatch.setenv("GBMLAP_THREADS", "4")
-    _, threaded, _ = _run(capsys, "reproduce", "table1")
-    assert serial == threaded
+    assert out == _TABLE1_CSV
 
 
 def test_reproduce_table3(capsys):
     code, out, _ = _run(capsys, "reproduce", "table3")
     assert code == 0
-    lines = out.split("\n")
-    assert lines[0] == "T,xi,neg_log_B_over_T,B_asympt,B_reference"
-    assert lines[6] == "10,0.507276,0.08454,0.429,0.438"
-    assert lines[1] == "1,0.030345,0.06272,0.939,0.939"
-    # computed B_asympt at T=3 rounds to 0.815 (the published cell truncates)
-    assert lines[3] == "3,0.112756,0.06821,0.815,0.815"
+    assert out == _TABLE3_CSV
 
 
 def test_reproduce_figure1(capsys, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gbmlap import reference
 from gbmlap.dothan import (
     BondMethod,
     bond_asymptotic,
@@ -18,19 +19,9 @@ from gbmlap.dothan import (
 from gbmlap.errors import DomainError, QuadratureNotConverged
 from gbmlap.specfun import bessel_k
 
-# published zero-drift benchmark rows (T, sigma, B) at r0 = 0.1
-TABLE1_B = (
-    (1.0, 0.1, 0.904853), (1.0, 0.2, 0.904898), (1.0, 0.3, 0.904976),
-    (1.0, 0.4, 0.905087), (1.0, 0.5, 0.905235),
-    (5.0, 0.1, 0.607799), (5.0, 0.2, 0.611650), (5.0, 0.3, 0.618183),
-    (5.0, 0.4, 0.627431), (5.0, 0.5, 0.639230),
-    (10.0, 0.1, 0.373968), (10.0, 0.2, 0.391646), (10.0, 0.3, 0.418920),
-    (10.0, 0.4, 0.452708), (10.0, 0.5, 0.489961),
-)
-
-
 def test_exact_quadrature_reproduces_published_prices():
-    for (T, sigma, b_pub) in TABLE1_B:
+    # published zero-drift benchmark rows at r0 = 0.1
+    for (T, sigma, b_pub, _, _) in reference.TABLE1_ROWS:
         q = bond_exact_zero_drift(0.1, sigma, T)
         assert abs(q.price - b_pub) <= 2e-6, (T, sigma, q.price)
         assert abs(q.yield_equiv + math.log(q.price) / T) < 1e-15
@@ -150,6 +141,9 @@ def test_moment_m2_closed_form_and_guard():
     # removable singularity at 2a + sigma^2 = 0
     v = moment_m2(-0.02, 0.2, 1.0)
     assert math.isfinite(v) and v > 0.0
+    # e^((a + sigma^2)*T) = e^900 overflows double precision
+    with pytest.raises(DomainError, match="x = 900.0"):
+        moment_m2(0.0, 0.3, 1e4)
 
 
 def test_small_rate_quote():

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gbmlap import reference
 from gbmlap.errors import BranchError, DomainError, NoRootInInterval
 from gbmlap.model import ModelParams, scale
 from gbmlap.ratefn import (
@@ -18,20 +19,8 @@ from gbmlap.ratefn import (
     solve_xi,
 )
 
-# published rows of the drifted benchmark scenario: (T, xi, -logB/T, B_asympt)
-TABLE3 = (
-    (1.0, 0.030345, 0.06272),
-    (2.0, 0.068373, 0.06547),
-    (3.0, 0.112756, 0.06821),
-    (4.0, 0.162295, 0.07091),
-    (5.0, 0.215833, 0.07354),
-    (10.0, 0.507276, 0.08454),
-    (15.0, 0.777869, 0.09113),
-    (20.0, 1.001668, 0.09411),
-)
-
-
 def _scaled(T):
+    # the drifted scenario of the published table 3
     return scale(ModelParams(sigma=0.3, a=0.09, T=T, theta=0.06))
 
 
@@ -107,10 +96,10 @@ def test_solve_xi_no_root_on_hyperbolic_side():
 
 
 def test_rate_R_table3_rows():
-    for (T, xi_pub, nlb_pub) in TABLE3:
+    for (T, xi_pub, nlb_pub, _, _) in reference.TABLE3_ROWS:
         sc = _scaled(T)
         ev = rate_R(sc.b, sc.zeta)
-        assert ev.branch is Branch.TRIGONOMETRIC
+        assert ev.branch is Branch.TRIGONOMETRIC and ev.evals > 0
         assert abs(ev.root - xi_pub) <= 1e-6
         assert abs(0.06 * ev.value - nlb_pub) <= 5e-5
     # frozen regression value for the first row (30-digit bisection)
@@ -148,7 +137,7 @@ def test_rate_R_degenerate_and_domain():
 def test_rate_R_boundary_dispatch():
     z = 1.0
     ev = rate_R(1.0 / 3.0, z)
-    assert ev.branch is Branch.BOUNDARY
+    assert ev.branch is Branch.BOUNDARY and ev.evals == 0
     assert abs(ev.value - boundary_value(z)) == 0.0
 
 
