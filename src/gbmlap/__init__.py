@@ -42,7 +42,6 @@ from .oracles import (
     jb_variational,
     mc_asian_price,
     mc_laplace,
-    sample_integral_gbm,
 )
 from .ratefn import (
     Branch,
@@ -82,6 +81,6 @@ __all__ = [
     "moment_m1", "moment_m2", "bond_small_rate", "bond_taylor_small_T",
     "bond_perpetual", "sin_sinh_quadrature",
     # oracles
-    "MCEstimate", "ShootingResult", "sample_integral_gbm", "mc_laplace",
-    "mc_asian_price", "jb_variational", "ibs_variational",
+    "MCEstimate", "ShootingResult", "mc_laplace", "mc_asian_price",
+    "jb_variational", "ibs_variational",
 ]

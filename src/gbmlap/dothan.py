@@ -359,6 +359,8 @@ def bond_taylor_small_T(r0: float, sigma: float, T: float) -> BondQuote:
     -(1/(r0*T))*log(price) = 1 - sigma^2*r0*T^2/3! - sigma^4*r0*T^3/4!
     - (sigma^6*r0/5! - sigma^4*r0^2/15)*T^4.  Coefficients beyond this
     order (and any a != 0 terms) are not known in closed form here.
+    Raises DomainError once the truncated ratio is not positive, where
+    sigma^2*r0*T^2 is too large for the expansion (it would price above 1).
     """
     _validate_bond_args(r0, sigma, 0.0, T)
     s2 = sigma * sigma
@@ -366,6 +368,11 @@ def bond_taylor_small_T(r0: float, sigma: float, T: float) -> BondQuote:
     t3 = s2 * s2 * r0 * T * T * T / 24.0
     t4 = (s2 * s2 * s2 * r0 / 120.0 - s2 * s2 * r0 * r0 / 15.0) * T ** 4
     ratio = 1.0 - t2 - t3 - t4
+    if not ratio > 0.0:
+        raise DomainError(
+            f"short-maturity expansion is invalid here: sigma^2*r0*T^2 = {s2 * r0 * T * T:g} "
+            f"is not small (truncated yield ratio {ratio:g} <= 0)"
+        )
     y = r0 * ratio
     return BondQuote(
         price=math.exp(-y * T),

@@ -6,9 +6,14 @@ check:
 * Monte Carlo of the gBM time integral X_T = int_0^T e^(sigma*W_s +
   (a - sigma^2/2)*s) ds with exact Gaussian marginals at the grid nodes
   and a trapezoid rule in time (O(n^-2) bias).  Paths come in antithetic
-  pairs; path i draws from a counter-based substream keyed (seed, i), so
+  pairs; path i draws from its own counter-based Philox substream keyed
+  (seed, i) (Salmon et al., SC11), so the same seed gives the same bits:
   estimates are reproducible bit-for-bit for a given (seed, n_paths,
-  n_steps) and paths could be simulated in any order.
+  n_steps), whatever the block size, and paths could be simulated in any
+  order.  Paths are simulated in blocks of 2048 rows, each costing one
+  cumulative sum and one exp per element: the mirror's integrand is
+  exp(2*drift)/e^s, with a second exp only where that ratio could leave
+  the range of normal floats.
 
 * Direct numerical solution of the two variational problems behind the
   rate functions, by shooting on the Euler-Lagrange equation
@@ -33,7 +38,6 @@ from .rootfind import solve_bracketed
 __all__ = [
     "MCEstimate",
     "ShootingResult",
-    "sample_integral_gbm",
     "mc_laplace",
     "mc_asian_price",
     "jb_variational",
@@ -42,6 +46,10 @@ __all__ = [
 
 _BLOCK = 2048
 _U64 = (1 << 64) - 1
+# exp(x) is a finite, normal float64 for |x| below this (the smallest normal is e^-708.4)
+_EXP_NORMAL = 708.0
+# multiples of sigma*sqrt(T) that |sigma*W_t| on [0, T] exceeds with probability below 1e-300
+_W_SPREAD = 40.0
 # cap on h inside the ODE right-hand side; off-root shots blow up in finite
 # time, capping keeps the integration finite with the correct sign of h'(1)
 _H_CAP = 40.0
@@ -74,41 +82,55 @@ class ShootingResult:
     bc_residual: float
 
 
-def sample_integral_gbm(sigma: float, a: float, T: float, n_steps: int, rng) -> float:
-    """One trapezoid sample of X_T drawn from ``rng`` (a numpy Generator)."""
-    require_finite(sigma=sigma, a=a, T=T)
-    if n_steps < 2:
-        raise DomainError(f"n_steps must be >= 2, got {n_steps}")
-    if T <= 0.0 or sigma < 0.0:
-        raise DomainError("sample_integral_gbm requires T > 0 and sigma >= 0")
-    dt = T / n_steps
-    z = rng.standard_normal(n_steps)
-    w = np.cumsum(z) * math.sqrt(dt)
-    t = dt * np.arange(1, n_steps + 1)
-    f = np.exp(sigma * w + (a - 0.5 * sigma * sigma) * t)
-    return dt * (0.5 * (1.0 + f[-1]) + f[:-1].sum())
+def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
+    """Fill row i of ``z`` with the N(0, 1) draws of path start+i.
 
-
-def _substream_template(seed: int):
-    """Philox generator plus a reusable state template keyed by (seed, i)."""
+    Each path draws from its own Philox substream keyed (seed, path), so a
+    path's draws depend on neither the block size nor the other paths.
+    """
     bg = np.random.Philox(key=[seed & _U64, 0])
     gen = np.random.Generator(bg)
-    template = bg.state
-    return bg, gen, template
-
-
-def _block_normals(bg, gen, template, seed: int, start: int, count: int, n_steps: int):
-    """Draws for paths [start, start+count), one keyed substream per path."""
-    z = np.empty((count, n_steps))
-    state = template
-    for i in range(count):
+    state = bg.state
+    for i in range(z.shape[0]):
         state["state"]["key"][1] = (start + i) & _U64
         state["state"]["counter"][:] = 0
         state["buffer_pos"] = 4
         state["has_uint32"] = 0
         bg.state = state
-        z[i] = gen.standard_normal(n_steps)
+        gen.standard_normal(out=z[i])
     return z
+
+
+def _trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
+    return dt * (0.5 * (1.0 + f[:, -1]) + f[:, :-1].sum(axis=1))
+
+
+def _integrals(z: np.ndarray, sigma: float, a: float, T: float, antithetic: bool = False):
+    """Trapezoid samples of X_T from a block of draws, one path per row of ``z``.
+
+    Returns ``(x,)``, or ``(x, x_mirror)`` with the antithetic mirrors (the
+    same draws negated).  ``z`` is overwritten: one cumulative sum, the
+    scale and drift, and one exp are done in place.  The mirror's integrand
+    is exp(2*drift - s) where s = sigma*W + drift is the path's exponent, so
+    it is taken as exp(2*drift)/e^s with no second exp, unless exp(2*drift)
+    or e^s could leave the range of normal floats; that choice depends only
+    on (sigma, a, T, n_steps), so every block of one call makes the same one.
+    """
+    n_steps = z.shape[1]
+    dt = T / n_steps
+    drift = (a - 0.5 * sigma * sigma) * dt * np.arange(1, n_steps + 1)
+    np.cumsum(z, axis=1, out=z)
+    z *= sigma * math.sqrt(dt)
+    by_division = 2.0 * (np.abs(drift).max() + _W_SPREAD * abs(sigma) * math.sqrt(T)) < _EXP_NORMAL
+    mirror = np.exp(drift - z) if antithetic and not by_division else None
+    z += drift
+    np.exp(z, out=z)
+    x = _trapezoid(z, dt)
+    if not antithetic:
+        return (x,)
+    if mirror is None:
+        mirror = np.divide(np.exp(2.0 * drift), z, out=z)
+    return x, _trapezoid(mirror, dt)
 
 
 def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed, antithetic=True):
@@ -117,23 +139,12 @@ def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed, antithetic=True)
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
-    dt = T / n_steps
-    sqdt = math.sqrt(dt)
-    drift = (a - 0.5 * sigma * sigma) * dt * np.arange(1, n_steps + 1)
-    bg, gen, template = _substream_template(seed)
     out = np.empty(n_paths)
+    z = np.empty((min(_BLOCK, n_paths), n_steps))
     for start in range(0, n_paths, _BLOCK):
         count = min(_BLOCK, n_paths - start)
-        z = _block_normals(bg, gen, template, seed, start, count, n_steps)
-        acc = None
-        signs = (1.0, -1.0) if antithetic else (1.0,)
-        for sgn in signs:
-            w = np.cumsum(z, axis=1) * (sgn * sqdt)
-            f = np.exp(sigma * w + drift)
-            x = dt * (0.5 * (1.0 + f[:, -1]) + f[:, :-1].sum(axis=1))
-            p = payoff(x)
-            acc = p if acc is None else acc + p
-        out[start:start + count] = acc / len(signs)
+        xs = _integrals(_keyed_normals(seed, start, z[:count]), sigma, a, T, antithetic)
+        out[start:start + count] = sum(map(payoff, xs)) / len(xs)
     return out
 
 
@@ -167,6 +178,8 @@ def mc_laplace(
     require_finite(theta=theta, sigma=sigma, a=a, T=T)
     if theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta}")
+    if T < 0.0:
+        raise DomainError(f"T must be >= 0, got {T}")
     if theta == 0.0:
         return MCEstimate(1.0, 0.0, n_paths, n_steps, seed)
     vals = _mc_pair_means(

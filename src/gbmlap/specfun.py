@@ -46,12 +46,18 @@ def bessel_k(nu: float, x: float) -> float:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma function; raises PoleError at the poles 0, -1, -2, ..."""
+    """Gamma function; raises PoleError at the poles 0, -1, -2, ...
+
+    Raises DomainError where the value overflows a float (x above about 171.6).
+    """
     if not math.isfinite(x):
         raise DomainError(f"gamma_fn requires finite x, got {x!r}")
     if x <= 0.0 and x == math.floor(x):
         raise PoleError(f"gamma_fn has a pole at {x}")
-    return math.gamma(x)
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma_fn overflows the float range at x = {x!r}") from None
 
 
 def norm_cdf(x: float) -> float:

@@ -178,6 +178,10 @@ def test_taylor_small_T():
     # the T^2 coefficient regroups to b^2/3 of the small-b series
     b2 = 0.5 * 0.01 * 0.1
     assert abs(qt.diagnostics["terms"][0] - b2 / 3.0) < 1e-18
+    # past its range the truncated ratio turns negative and the price would exceed 1
+    for r0, sigma, T in [(0.1, 1.0, 5.0), (0.1, 2.0, 3.0), (0.1, 50.0, 1e3)]:
+        with pytest.raises(DomainError, match=r"sigma\^2\*r0\*T\^2"):
+            bond_taylor_small_T(r0, sigma, T)
 
 
 def test_perpetual_zero_drift_closed_form():
@@ -192,6 +196,9 @@ def test_perpetual_domain():
         bond_perpetual(0.05, 0.5, 0.125)  # a = sigma^2/2 exactly
     with pytest.raises(DomainError):
         bond_perpetual(0.0, 0.5, 0.0)
+    # nu = 2001 (to rounding): Gamma(nu) overflows a float
+    with pytest.raises(DomainError, match=r"gamma_fn overflows the float range at x = 2000\.99"):
+        bond_perpetual(0.05, 0.1, -10.0)
 
 
 def test_perpetual_is_large_T_limit():

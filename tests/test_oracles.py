@@ -7,11 +7,12 @@ from gbmlap.asian import AsianInputs, OptionKind, a_fwd
 from gbmlap.dothan import moment_m1, moment_m2
 from gbmlap.errors import DomainError
 from gbmlap.oracles import (
+    _integrals,
+    _keyed_normals,
     ibs_variational,
     jb_variational,
     mc_asian_price,
     mc_laplace,
-    sample_integral_gbm,
 )
 from gbmlap.asian import rate_ibs
 from gbmlap.ratefn import jb
@@ -21,22 +22,33 @@ def _rng(seed, i=0):
     return np.random.Generator(np.random.Philox(key=[seed, i]))
 
 
+def _sample_integrals(sigma, a, T, n_steps, seed, n_paths=1):
+    """Trapezoid samples of X_T of paths 0..n_paths-1 of ``seed``, one sign each."""
+    z = _keyed_normals(seed, 0, np.empty((n_paths, n_steps)))
+    return _integrals(z, sigma, a, T)[0]
+
+
+def test_keyed_normals_are_per_path_substreams():
+    # row i of a block starting at path s holds the draws of Philox key (seed, s + i)
+    z = _keyed_normals(2024, 5, np.empty((3, 17)))
+    for i in range(3):
+        assert np.array_equal(z[i], _rng(2024, 5 + i).standard_normal(17))
+
+
 def test_sample_deterministic_path():
     # sigma = 0: the integral is (e^(aT) - 1)/a up to trapezoid error O(n^-2)
-    x = sample_integral_gbm(0.0, 0.5, 2.0, 256, _rng(7))
+    x = _sample_integrals(0.0, 0.5, 2.0, 256, 7)[0]
     ref = math.expm1(1.0) / 0.5
     assert abs(x - ref) < 1e-4
-    err_64 = abs(sample_integral_gbm(0.0, 0.5, 2.0, 64, _rng(7)) - ref)
-    err_128 = abs(sample_integral_gbm(0.0, 0.5, 2.0, 128, _rng(7)) - ref)
+    err_64 = abs(_sample_integrals(0.0, 0.5, 2.0, 64, 7)[0] - ref)
+    err_128 = abs(_sample_integrals(0.0, 0.5, 2.0, 128, 7)[0] - ref)
     assert err_64 / err_128 > 3.0  # second-order bias
     with pytest.raises(DomainError):
-        sample_integral_gbm(0.1, 0.0, 1.0, 1, _rng(7))
+        mc_laplace(0.1, 0.1, 0.0, 1.0, 2, 1, seed=7)
 
 
 def test_sample_moments_match_m1_m2():
-    sims = np.array(
-        [sample_integral_gbm(0.2, 0.0, 1.0, 128, _rng(2024, i)) for i in range(20000)]
-    )
+    sims = _sample_integrals(0.2, 0.0, 1.0, 128, 2024, n_paths=20000)
     m1 = moment_m1(0.0, 0.2, 1.0)
     m2 = moment_m2(0.0, 0.2, 1.0)
     se1 = sims.std(ddof=1) / math.sqrt(sims.size)
@@ -44,6 +56,52 @@ def test_sample_moments_match_m1_m2():
     se2 = sq.std(ddof=1) / math.sqrt(sims.size)
     assert abs(sims.mean() - m1) <= 3.0 * se1
     assert abs(sq.mean() - m2) <= 3.0 * se2
+
+
+_C7_ASIAN = AsianInputs(s0=100.0, k=110.0, r=0.05, q=0.0, sigma=0.3, t=1.0, kind=OptionKind.CALL)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: mc_laplace(0.1, 0.1, 0.0, 1.0, 5000, 512, seed=20240811), 0.9048593529416483),
+        (lambda: mc_laplace(0.06, 0.3, 0.09, 5.0, 5000, 256, seed=11), 0.6934168963362416),
+        (lambda: mc_asian_price(_C7_ASIAN, 5000, 256, seed=7), 4.063069831776787),
+        # |2*drift| beyond the float exponent range: the mirror needs its own exp
+        (lambda: mc_laplace(0.1, 0.3, -160.0, 5.0, 200, 64, seed=3), 0.9961013404754547),
+        (lambda: mc_laplace(1e-170, 0.3, 80.0, 5.0, 200, 64, seed=3), 3.249959495407098e-14),
+        # small drift but sigma*W beyond it: some e^s underflow to 0
+        (lambda: mc_laplace(1e-40, 100.0, 4966.0, 10.0, 400, 64, seed=3), 0.5770330097728461),
+    ],
+    ids=["criterion7-laplace", "drifted", "criterion7-asian", "drift-below-range",
+         "drift-above-range", "sigma-w-beyond-range"],
+)
+def test_mc_estimates_pinned(call, expected):
+    # the keyed per-path streams fix every draw, so only rounding may move
+    # these: the mirror's exp(2*drift)/e^s against exp(drift - sigma*W)
+    est = call()
+    assert math.isfinite(est.mean)
+    assert est.mean == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_mc_maturity_domain():
+    with pytest.raises(DomainError, match="T must be >= 0"):
+        mc_laplace(0.1, 0.1, 0.0, -1.0, 100, 16, seed=1)
+    with pytest.raises(DomainError, match="T must be >= 0"):
+        mc_laplace(0.0, 0.1, 0.0, -1.0, 100, 16, seed=1)
+    # mc_asian_price takes T from AsianInputs, which rejects t <= 0
+    with pytest.raises(DomainError, match="t must be > 0"):
+        AsianInputs(s0=100.0, k=110.0, r=0.05, q=0.0, sigma=0.3, t=-1.0, kind=OptionKind.CALL)
+    est = mc_laplace(0.1, 0.1, 0.0, 0.0, 100, 16, seed=1)
+    assert est.mean == 1.0 and est.stderr == 0.0
+
+
+def test_mc_negative_sigma_is_the_mirror_path():
+    # with antithetic pairs, -sigma swaps each path with its mirror
+    pos = mc_laplace(0.1, 0.3, 0.05, 2.0, 2000, 64, seed=5)
+    neg = mc_laplace(0.1, -0.3, 0.05, 2.0, 2000, 64, seed=5)
+    assert neg.mean == pytest.approx(pos.mean, rel=1e-13, abs=0.0)
+    assert neg.stderr == pytest.approx(pos.stderr, rel=1e-13, abs=0.0)
 
 
 def test_mc_laplace_theta_zero():

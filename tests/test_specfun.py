@@ -78,6 +78,8 @@ def test_gamma_poles():
         with pytest.raises(PoleError):
             gamma_fn(x)
     assert math.isfinite(gamma_fn(-0.5))
+    with pytest.raises(DomainError, match="x = 171.7"):
+        gamma_fn(171.7)
 
 
 def test_sine_sinh_bessel_identity():
