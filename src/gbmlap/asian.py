@@ -26,7 +26,7 @@ from enum import Enum
 
 from ._mathutil import expm1_over_x, require_finite, sinc, sinhc, tanhc
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
-from .ratefn import Branch, RateEval, _sine_branch_cap
+from .ratefn import Branch, RateEval
 from .rootfind import RootResult, solve_bracketed
 from .specfun import norm_cdf
 
@@ -128,8 +128,12 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
 
     Requires 0 < x <= 1 + zeta/2.  The left side is evaluated in the
     pole-free form sinc(2*xi) + zeta*sinc(xi)^2/2, which extends
-    continuously to xi = pi/2 with value 2*zeta/pi^2; x below the left
-    side's infimum raises NoRootInInterval.
+    continuously to xi = pi/2 with value 2*zeta/pi^2, and the solve runs on
+    [0, pi/2] for every zeta.  The left side equals
+    sin(xi)*(2*xi*cos(xi) + zeta*sin(xi))/(2*xi^2), so wherever
+    2*xi*cos(xi) + zeta*sin(xi) <= 0 it is at most 0 < x: every root lies
+    where the log argument in the closed form is positive.  x below the
+    left side's infimum raises NoRootInInterval.
     """
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
@@ -143,12 +147,11 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
 
     if abs(f(0.0)) <= 1e-15 * max(1.0, abs(x)):
         return RootResult(root=0.0, residual=f(0.0), iterations=0, bracket=(0.0, 0.0))
-    hi = _HALF_PI if zeta >= 0.0 else min(_HALF_PI, _sine_branch_cap(zeta)) * (1.0 - 1e-12)
-    if f(hi) >= 0.0:
+    if f(_HALF_PI) >= 0.0:
         raise NoRootInInterval(
             f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
         )
-    return solve_bracketed(f, 0.0, hi, tol=1e-15)
+    return solve_bracketed(f, 0.0, _HALF_PI, tol=1e-15)
 
 
 def _ibs_hyp_value(x: float, zeta: float, delta: float) -> float:

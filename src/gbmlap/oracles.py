@@ -19,7 +19,11 @@ check:
   rate functions, by shooting on the Euler-Lagrange equation
   h'' = kappa * e^h with h(0) = 0 and natural condition h'(1) = zeta
   (kappa = 2*b^2 on the Laplace side; kappa = -mu with the multiplier mu
-  adjusted so that int_0^1 e^h = x on the distribution side).
+  adjusted so that int_0^1 e^h = x on the distribution side).  Each shot
+  integrates the ODE with a scalar Dormand-Prince 5(4) loop (Dormand &
+  Prince, 1980) whose tableau, initial step, step-size control (safety
+  0.9, factor clamped to [0.2, 10]) and RMS error norm are those of
+  scipy's RK45, so a shot takes the same steps as ``solve_ivp`` would.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._mathutil import expm1_over_x, require_finite
 from .asian import AsianInputs, OptionKind
@@ -54,6 +57,18 @@ _W_SPREAD = 40.0
 # time, capping keeps the integration finite with the correct sign of h'(1)
 _H_CAP = 40.0
 
+# Dormand-Prince 5(4) pair: stage rows of A (the nodes are not needed, the
+# shooting ODE is autonomous), 5th-order weights B and error weights E
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -71,8 +86,11 @@ class ShootingResult:
     """Variational value with the solved shooting parameters.
 
     multiplier is 0 for the unconstrained (Laplace-side) problem.
-    bc_residual is the boundary-condition defect |h'(1) - zeta|, combined
-    with the constraint defect |int e^h - x| for the constrained problem.
+    ode_steps counts the points of the final shot's integration (accepted
+    steps plus the start).  bc_residual is the boundary-condition defect
+    |h'(1) - zeta|, combined with the constraint defect |int e^h - x| for
+    the constrained problem.  shots counts the ODE integrations behind the
+    value (0 when it is known without shooting).
     """
 
     value: float
@@ -80,6 +98,7 @@ class ShootingResult:
     multiplier: float
     ode_steps: int
     bc_residual: float
+    shots: int = 0
 
 
 def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
@@ -119,7 +138,7 @@ def _integrals(z: np.ndarray, sigma: float, a: float, T: float, antithetic: bool
     n_steps = z.shape[1]
     dt = T / n_steps
     drift = (a - 0.5 * sigma * sigma) * dt * np.arange(1, n_steps + 1)
-    np.cumsum(z, axis=1, out=z)
+    np.add.accumulate(z, axis=1, out=z)
     z *= sigma * math.sqrt(dt)
     by_division = 2.0 * (np.abs(drift).max() + _W_SPREAD * abs(sigma) * math.sqrt(T)) < _EXP_NORMAL
     mirror = np.exp(drift - z) if antithetic and not by_division else None
@@ -202,36 +221,82 @@ def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> M
     return _estimate(vals, n_steps, seed)
 
 
+def _rms(v, scale) -> float:
+    return math.sqrt(sum((x / w) ** 2 for x, w in zip(v, scale)) / len(v))
+
+
+def _dopri45(rhs, y: list, rtol: float, atol: float):
+    """Integrate the autonomous system y' = rhs(y) over t in [0, 1].
+
+    Adaptive Dormand-Prince 5(4) with local extrapolation.  The initial
+    step (Hairer, Norsett & Wanner, Sec. II.4) and the step control copy
+    scipy's RK45: error scale atol + rtol*max(|y_old|, |y_new|), RMS norm,
+    factor 0.9*err^(-1/5) clamped to [0.2, 10] and never above 1 right
+    after a rejection.  Returns (y(1), accepted steps + 1).
+    """
+    f = rhs(y)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0, d1 = _rms(y, scale), _rms(f, scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, 1.0)
+    f1 = rhs([v + h0 * g for v, g in zip(y, f)])
+    d2 = _rms([g1 - g for g1, g in zip(f1, f)], scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100.0 * h0, h1, 1.0)
+    t, points = 0.0, 1
+    while t < 1.0:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ShootingFailed(f"ODE step size fell below {min_step:g} at t={t}")
+            t_new = min(t + h_abs, 1.0)
+            h = t_new - t
+            h_abs = h
+            k = [f]
+            for row in _DP_A:
+                k.append(rhs([v + h * sum(a * kj for a, kj in zip(row, col))
+                              for v, col in zip(y, zip(*k))]))
+            y_new = [v + h * sum(w * kj for w, kj in zip(_DP_B, col)) for v, col in zip(y, zip(*k))]
+            f_new = rhs(y_new)
+            k.append(f_new)
+            err = [h * sum(w * kj for w, kj in zip(_DP_E, col)) for col in zip(*k)]
+            scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
+            err_norm = _rms(err, scale)
+            if err_norm < 1.0:
+                factor = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err_norm ** -0.2)
+            rejected = True
+        t, y, f = t_new, y_new, f_new
+        points += 1
+    return y, points
+
+
 def _shoot(kappa: float, zeta: float, slope: float, ode_tol: float):
     """Integrate h'' = kappa*e^h from (0, slope) over [0, 1].
 
-    Returns (h(1), h'(1), int e^h, int (h'-zeta)^2, n_steps); the e^h in
+    Returns (h(1), h'(1), int e^h, int (h'-zeta)^2, n_points); the e^h in
     the right-hand side is capped so off-root blowups stay integrable.
     """
 
-    def rhs(t, y):
+    def rhs(y):
         e = math.exp(min(y[0], _H_CAP))
         dh = y[1]
         return (dh, kappa * e, e, (dh - zeta) ** 2)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        (0.0, slope, 0.0, 0.0),
-        method="RK45",
-        rtol=ode_tol,
-        atol=0.01 * ode_tol,
-    )
-    if not sol.success:
-        raise ShootingFailed(f"ODE integration failed: {sol.message}")
-    h1, hp1, int_eh, int_kin = sol.y[:, -1]
-    return h1, hp1, int_eh, int_kin, sol.t.size
+    y1, n_points = _dopri45(rhs, [0.0, slope, 0.0, 0.0], ode_tol, 0.01 * ode_tol)
+    return (*y1, n_points)
 
 
-def _solve_slope(kappa: float, zeta: float, ode_tol: float) -> float:
-    """Slope c with h'(1; c) = zeta for kappa > 0, where h'(1) is increasing in c.
+def _solve_slope(kappa: float, zeta: float, ode_tol: float) -> tuple[float, int]:
+    """Slope c with h'(1; c) = zeta for kappa > 0, and the shots it took.
 
-    A comparison argument gives a rigorous bracket: at c = zeta the defect
+    h'(1) is increasing in c.  A comparison argument gives a rigorous bracket: at c = zeta the defect
     is +kappa*int e^h > 0, and at c = zeta - kappa*(e^zeta - 1)/zeta the
     trajectory stays below zeta*t, so the defect is negative.  Slopes are
     searched within [-50, 50] per the shooting contract.
@@ -243,7 +308,8 @@ def _solve_slope(kappa: float, zeta: float, ode_tol: float) -> float:
     lo = max(zeta - kappa * expm1_over_x(zeta), -50.0)
     if g(lo) > 0.0:
         raise ShootingFailed(f"slope root below -50 (kappa={kappa}, zeta={zeta})")
-    return solve_bracketed(g, lo, zeta, tol=1e-12).root
+    res = solve_bracketed(g, lo, zeta, tol=1e-12)
+    return res.root, 1 + res.iterations
 
 
 def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingResult:
@@ -260,7 +326,7 @@ def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRes
     if b == 0.0:
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
     kappa = 2.0 * b * b
-    slope = _solve_slope(kappa, zeta, ode_tol)
+    slope, shots = _solve_slope(kappa, zeta, ode_tol)
     _, hp1, int_eh, int_kin, nsteps = _shoot(kappa, zeta, slope, ode_tol)
     return ShootingResult(
         value=kappa * int_eh + 0.5 * int_kin,
@@ -268,6 +334,7 @@ def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRes
         multiplier=0.0,
         ode_steps=nsteps,
         bc_residual=abs(hp1 - zeta),
+        shots=shots + 1,
     )
 
 
@@ -291,7 +358,11 @@ def ibs_variational(x: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRe
     if abs(x - xstar) <= 1e-12 * max(1.0, xstar):
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
 
+    shots = 0
+
     def defect(c: float) -> float:
+        nonlocal shots
+        shots += 1
         return _shoot(-(c - zeta) / x, zeta, c, ode_tol)[1] - zeta
 
     ins = 1e-6 * max(1.0, abs(zeta))
@@ -319,4 +390,5 @@ def ibs_variational(x: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRe
         multiplier=mu,
         ode_steps=nsteps,
         bc_residual=max(abs(hp1 - zeta), abs(int_eh - x)),
+        shots=shots + 1,
     )

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _HALF_PI = 0.5 * math.pi
-_INSET = 1e-12
 # relative width of the exact-boundary detection window around b = |zeta|/(2+zeta)
 _BOUNDARY_WINDOW = 1e-13
 
@@ -104,55 +103,37 @@ def solve_delta(b: float, zeta: float) -> RootResult:
     return solve_bracketed(f, 0.0, abs(zeta), tol=1e-15)
 
 
-def _sine_branch_cap(zeta: float) -> float:
-    """First positive zero of 2*xi*cos(xi) + zeta*sin(xi).
-
-    The trigonometric-branch root always lies below this cap (the log
-    argument in the closed form stays positive there).  For zeta = 0 this
-    is pi/2; above pi/2 for positive zeta, below for negative.
-    """
-    if zeta == 0.0:
-        return _HALF_PI
-
-    def q(x: float) -> float:
-        return 2.0 * x * math.cos(x) + zeta * math.sin(x)
-
-    if zeta > 0.0:
-        return solve_bracketed(q, _HALF_PI, math.pi, tol=1e-15).root
-    if zeta <= -2.0:
-        raise NoRootInInterval(f"no trigonometric root interval for zeta={zeta} <= -2")
-    return solve_bracketed(q, 1e-9, _HALF_PI, tol=1e-15).root
-
-
 def solve_xi(b: float, zeta: float) -> RootResult:
-    """Root xi of the trigonometric-branch equation.
+    """Root xi in (0, pi) of the trigonometric-branch equation.
 
-    Solves 2*xi^2*(4*xi^2 + zeta^2) = 2*b^2*(2*xi*cos(xi) + zeta*sin(xi))^2
-    on the open interval bounded by ``_sine_branch_cap``; raises
-    NoRootInInterval when no sign change exists (b below the branch
-    boundary, or zeta <= -2).  The equation has a spurious double zero at
-    xi = 0, so the solve runs on the xi^2-scaled form; the reported
-    residual is against the original equation.
+    The equation is 2*xi^2*(4*xi^2 + zeta^2) = 2*b^2*(2*xi*cos(xi) +
+    zeta*sin(xi))^2.  It is solved in the unsquared form
+    sqrt(4*xi^2 + zeta^2) = b*(2*cos(xi) + zeta*sinc(xi)) on [0, pi], which
+    drops the spurious double zero at xi = 0 and the roots with a negative
+    right side: every root of the unsquared form has 2*xi*cos(xi) +
+    zeta*sin(xi) > 0, so it lies below the first positive zero of that
+    factor, where the log argument in the closed form stays positive.  At
+    xi = 0 the difference is |zeta| - b*(2 + zeta), so NoRootInInterval is
+    raised when b is on the hyperbolic side of the branch boundary or
+    zeta <= -2.  The reported residual is against the squared equation.
     """
     require_finite(b=b, zeta=zeta)
     if b <= 0.0:
         raise DomainError(f"solve_xi requires b > 0, got {b}")
-    cap = _sine_branch_cap(zeta)
+    z2 = zeta * zeta
 
-    def g(x: float) -> float:
-        paren = 2.0 * math.cos(x) + zeta * sinc(x)
-        return 2.0 * (4.0 * x * x + zeta * zeta) - 2.0 * b * b * paren * paren
+    def h(x: float) -> float:
+        return math.sqrt(4.0 * x * x + z2) - b * (2.0 * math.cos(x) + zeta * sinc(x))
 
-    lo = _INSET * cap
-    hi = cap * (1.0 - _INSET)
-    if g(lo) >= 0.0:
+    if h(0.0) >= 0.0:
         raise NoRootInInterval(
-            f"no trigonometric root for b={b}, zeta={zeta}: b is on the hyperbolic side"
+            f"no trigonometric root for b={b}, zeta={zeta}: "
+            "b is on the hyperbolic side or zeta <= -2"
         )
-    res = solve_bracketed(g, lo, hi, tol=1e-15)
+    res = solve_bracketed(h, 0.0, math.pi, tol=1e-15)
     xi = res.root
     paren = 2.0 * xi * math.cos(xi) + zeta * math.sin(xi)
-    residual = 2.0 * xi * xi * (4.0 * xi * xi + zeta * zeta) - 2.0 * b * b * paren * paren
+    residual = 2.0 * xi * xi * (4.0 * xi * xi + z2) - 2.0 * b * b * paren * paren
     return RootResult(root=xi, residual=residual, iterations=res.iterations, bracket=res.bracket)
 
 

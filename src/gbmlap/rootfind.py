@@ -1,10 +1,14 @@
 """Bracketed scalar root solving.
 
-A single safeguarded hybrid solver backs every transcendental equation in
-the library.  Secant steps give fast local convergence; whenever a step
-leaves the bracket, stalls, or fails to shrink the bracket quickly enough,
-the solver falls back to bisection, so the sign-change interval is
-maintained at every iteration.  Stateless and safe for concurrent use.
+A single solver backs every transcendental equation in the library:
+Brent's method (Brent, *Algorithms for Minimization without Derivatives*,
+1973, the ``zeroin`` procedure).  Each step tries inverse quadratic
+interpolation through the last three iterates, or a secant step when only
+two are distinct; a step that leaves the inner three quarters of the
+bracket, or that does not at least halve the step taken two iterations
+earlier, is replaced by bisection.  The sign-change interval is kept at
+every iteration, and convergence is superlinear on smooth roots.
+Stateless and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -39,10 +43,11 @@ def solve_bracketed(
     tol: float = 1e-14,
     max_iter: int = 200,
 ) -> RootResult:
-    """Find a root of ``f`` on ``[lo, hi]``.
+    """Find a root of ``f`` on ``[lo, hi]`` by Brent's method.
 
     Requires f(lo)*f(hi) <= 0.  Terminates when |f(x)| <= tol or the
-    bracket width falls below tol*max(1, |x|).
+    bracket width falls below tol*max(1, |x|); no step is shorter than
+    half that width.  ``iterations`` counts evaluations of ``f``.
 
     Raises:
         NoSignChange: endpoints have the same sign.
@@ -63,39 +68,48 @@ def solve_bracketed(
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChange(f"f({lo})={fa:g} and f({hi})={fb:g} have the same sign")
 
-    # b tracks the endpoint with the smaller |f|
-    if abs(fa) < abs(fb):
-        a, b, fa, fb = b, a, fb, fa
-    w1 = w2 = math.inf  # bracket widths one and two iterations ago
+    # b is the best iterate, c the other end of the sign-change interval and
+    # a the previous b; d is the last step and e the one before it
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        half_tol = 0.5 * tol * max(1.0, abs(b))
+        m = 0.5 * (c - b)
+        if abs(fb) <= tol or abs(m) <= half_tol:
+            return RootResult(b, fb, evals, (b, c) if b <= c else (c, b))
+        if evals >= max_iter:
+            raise MaxIterations(
+                f"no convergence in {max_iter} evaluations; "
+                f"bracket [{min(b, c)}, {max(b, c)}], f={fb:g}"
+            )
 
-    while evals < max_iter:
-        width = abs(b - a)
-        if abs(fb) <= tol or width <= tol * max(1.0, abs(b)):
-            lo_f, hi_f = (a, b) if a <= b else (b, a)
-            return RootResult(b, fb, evals, (lo_f, hi_f))
-
-        # secant step from the current endpoints; fall back to bisection when
-        # it leaves the bracket or the bracket failed to halve in two steps
-        x = b - fb * (b - a) / (fb - fa)
-        inner_lo, inner_hi = (a, b) if a < b else (b, a)
-        if not (inner_lo < x < inner_hi) or width > 0.5 * w2:
-            x = 0.5 * (a + b)
-        w1, w2 = width, w1
-
-        fx = f(x)
-        evals += 1
-        if fx == 0.0:
-            lo_f, hi_f = (a, b) if a <= b else (b, a)
-            return RootResult(x, 0.0, evals, (lo_f, hi_f))
-
-        # keep the sign change: replace the endpoint matching sign(fx)
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
+        if abs(e) < half_tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            a, b, fa, fb = b, x, fb, fx
-        if abs(fa) < abs(fb):
-            a, b, fa, fb = b, a, fb, fa
+            s = fb / fa
+            if a == c:  # secant
+                p = 2.0 * m * s
+                q = 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(half_tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
 
-    raise MaxIterations(
-        f"no convergence in {max_iter} evaluations; bracket [{min(a, b)}, {max(a, b)}], f={fb:g}"
-    )
+        a, fa = b, fb
+        b += d if abs(d) > half_tol else math.copysign(half_tol, m)
+        fb = f(b)
+        evals += 1

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gbmlap.asian import (
     AsianInputs,
@@ -66,6 +66,19 @@ def test_ibs_xi_boundary_and_oracle():
         ibs_solve_xi(0.1, 1.0)
     with pytest.raises(BranchError):
         ibs_solve_xi(2.0, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta=st.floats(-1.99, 3.0), v=st.floats(1e-6, 1.0 - 1e-6))
+def test_ibs_xi_root_below_sine_zero(zeta, v):
+    # x across the trigonometric branch's reachable range (2*zeta/pi^2, 1 + zeta/2)
+    lo = max(0.0, 2.0 * zeta / math.pi ** 2)
+    x = lo + (1.0 + 0.5 * zeta - lo) * v
+    res = ibs_solve_xi(x, zeta)
+    t = res.root
+    assert 0.0 < t <= 0.5 * math.pi
+    assert 2.0 * t * math.cos(t) + zeta * math.sin(t) > 0.0
+    assert abs(res.residual) <= 1e-12
 
 
 def test_rate_ibs_zero_locus():

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbmlap
 from gbmlap.asian import AsianInputs, OptionKind, a_fwd
 from gbmlap.dothan import moment_m1, moment_m2
 from gbmlap.errors import DomainError
@@ -164,6 +169,35 @@ def test_jb_variational_vs_closed_form():
         sh = jb_variational(b, z)
         assert abs(sh.value - jb(b, z)) <= 1e-4
         assert sh.bc_residual <= 1e-9
+
+
+def test_variational_shots():
+    res = jb_variational(0.7, 0.5)
+    assert res.shots > 0
+    assert ibs_variational(1.2, 0.5).shots > 0
+    assert jb_variational(0.0, 0.5).shots == 0
+
+
+@pytest.mark.parametrize(
+    "b, zeta, steps",
+    [(0.3, 0.9, 30), (1.0, 0.0, 42), (2.0, -0.5, 54), (0.7, 0.5, 41), (1.5, 2.0, 69)],
+)
+def test_jb_variational_ode_steps_pinned(b, zeta, steps):
+    # points of the final shot, as scipy's solve_ivp(method="RK45") counts them
+    assert jb_variational(b, zeta).ode_steps == steps
+
+
+def test_shooting_does_not_import_scipy_integrate():
+    code = (
+        "import sys, gbmlap, gbmlap.cli, gbmlap.validation\n"
+        "gbmlap.oracles.jb_variational(0.5, 0.5)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    # run against the same gbmlap sources as this test session
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmlap.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_jb_variational_ode_tolerance():

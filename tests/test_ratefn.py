@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gbmlap import reference
 from gbmlap.errors import BranchError, DomainError, NoRootInInterval
@@ -93,6 +94,27 @@ def test_solve_xi_no_root_on_hyperbolic_side():
         solve_xi(0.1, 1.0)  # below the branch boundary
     with pytest.raises(NoRootInInterval):
         solve_xi(0.5, -2.5)  # pathological drift
+
+
+@settings(max_examples=60, deadline=None)
+@given(zeta=st.floats(-1.99, 3.0), u=st.floats(1e-6, 4.0))
+@example(zeta=-2.0 + 1e-8, u=1.0)  # once raised NoSignChange from a collapsed bracket
+@example(zeta=0.0, u=1e-6)
+def test_solve_xi_root_below_sine_zero(zeta, u):
+    # b from just above the branch boundary to 5x beyond it; the unsquared
+    # equation's root has 2*xi*cos(xi) + zeta*sin(xi) > 0 without any cap
+    b = (abs(zeta) / (2.0 + zeta) + 0.1) * (1.0 + u)
+    res = solve_xi(b, zeta)
+    xi = res.root
+    assert 0.0 < xi < math.pi
+    assert 2.0 * xi * math.cos(xi) + zeta * math.sin(xi) > 0.0
+    assert abs(res.residual) <= 1e-12
+
+
+def test_rate_R_drifted_trig_evals():
+    # with no sine-cap solve, a drifted trigonometric R costs at most two
+    # evaluations more than zeta = 0
+    assert rate_R(0.5, 0.9).evals <= rate_R(0.5, 0.0).evals + 2
 
 
 def test_rate_R_table3_rows():

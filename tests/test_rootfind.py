@@ -28,6 +28,13 @@ def test_transcendental_residual():
     assert abs(f(res.root)) <= 1e-12
 
 
+def test_superlinear_convergence():
+    # bisection alone needs about 50 evaluations to reach 1e-15 on [0, pi/2]
+    res = solve_bracketed(lambda x: x - math.cos(x), 0.0, math.pi / 2, tol=1e-15)
+    assert abs(res.root - 0.7390851332151607) < 1e-15
+    assert res.iterations <= 10
+
+
 def test_no_sign_change_raises():
     with pytest.raises(NoSignChange):
         solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
