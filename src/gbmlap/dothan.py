@@ -4,7 +4,7 @@ Five deterministic methods, each returning a BondQuote:
 
 * ``bond_asymptotic``   - exp(-r0*T*R(b, zeta)) from the rate function;
 * ``bond_exact_zero_drift`` - the exact a = 0 price as a single oscillatory
-  integral, evaluated lobe-by-lobe between the zeros of sin(2*sqrt(y)*sinh z);
+  integral, summed lobe by lobe between the zeros of sin(2*sqrt(y)*sinh z);
 * ``bond_small_rate``   - second-order expansion in r0 from the first two
   moments of the time integral;
 * ``bond_taylor_small_T`` - short-maturity Taylor expansion of the log price
@@ -17,13 +17,18 @@ the bracket (whose closed-form integral is 1/a - K_1(a)) and by evaluating
 e^z * erfc(large) through the scaled function erfcx, so the amplitude decays
 like exp(-z^2/s) with no overflow.  Quadrature subdivides at the sine's
 zeros z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined 15-point
-Gauss-Legendre panel per lobe.  The alternating lobe partial sums are
+Gauss-Legendre panel per lobe.  Lobes are evaluated in blocks of 6, 12,
+24, ... lobes: one call to the integrand gives every lobe of a block its
+coarse (whole-lobe) and fine (two-halves) sums, and only a lobe whose two
+sums disagree is refined further.  The alternating lobe partial sums are
 accelerated with Wynn's epsilon algorithm over a window of the last 24
-sums; summation stops when the extrapolated value has settled below
-quad_tol (after at least 6 lobes) or when three consecutive lobes each
-contribute less than quad_tol, whichever comes first.  A T = 200 bond
-(r0 = 0.05, sigma = 0.5) then needs 14 lobes instead of 13,465.
-Everything here is stateless.
+sums; summation runs lobe by lobe over each block and stops when the
+extrapolated value has settled below quad_tol (after at least 6 lobes) or
+when three consecutive lobes each contribute less than quad_tol, whichever
+comes first.  A T = 200 bond (r0 = 0.05, sigma = 0.5) then needs 14 lobes
+instead of 13,465, in two integrand calls.  A non-finite y or s, or a
+non-finite integrand value, raises DomainError.  Everything here is
+stateless.
 """
 
 from __future__ import annotations
@@ -82,9 +87,18 @@ class BondQuote:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# A panel's 45 nodes as fractions of its width from its low edge (the rule
+# on the whole panel, then on each half), and the weights per unit width of
+# its coarse (whole-panel) and fine (two-halves) sums
+_PANEL_OFFSETS = np.concatenate((0.5 + 0.5 * _GL_NODES, 0.25 + 0.25 * _GL_NODES,
+                                 0.75 + 0.25 * _GL_NODES))
+_PANEL_WEIGHTS = np.zeros((45, 2))
+_PANEL_WEIGHTS[:15, 0] = 0.5 * _GL_WEIGHTS
+_PANEL_WEIGHTS[15:, 1] = 0.25 * np.tile(_GL_WEIGHTS, 2)
 _MAX_DEPTH = 12
 # Wynn epsilon table over the lobe partial sums: how many sums it spans, and
-# how many lobes must be summed before its value may end the summation
+# how many lobes must be summed before its value may end the summation (also
+# the size of the first block of lobes; each later block doubles)
 _WYNN_WINDOW = 24
 _WYNN_MIN_LOBES = 6
 
@@ -94,9 +108,11 @@ class QuadratureResult:
     """Value of a sine-sinh integral with how it was obtained.
 
     ``summation`` is "extrapolated" when the Wynn epsilon estimate ended the
-    lobe sum and "raw" when three small lobes did; ``n_panels`` counts
-    Gauss-Legendre panels and ``depth_cap_hits`` the panels that reached
-    the refinement cap unconverged (their value is used as is).
+    lobe sum and "raw" when three small lobes did; ``n_panels`` counts the
+    Gauss-Legendre panels of the summed lobes and ``depth_cap_hits`` those
+    panels that reached the refinement cap unconverged (their value is used
+    as is); ``n_calls`` counts calls to the amplitude, one per block of
+    lobes plus one per refinement of a panel.
     """
 
     value: float
@@ -105,35 +121,46 @@ class QuadratureResult:
     summation: str
     n_panels: int
     depth_cap_hits: int
+    n_calls: int
 
 
-def _panel(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
-           tol: float, depth: int, counts: list[int]) -> float:
-    """Adaptive 15-point Gauss-Legendre integral of g over [lo, hi].
+def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+                counts: list[int]) -> list[list[float]]:
+    """[coarse, fine] 15-point Gauss-Legendre sums of g over each panel [lo, hi].
 
-    One evaluation call covers the full panel and both halves; the halved
-    sum is kept when it agrees with the full panel, otherwise recurse.
-    counts[0] is incremented per panel, counts[1] per panel that stops at
-    the depth cap without agreement.
+    The coarse sum covers the whole panel, the fine sum its two halves.
+    One call to g covers every panel (45 nodes each); counts[2] is
+    incremented per call.  Raises DomainError if any value of g is not
+    finite.
     """
-    mid = 0.5 * (lo + hi)
-    h_full, h_half = 0.5 * (hi - lo), 0.25 * (hi - lo)
-    z = np.concatenate((
-        mid + h_full * _GL_NODES,
-        0.5 * (lo + mid) + h_half * _GL_NODES,
-        0.5 * (mid + hi) + h_half * _GL_NODES,
-    ))
-    v = g(z)
-    coarse = h_full * float(_GL_WEIGHTS @ v[:15])
-    fine = h_half * float(_GL_WEIGHTS @ v[15:30] + _GL_WEIGHTS @ v[30:])
+    width = hi - lo
+    z = lo[:, None] + width[:, None] * _PANEL_OFFSETS
+    v = g(z.ravel())
+    counts[2] += 1
+    if not np.isfinite(v).all():
+        raise DomainError(f"the integrand is not finite on z in [{lo[0]:g}, {hi[-1]:g}]")
+    return ((v.reshape(-1, 45) @ _PANEL_WEIGHTS) * width[:, None]).tolist()
+
+
+def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+            coarse: float, fine: float, tol: float, depth: int, counts: list[int]) -> float:
+    """Integral of g over the panel [lo, hi] from its coarse and fine sums.
+
+    The fine sum is kept when the two agree; otherwise both halves are
+    summed in one call to g and refined in turn.  counts[0] is incremented
+    per panel, counts[1] per panel that stops at the depth cap without
+    agreement.
+    """
     counts[0] += 1
     if abs(fine - coarse) <= max(tol, 1e-13 * abs(fine)):
         return fine
     if depth >= _MAX_DEPTH:
         counts[1] += 1
         return fine
-    return (_panel(g, lo, mid, 0.5 * tol, depth + 1, counts)
-            + _panel(g, mid, hi, 0.5 * tol, depth + 1, counts))
+    mid = 0.5 * (lo + hi)
+    left, right = _panel_sums(g, np.array([lo, mid]), np.array([mid, hi]), counts)
+    return (_refine(g, lo, mid, *left, 0.5 * tol, depth + 1, counts)
+            + _refine(g, mid, hi, *right, 0.5 * tol, depth + 1, counts))
 
 
 def _wynn_diagonal(prev: list[float], s: float) -> list[float]:
@@ -167,51 +194,68 @@ def sin_sinh_quadrature(
     """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz by signed lobes.
 
     Lobe k spans [asinh(k*pi/freq), asinh((k+1)*pi/freq)], one half-period
-    of the sine.  The lobe partial sums feed a Wynn epsilon table (the
-    highest even column of each diagonal is the extrapolated value); its
-    error estimate is the distance from the latest value to the two before
-    it.  Summation stops at whichever comes first:
+    of the sine.  Lobes are evaluated in blocks: the first holds
+    ``_WYNN_MIN_LOBES`` lobes, each later one twice as many as the one
+    before, clipped to ``max_lobes``.  One call to the amplitude gives the
+    coarse and fine Gauss-Legendre sums of every lobe of a block; a lobe
+    whose two sums disagree is refined adaptively.  The lobe partial sums
+    feed a Wynn epsilon table (the highest even column of each diagonal is
+    the extrapolated value); its error estimate is the distance from the
+    latest value to the two before it.  Summation runs lobe by lobe over
+    each block and stops at whichever comes first:
 
     * extrapolated: at least ``_WYNN_MIN_LOBES`` lobes are summed and the
       epsilon error estimate is below ``tol``;
     * raw: three consecutive lobes each contribute less than ``tol`` in
       magnitude; the alternating tail is then bounded by the last lobe.
 
-    The reported error estimate is at least ``tol``.  Raises
+    ``amplitude`` must be elementwise on a 1-D array of z.  It may be
+    evaluated on lobes past the one where the sum stops, up to the end of
+    the current block, and must be finite there too.
+
+    The reported error estimate is at least ``tol``.  Raises DomainError
+    for a non-finite or non-positive ``freq``, a non-positive ``tol``, or
+    as soon as one call gives a non-finite integrand value; raises
     QuadratureNotConverged past ``max_lobes`` lobes (extreme
     freq/amplitude combinations).
     """
-    if not (freq > 0.0):
-        raise DomainError(f"freq must be > 0, got {freq}")
+    if not (0.0 < freq < math.inf):
+        raise DomainError(f"freq must be finite and > 0, got {freq}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
 
     def g(z: np.ndarray) -> np.ndarray:
         return np.sin(freq * np.sinh(z)) * amplitude(z)
 
-    counts = [0, 0]
+    counts = [0, 0, 0]
     total = 0.0
     streak = 0
     last = math.inf
     diag: list[float] = []
     prev1: float | None = None  # the two previous extrapolated values
     prev2: float | None = None
-    for k in range(max_lobes):
-        lo = math.asinh(k * math.pi / freq)
-        hi = math.asinh((k + 1) * math.pi / freq)
-        lobe = _panel(g, lo, hi, 0.01 * tol, 0, counts)
-        total += lobe
-        last = abs(lobe)
-        streak = streak + 1 if last < tol else 0
-        if streak >= 3:
-            return QuadratureResult(total, max(last, tol), k + 1, "raw", *counts)
-        diag = _wynn_diagonal(diag, total)
-        est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
-        if est is not None and prev1 is not None and prev2 is not None:
-            err = abs(est - prev1) + abs(est - prev2)
-            if err < tol and k + 1 >= _WYNN_MIN_LOBES:
-                return QuadratureResult(est, max(err, tol), k + 1, "extrapolated", *counts)
-        prev1, prev2 = est, prev1
+    k0, size = 0, _WYNN_MIN_LOBES
+    while k0 < max_lobes:
+        k1 = min(k0 + size, max_lobes)
+        edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
+        sums = _panel_sums(g, edges[:-1], edges[1:], counts)
+        edges = edges.tolist()
+        for i in range(k1 - k0):
+            k = k0 + i
+            lobe = _refine(g, edges[i], edges[i + 1], *sums[i], 0.01 * tol, 0, counts)
+            total += lobe
+            last = abs(lobe)
+            streak = streak + 1 if last < tol else 0
+            if streak >= 3:
+                return QuadratureResult(total, max(last, tol), k + 1, "raw", *counts)
+            diag = _wynn_diagonal(diag, total)
+            est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
+            if est is not None and prev1 is not None and prev2 is not None:
+                err = abs(est - prev1) + abs(est - prev2)
+                if err < tol and k + 1 >= _WYNN_MIN_LOBES:
+                    return QuadratureResult(est, max(err, tol), k + 1, "extrapolated", *counts)
+            prev1, prev2 = est, prev1
+        k0, size = k1, 2 * size
     raise QuadratureNotConverged(
         f"lobe contributions still {last:g} > {tol:g} and the extrapolated sum "
         f"unsettled after {max_lobes} lobes"
@@ -264,13 +308,20 @@ def bond_exact_zero_drift(
 
     algebraically equal to e^(-z)*Erfc((s-2z)/(2 sqrt s))
     - e^z*Erfc((s+2z)/(2 sqrt s)) - 2*e^(-z) but free of cancellation
-    and overflow.  The absolute error estimate is <= quad_tol.
+    and overflow.  The absolute error estimate is <= quad_tol.  Raises
+    DomainError when y or s is zero or not finite in floating point.
     """
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
     ds = dothan_scale(ModelParams(sigma=sigma, a=0.0, T=T, theta=r0))
     y, s = ds.y, ds.s
+    for name, v in (("y = 2*r0/sigma^2", y), ("s = sigma^2*T/2", s)):
+        if not (0.0 < v < math.inf):
+            raise DomainError(
+                f"{name} is {v:g} (r0={r0}, sigma={sigma}, T={T}); the exact quadrature "
+                f"needs it finite and > 0"
+            )
     sqrt_y = math.sqrt(y)
     sqrt_s = math.sqrt(s)
 
@@ -300,6 +351,7 @@ def bond_exact_zero_drift(
             "summation": quad.summation,
             "n_panels": quad.n_panels,
             "depth_cap_hits": quad.depth_cap_hits,
+            "n_calls": quad.n_calls,
         },
     )
 

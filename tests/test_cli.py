@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gbmlap
 from gbmlap.cli import main
 
 
@@ -55,6 +60,20 @@ def test_bond_exact_below_resolution_exit_code(capsys):
     assert code == 1
     assert "absolute resolution" in err
     assert "Traceback" not in err
+
+
+def test_bond_exact_degenerate_scaling_exit_code():
+    # y = 2*r0/sigma^2 overflows; run in a subprocess with a timeout so a
+    # quadrature that never ends fails the test instead of hanging it
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmlap.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-m", "gbmlap", "bond", "--method", "exact", "--r0", "1e308",
+         "--sigma", "1e-3", "--T", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert out.returncode == 1
+    assert out.stderr.startswith("error in bond: y = 2*r0/sigma^2 is inf")
+    assert out.stderr.count("\n") == 1
 
 
 def test_bond_zero_rate(capsys):

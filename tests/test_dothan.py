@@ -44,9 +44,20 @@ def test_quadrature_lobe_cap():
         sin_sinh_quadrature(lambda z: np.exp(-z), 5.0, tol=1e-12, max_lobes=5)
 
 
+def _recording(amplitude):
+    seen = [0.0]
+
+    def rec(z):
+        seen[0] = max(seen[0], float(z.max()))
+        return amplitude(z)
+
+    return rec, seen
+
+
 def test_quadrature_lobe_cap_when_extrapolation_never_settles():
     # lobes of the same size with random weights: the partial sums wander,
-    # no epsilon diagonal settles and the raw sum must still hit the cap
+    # no epsilon diagonal settles and the raw sum must still hit the cap;
+    # the last block of lobes is clipped to the cap, so no node lies past it
     freq = 3.0
     weights = np.random.default_rng(0).uniform(1.0, 2.0, 200)
 
@@ -54,8 +65,11 @@ def test_quadrature_lobe_cap_when_extrapolation_never_settles():
         lobe = np.floor(freq * np.sinh(z) / math.pi).astype(int)
         return np.cosh(z) * weights[lobe]
 
-    with pytest.raises(QuadratureNotConverged):
-        sin_sinh_quadrature(amplitude, freq, tol=1e-9, max_lobes=200)
+    for max_lobes in (1, 5, 7, 13, 200):
+        rec, seen = _recording(amplitude)
+        with pytest.raises(QuadratureNotConverged):
+            sin_sinh_quadrature(rec, freq, tol=1e-9, max_lobes=max_lobes)
+        assert 0.0 < seen[0] <= math.asinh(max_lobes * math.pi / freq)
 
 
 def test_quadrature_extrapolated_bessel_identity():
@@ -87,6 +101,91 @@ def test_quadrature_validation():
         sin_sinh_quadrature(lambda z: np.exp(-z), 0.0)
     with pytest.raises(DomainError):
         sin_sinh_quadrature(lambda z: np.exp(-z), 1.0, tol=-1.0)
+    for freq in (math.inf, math.nan, -1.0):
+        with pytest.raises(DomainError, match="freq must be finite"):
+            sin_sinh_quadrature(lambda z: np.exp(-z), freq)
+
+
+@pytest.mark.parametrize("amplitude", [
+    lambda z: np.full_like(z, np.nan),
+    lambda z: np.where(z > 2.0, np.inf, np.exp(-z)),
+], ids=["nan", "inf-past-z2"])
+def test_quadrature_non_finite_integrand_raises(amplitude):
+    # refining a NaN lobe would recurse to the depth cap on every lobe
+    with pytest.raises(DomainError, match="integrand is not finite"):
+        sin_sinh_quadrature(amplitude, 1.0)
+
+
+# (r0, sigma, T, n_lobes, n_panels, depth_cap_hits, summation, price) for the
+# table-1 rows, the long rungs r0 = 0.05, sigma = 0.5 and two short rungs
+# whose first lobe is refined, frozen from the lobe-by-lobe quadrature that
+# block evaluation replaced
+_FROZEN_EXACT = [
+    (0.1, 0.1, 1.0, 4, 4, 0, 'raw', 0.9048525304910453),
+    (0.1, 0.2, 1.0, 4, 4, 0, 'raw', 0.9048982515770948),
+    (0.1, 0.3, 1.0, 4, 4, 0, 'raw', 0.9049757454015469),
+    (0.1, 0.4, 1.0, 4, 4, 0, 'raw', 0.9050869943844972),
+    (0.1, 0.5, 1.0, 5, 5, 0, 'raw', 0.905234858862742),
+    (0.1, 0.1, 5.0, 5, 5, 0, 'raw', 0.6077986305533828),
+    (0.1, 0.2, 5.0, 6, 6, 0, 'raw', 0.6116495114295366),
+    (0.1, 0.3, 5.0, 6, 6, 0, 'extrapolated', 0.6181825829118561),
+    (0.1, 0.4, 5.0, 7, 7, 0, 'extrapolated', 0.6274311320461552),
+    (0.1, 0.5, 5.0, 8, 8, 0, 'extrapolated', 0.6392300524552004),
+    (0.1, 0.1, 10.0, 6, 6, 0, 'raw', 0.37396788752498467),
+    (0.1, 0.2, 10.0, 6, 6, 0, 'extrapolated', 0.3916458258559137),
+    (0.1, 0.3, 10.0, 8, 8, 0, 'extrapolated', 0.41891971551476914),
+    (0.1, 0.4, 10.0, 10, 10, 0, 'extrapolated', 0.4527079411012508),
+    (0.1, 0.5, 10.0, 11, 11, 0, 'extrapolated', 0.48996101764442723),
+    (0.05, 0.5, 50.0, 14, 14, 0, 'extrapolated', 0.507782878115338),
+    (0.05, 0.5, 55.0, 14, 14, 0, 'extrapolated', 0.5052838325833616),
+    (0.05, 0.5, 60.0, 14, 14, 0, 'extrapolated', 0.50342277407042),
+    (0.05, 0.5, 65.0, 14, 14, 0, 'extrapolated', 0.5020210367940354),
+    (0.05, 0.5, 70.0, 14, 14, 0, 'extrapolated', 0.5009550109355679),
+    (0.05, 0.5, 80.0, 14, 14, 0, 'extrapolated', 0.49950605786369673),
+    (0.05, 0.5, 90.0, 14, 14, 0, 'extrapolated', 0.4986314463330118),
+    (0.05, 0.5, 100.0, 14, 14, 0, 'extrapolated', 0.4980920168031967),
+    (0.05, 0.5, 125.0, 14, 14, 0, 'extrapolated', 0.4974612432824018),
+    (0.05, 0.5, 150.0, 14, 14, 0, 'extrapolated', 0.4972500001661242),
+    (0.05, 0.5, 200.0, 14, 14, 0, 'extrapolated', 0.49714791567607364),
+    (0.027, 0.75, 0.41, 4, 6, 0, 'raw', 0.9889959813063216),
+    (0.118, 0.23, 0.44, 4, 6, 0, 'raw', 0.9494147977784214),
+]
+
+
+@pytest.mark.parametrize("r0, sigma, T, n_lobes, n_panels, cap_hits, summation, price",
+                         _FROZEN_EXACT)
+def test_exact_quadrature_frozen_diagnostics(r0, sigma, T, n_lobes, n_panels, cap_hits,
+                                             summation, price):
+    q = bond_exact_zero_drift(r0, sigma, T)
+    d = q.diagnostics
+    assert (d["n_lobes"], d["n_panels"], d["depth_cap_hits"], d["summation"]) == (
+        n_lobes, n_panels, cap_hits, summation)
+    assert abs(q.price - price) <= 1e-14 * price
+
+
+def test_quadrature_raw_stop_inside_first_block():
+    # lobes 3 and 4 end the sum although the first block evaluates 6
+    rec, seen = _recording(lambda z: 1e-12 * np.exp(-z))
+    q = sin_sinh_quadrature(rec, 2.0, tol=1e-9)
+    assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 3, 3, 1)
+    assert seen[0] <= math.asinh(6 * math.pi / 2.0)
+    z1 = math.asinh(math.pi / 2.0)  # only the first lobe is nonzero
+    q = sin_sinh_quadrature(lambda z: (1.0 - np.minimum(z / z1, 1.0)) ** 4, 2.0, tol=1e-9)
+    assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 4, 4, 1)
+    assert abs(q.value - 0.09218727715968919) <= 1e-15
+
+
+@pytest.mark.parametrize("r0, sigma, T, name", [
+    (1e300, 1e-5, 1.0, "y"),
+    (0.1, 1e-160, 1.0, "y"),
+    (1e-300, 1e300, 1.0, "y"),
+    (0.1, 10.0, 1e307, "s"),
+    (1e-310, 1e-160, 1e-10, "s"),
+])
+def test_exact_quadrature_rejects_degenerate_scaling(r0, sigma, T, name):
+    # y = 2*r0/sigma^2 or s = sigma^2*T/2 overflows or underflows to 0
+    with pytest.raises(DomainError, match=rf"^{name} = "):
+        bond_exact_zero_drift(r0, sigma, T)
 
 
 def test_exact_quadrature_long_maturity_extrapolated():
@@ -95,6 +194,8 @@ def test_exact_quadrature_long_maturity_extrapolated():
     assert q.diagnostics["summation"] == "extrapolated"
     assert q.diagnostics["depth_cap_hits"] == 0
     assert q.diagnostics["n_panels"] >= q.diagnostics["n_lobes"]
+    # one integrand call per block of lobes: the 6- and 12-lobe blocks cover the 14
+    assert q.diagnostics["n_calls"] == 2 < q.diagnostics["n_lobes"]
     tight = bond_exact_zero_drift(0.05, 0.5, 200.0, quad_tol=1e-11)
     assert abs(tight.price - q.price) <= 1e-9
 
