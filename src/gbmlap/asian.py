@@ -44,7 +44,6 @@ __all__ = [
     "otm_log_price_limit",
 ]
 
-_HALF_PI = 0.5 * math.pi
 # relative moneyness window around A_fwd inside which the ATM limit is used
 _ATM_WINDOW = 1e-4
 # relative pivot window at x = 1 + zeta/2 where both roots degenerate to 0
@@ -104,6 +103,8 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
 
     Requires x >= 1 + zeta/2 (the left side's value at delta = 0); the
     left side is increasing, so the upper bracket is found by doubling.
+    At the pivot x = 1 + zeta/2 the bracket's lower end is the root, which
+    the solver returns after its two endpoint evaluations.
     """
     require_finite(x=x, zeta=zeta)
     if x < (1.0 + 0.5 * zeta) * (1.0 - 1e-12):
@@ -113,8 +114,6 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
         sh = sinhc(0.5 * d)
         return sinhc(d) + 0.5 * zeta * sh * sh - x
 
-    if abs(f(0.0)) <= 1e-15 * max(1.0, abs(x)):
-        return RootResult(root=0.0, residual=f(0.0), iterations=0, bracket=(0.0, 0.0))
     hi = 1.0
     while f(hi) < 0.0:
         hi *= 2.0
@@ -124,7 +123,7 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
 
 
 def ibs_solve_xi(x: float, zeta: float) -> RootResult:
-    """Root xi in (0, pi/2) of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x.
+    """Root xi in [0, pi/2] of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x.
 
     Requires 0 < x <= 1 + zeta/2.  The left side is evaluated in the
     pole-free form sinc(2*xi) + zeta*sinc(xi)^2/2, which extends
@@ -132,7 +131,8 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     [0, pi/2] for every zeta.  The left side equals
     sin(xi)*(2*xi*cos(xi) + zeta*sin(xi))/(2*xi^2), so wherever
     2*xi*cos(xi) + zeta*sin(xi) <= 0 it is at most 0 < x: every root lies
-    where the log argument in the closed form is positive.  x below the
+    where the log argument in the closed form is positive.  At the pivot
+    x = 1 + zeta/2 the root is xi = 0, the bracket's lower end; x below the
     left side's infimum raises NoRootInInterval.
     """
     require_finite(x=x, zeta=zeta)
@@ -145,13 +145,12 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
         sc = sinc(t)
         return sinc(2.0 * t) + 0.5 * zeta * sc * sc - x
 
-    if abs(f(0.0)) <= 1e-15 * max(1.0, abs(x)):
-        return RootResult(root=0.0, residual=f(0.0), iterations=0, bracket=(0.0, 0.0))
-    if f(_HALF_PI) >= 0.0:
+    try:
+        return solve_bracketed(f, 0.0, 0.5 * math.pi, tol=1e-15)
+    except NoSignChange:
         raise NoRootInInterval(
             f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
-        )
-    return solve_bracketed(f, 0.0, _HALF_PI, tol=1e-15)
+        ) from None
 
 
 def _ibs_hyp_value(x: float, zeta: float, delta: float) -> float:

@@ -160,7 +160,7 @@ def _reproduce_rows(target: str) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(args, parser) -> int:
     header, rows = _reproduce_rows(args.target)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -168,8 +168,11 @@ def _cmd_reproduce(args) -> int:
     writer.writerows(rows)
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.error(f"cannot write --out {args.out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
     return 0
@@ -256,7 +259,7 @@ def main(argv=None) -> int:
         if args.command == "mc":
             return _cmd_mc(args)
         if args.command == "reproduce":
-            return _cmd_reproduce(args)
+            return _cmd_reproduce(args, parser)
         return _cmd_validate(args)
     except _NUMERICAL_ERRORS as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)

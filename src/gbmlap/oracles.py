@@ -107,7 +107,8 @@ def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
     Each path draws from its own Philox substream keyed (seed, path), so a
     path's draws depend on neither the block size nor the other paths.
     """
-    bg = np.random.Philox(key=[seed & _U64, 0])
+    # a uint64 array keeps every key exact; a list above 2^63 would pass through float64
+    bg = np.random.Philox(key=np.array([seed & _U64, 0], dtype=np.uint64))
     gen = np.random.Generator(bg)
     state = bg.state
     for i in range(z.shape[0]):

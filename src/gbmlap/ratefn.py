@@ -13,8 +13,8 @@ root per call:
 
 Sign convention: the returned ``value`` is normalized to be the positive
 rate, i.e. J_B = 2*b^2*value >= 0 and bond yields r0*value come out
-positive.  The zero-drift case reduces to a single equation
-lambda/cos(lambda) = b; small-b and large-b expansions of that case are
+positive.  R(b, 0) is the zeta = 0 case of ``rate_R``, whose root then
+solves lambda = b*cos(lambda); small-b and large-b expansions of it are
 provided for cheap evaluation and for demonstrating the finite
 convergence radius of the series.  All functions are pure and stateless.
 """
@@ -27,7 +27,7 @@ from enum import Enum
 from functools import lru_cache
 
 from ._mathutil import require_finite, sinc, sinhc
-from .errors import BranchError, DomainError, NoRootInInterval
+from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .rootfind import RootResult, solve_bracketed
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "boundary_value",
 ]
 
-_HALF_PI = 0.5 * math.pi
 # relative width of the exact-boundary detection window around b = |zeta|/(2+zeta)
 _BOUNDARY_WINDOW = 1e-13
 
@@ -104,7 +103,7 @@ def solve_delta(b: float, zeta: float) -> RootResult:
 
 
 def solve_xi(b: float, zeta: float) -> RootResult:
-    """Root xi in (0, pi) of the trigonometric-branch equation.
+    """Root xi in [0, pi) of the trigonometric-branch equation.
 
     The equation is 2*xi^2*(4*xi^2 + zeta^2) = 2*b^2*(2*xi*cos(xi) +
     zeta*sin(xi))^2.  It is solved in the unsquared form
@@ -113,9 +112,10 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     right side: every root of the unsquared form has 2*xi*cos(xi) +
     zeta*sin(xi) > 0, so it lies below the first positive zero of that
     factor, where the log argument in the closed form stays positive.  At
-    xi = 0 the difference is |zeta| - b*(2 + zeta), so NoRootInInterval is
-    raised when b is on the hyperbolic side of the branch boundary or
-    zeta <= -2.  The reported residual is against the squared equation.
+    xi = 0 the difference is |zeta| - b*(2 + zeta): xi = 0 is returned on
+    the branch boundary, and NoRootInInterval is raised when b is on its
+    hyperbolic side or zeta <= -2.  The reported residual is against the
+    squared equation.
     """
     require_finite(b=b, zeta=zeta)
     if b <= 0.0:
@@ -125,12 +125,13 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     def h(x: float) -> float:
         return math.sqrt(4.0 * x * x + z2) - b * (2.0 * math.cos(x) + zeta * sinc(x))
 
-    if h(0.0) >= 0.0:
+    try:
+        res = solve_bracketed(h, 0.0, math.pi, tol=1e-15)
+    except NoSignChange:
         raise NoRootInInterval(
             f"no trigonometric root for b={b}, zeta={zeta}: "
             "b is on the hyperbolic side or zeta <= -2"
-        )
-    res = solve_bracketed(h, 0.0, math.pi, tol=1e-15)
+        ) from None
     xi = res.root
     paren = 2.0 * xi * math.cos(xi) + zeta * math.sin(xi)
     residual = 2.0 * xi * xi * (4.0 * xi * xi + z2) - 2.0 * b * b * paren * paren
@@ -138,26 +139,8 @@ def solve_xi(b: float, zeta: float) -> RootResult:
 
 
 def solve_lambda(b: float) -> RootResult:
-    """Root lambda in (0, pi/2) of lambda/cos(lambda) = b, for b > 0.
-
-    Solved on the equivalent monotone form lambda - b*cos(lambda) = 0;
-    the reported residual is against the quotient form.
-    """
-    require_finite(b=b)
-    if b <= 0.0:
-        raise DomainError(f"solve_lambda requires b > 0, got {b}")
-
-    def f(lam: float) -> float:
-        return lam - b * math.cos(lam)
-
-    res = solve_bracketed(f, 0.0, _HALF_PI, tol=1e-15)
-    lam = res.root
-    return RootResult(
-        root=lam,
-        residual=lam / math.cos(lam) - b,
-        iterations=res.iterations,
-        bracket=res.bracket,
-    )
+    """Root lambda in (0, pi/2) of lambda = b*cos(lambda), for b > 0: ``solve_xi(b, 0)``."""
+    return solve_xi(b, 0.0)
 
 
 def _hyp_value(b: float, zeta: float, delta: float) -> float:
@@ -210,7 +193,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
     """Rate function R(b, zeta) >= 0 with branch dispatch.
 
     b = 0 returns 1 by continuity of the small-b series (J_B is 0 there
-    regardless).  zeta must be > -2.
+    regardless); zeta = 0 is the trigonometric branch.  zeta must be > -2.
     """
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
@@ -223,7 +206,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
         return RateEval(
             value=boundary_value(zeta), branch=Branch.BOUNDARY, root=0.0, residual=0.0, evals=0
         )
-    if zeta != 0.0 and b < thr:
+    if b < thr:
         try:
             res = solve_delta(b, zeta)
             value = _hyp_value(b, zeta, res.root)
@@ -232,36 +215,19 @@ def rate_R(b: float, zeta: float) -> RateEval:
                 f"rate_R overflows double precision at b={b}, zeta={zeta} "
                 "(cosh/sinh of the hyperbolic root exceed 1.8e308)"
             ) from None
-        return RateEval(
-            value=value,
-            branch=Branch.HYPERBOLIC,
-            root=res.root,
-            residual=res.residual,
-            evals=res.iterations,
-        )
-    res = solve_xi(b, zeta)
+        branch = Branch.HYPERBOLIC
+    else:
+        res = solve_xi(b, zeta)
+        value = _trig_value(b, zeta, res.root)
+        branch = Branch.TRIGONOMETRIC
     return RateEval(
-        value=_trig_value(b, zeta, res.root),
-        branch=Branch.TRIGONOMETRIC,
-        root=res.root,
-        residual=res.residual,
-        evals=res.iterations,
+        value=value, branch=branch, root=res.root, residual=res.residual, evals=res.iterations
     )
 
 
 def rate_R_zero_drift(b: float) -> RateEval:
-    """Zero-drift rate R(b, 0) = sin(2*lambda)/lambda - cos(lambda)^2."""
-    require_finite(b=b)
-    if b < 0.0:
-        raise DomainError(f"rate_R_zero_drift requires b >= 0, got {b}")
-    if b == 0.0:
-        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
-    res = solve_lambda(b)
-    lam = res.root
-    value = 2.0 * sinc(2.0 * lam) - math.cos(lam) ** 2
-    return RateEval(
-        value=value, branch=Branch.ZERO_DRIFT, root=lam, residual=res.residual, evals=res.iterations
-    )
+    """Zero-drift rate R(b, 0) = sin(2*lambda)/lambda - cos(lambda)^2: ``rate_R(b, 0)``."""
+    return rate_R(b, 0.0)
 
 
 def rate_R_series(b: float, order: int = 8) -> float:

@@ -45,12 +45,12 @@ def solve_bracketed(
 ) -> RootResult:
     """Find a root of ``f`` on ``[lo, hi]`` by Brent's method.
 
-    Requires f(lo)*f(hi) <= 0.  Terminates when |f(x)| <= tol or the
-    bracket width falls below tol*max(1, |x|); no step is shorter than
-    half that width.  ``iterations`` counts evaluations of ``f``.
+    Terminates when |f(x)| <= tol, at an endpoint too (``lo`` first), or
+    when the bracket width falls below tol*max(1, |x|); no step is shorter
+    than half that width.  ``iterations`` counts evaluations of ``f``.
 
     Raises:
-        NoSignChange: endpoints have the same sign.
+        NoSignChange: neither endpoint is a root and both have the same sign.
         MaxIterations: no convergence within ``max_iter`` evaluations.
     """
     if not (tol > 0.0):
@@ -61,10 +61,10 @@ def solve_bracketed(
     a, b = lo, hi
     fa, fb = f(a), f(b)
     evals = 2
-    if fa == 0.0:
-        return RootResult(a, 0.0, evals, (lo, hi))
-    if fb == 0.0:
-        return RootResult(b, 0.0, evals, (lo, hi))
+    if abs(fa) <= tol:
+        return RootResult(a, fa, evals, (lo, hi))
+    if abs(fb) <= tol:
+        return RootResult(b, fb, evals, (lo, hi))
     if (fa > 0.0) == (fb > 0.0):
         raise NoSignChange(f"f({lo})={fa:g} and f({hi})={fb:g} have the same sign")
 

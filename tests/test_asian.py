@@ -35,6 +35,8 @@ def _bisect(f, lo, hi, n=200):
 def test_ibs_delta_boundary_and_oracle():
     for z in (0.0, 0.5, 1.0):
         assert abs(ibs_solve_delta(1.0 + 0.5 * z, z).root) < 1e-9
+        # the pivot root is the bracket's lower end, after two counted evaluations
+        assert ibs_solve_delta(1.0 + 0.5 * z, z).iterations == 2
     # bisection oracle on the monotone left side at x = 2, zeta = 0
     ref = _bisect(lambda d: math.sinh(d) / d - 2.0, 1e-9, 10.0)
     res = ibs_solve_delta(2.0, 0.0)
@@ -52,6 +54,7 @@ def test_ibs_delta_boundary_and_oracle():
 def test_ibs_xi_boundary_and_oracle():
     for z in (0.0, 0.5):
         assert abs(ibs_solve_xi(1.0 + 0.5 * z, z).root) < 1e-9
+        assert ibs_solve_xi(1.0 + 0.5 * z, z).iterations == 2
     ref = _bisect(lambda t: math.sin(2.0 * t) / (2.0 * t) - 0.5, 1e-9, math.pi / 2 - 1e-9)
     res = ibs_solve_xi(0.5, 0.0)
     assert abs(res.root - ref) < 1e-12

@@ -218,6 +218,18 @@ def test_reproduce_figure1(capsys, tmp_path):
     assert abs(float(lines[1].split(",")[2]) - 44.1829) < 5e-4
 
 
+def test_reproduce_unwritable_out_exit_2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "table1", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [l for l in err.splitlines() if "error" in l] == [
+        f"gbmlap: error: cannot write --out {tmp_path / 'missing' / 'x.csv'}: "
+        "No such file or directory"
+    ]
+    assert "Traceback" not in err
+
+
 def test_validate_quick(capsys):
     code, out, _ = _run(capsys, "validate", "--quick")
     lines = [l for l in out.split("\n") if l.startswith(("PASS", "FAIL"))]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,21 @@ def test_mc_laplace_reproducible():
     assert e1 == e2
     e3 = mc_laplace(0.1, 0.1, 0.0, 1.0, 20000, 64, seed=43)
     assert e1.mean != e3.mean
+
+
+def test_mc_seeds_keep_exact_philox_keys():
+    # keys of 2^63 and above (every negative seed after the mask) once went
+    # through float64: seed -1 wrapped to key 0 with a RuntimeWarning, and
+    # -5000 shared the key of 2^64 - 4096
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = {s: mc_laplace(0.1, 0.3, 0.0, 1.0, 64, 8, seed=s).mean
+               for s in (0, -1, 2**64 - 4096, -5000)}
+        z = _keyed_normals(-1, 0, np.empty((1, 8)))
+    assert est[-1] != est[0]
+    assert est[2**64 - 4096] != est[-5000]
+    key = np.array([2**64 - 1, 0], dtype=np.uint64)
+    assert np.array_equal(z[0], np.random.Generator(np.random.Philox(key=key)).standard_normal(8))
 
 
 def test_mc_laplace_antithetic_agrees_with_plain():

@@ -61,6 +61,9 @@ def test_solve_delta_limits():
     # b at the branch boundary: root collapses to 0
     res = solve_delta(1.0 / 3.0, 1.0)
     assert abs(res.root) < 1e-9
+    # solve_xi meets the same locus from the trigonometric side at xi = 0
+    res = solve_xi(1.0 / 3.0, 1.0)
+    assert res.root == 0.0 and res.residual == 0.0
     # b -> 0+: root approaches zeta
     res = solve_delta(1e-6, 1.0)
     assert abs(res.root - 1.0) < 1e-10
@@ -196,6 +199,9 @@ def test_zero_drift_values():
     sc = scale(ModelParams(sigma=0.5, a=0.0, T=10.0, theta=0.1))
     ev = rate_R_zero_drift(sc.b)
     assert abs(ev.value - 0.77144278680425788) < 1e-12
+    # R(b, 0) is rate_R's zeta = 0 case, not a second solver
+    assert ev == rate_R(sc.b, 0.0) and ev.branch is Branch.TRIGONOMETRIC
+    assert solve_lambda(sc.b) == solve_xi(sc.b, 0.0)
     assert abs(100.0 * 0.1 * ev.value - 7.714) <= 5e-4
 
 

@@ -38,6 +38,18 @@ def test_superlinear_convergence():
 def test_no_sign_change_raises():
     with pytest.raises(NoSignChange):
         solve_bracketed(lambda x: x * x + 1.0, -1.0, 1.0)
+    # an endpoint just above tol is not a root, whatever its distance to one
+    with pytest.raises(NoSignChange):
+        solve_bracketed(lambda x: x + 2e-15, 0.0, 1.0, tol=1e-15)
+
+
+def test_endpoint_within_tol_is_the_root():
+    # |f| <= tol at an end is the loop's own stopping rule, so that end is
+    # returned even though both ends have the same sign; both evaluations count
+    res = solve_bracketed(lambda x: x + 5e-16, 0.0, 1.0, tol=1e-15)
+    assert (res.root, res.residual, res.iterations) == (0.0, 5e-16, 2)
+    res = solve_bracketed(lambda x: x - 1.0 - 5e-16, -1.0, 1.0, tol=1e-15)
+    assert res.root == 1.0 and 0.0 < abs(res.residual) <= 1e-15 and res.iterations == 2
 
 
 def test_max_iterations_raises():
