@@ -57,7 +57,7 @@ from .ratefn import (
     solve_lambda,
     solve_xi,
 )
-from .rootfind import RootResult, solve_bracketed
+from .rootfind import RootResult, solve_bracketed, solve_newton
 from .specfun import bessel_k, erfc, erfcx, gamma_fn, norm_cdf
 
 __all__ = [
@@ -65,7 +65,7 @@ __all__ = [
     # model
     "ModelParams", "ScaledParams", "DothanScaled", "scale", "dothan_scale", "t_max",
     # rootfind
-    "RootResult", "solve_bracketed",
+    "RootResult", "solve_bracketed", "solve_newton",
     # specfun
     "erfc", "erfcx", "bessel_k", "gamma_fn", "norm_cdf",
     # ratefn

@@ -30,6 +30,30 @@ def sinhc(x: float) -> float:
     return math.sinh(x) / x
 
 
+def sinc_d(x: float) -> tuple[float, float]:
+    """sinc(x) and its derivative (cos(x) - sinc(x))/x, with value (1, 0) at x = 0."""
+    if abs(x) < _CUTOFF:
+        x2 = x * x
+        return (
+            1.0 - x2 / 6.0 + x2 * x2 / 120.0 - x2 * x2 * x2 / 5040.0,
+            x * (-1.0 / 3.0 + x2 / 30.0 - x2 * x2 / 840.0),
+        )
+    s = math.sin(x) / x
+    return s, (math.cos(x) - s) / x
+
+
+def sinhc_d(x: float) -> tuple[float, float]:
+    """sinhc(x) and its derivative (cosh(x) - sinhc(x))/x, with value (1, 0) at x = 0."""
+    if abs(x) < _CUTOFF:
+        x2 = x * x
+        return (
+            1.0 + x2 / 6.0 + x2 * x2 / 120.0 + x2 * x2 * x2 / 5040.0,
+            x * (1.0 / 3.0 + x2 / 30.0 + x2 * x2 / 840.0),
+        )
+    s = math.sinh(x) / x
+    return s, (math.cosh(x) - s) / x
+
+
 def tanhc(x: float) -> float:
     """tanh(x)/x with tanhc(0) = 1."""
     if abs(x) < _CUTOFF:

@@ -24,10 +24,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._mathutil import expm1_over_x, require_finite, sinc, sinhc, tanhc
+from ._mathutil import expm1_over_x, require_finite, sinc, sinc_d, sinhc, sinhc_d, tanhc
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .ratefn import Branch, RateEval
-from .rootfind import RootResult, solve_bracketed
+from .rootfind import RootResult, solve_newton
 from .specfun import norm_cdf
 
 __all__ = [
@@ -48,6 +48,8 @@ __all__ = [
 _ATM_WINDOW = 1e-4
 # relative pivot window at x = 1 + zeta/2 where both roots degenerate to 0
 _PIVOT_WINDOW = 1e-13
+# Taylor coefficients of V(zeta) in _atm_curvature: (2^(n+2)*n + 2)/(n+3)!, n = 0..17
+_ATM_VARIANCE_SERIES = tuple((2.0 ** (n + 2) * n + 2.0) / math.factorial(n + 3) for n in range(18))
 
 
 class OptionKind(str, Enum):
@@ -102,24 +104,40 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
     """Root delta >= 0 of sinh(d)/d + 2*zeta*sinh^2(d/2)/d^2 = x.
 
     Requires x >= 1 + zeta/2 (the left side's value at delta = 0); the
-    left side is increasing, so the upper bracket is found by doubling.
-    At the pivot x = 1 + zeta/2 the bracket's lower end is the root, which
-    the solver returns after its two endpoint evaluations.
+    left side is increasing, so the bracket is found by doubling its upper
+    end from 1, and its lower end is the last probe below the root (0 if
+    there is none).  The solver reuses the probes' values at the two ends,
+    and ``iterations`` counts every evaluation, probes included.  At the
+    pivot x = 1 + zeta/2 the bracket's lower end is the root, returned
+    after two evaluations.
     """
     require_finite(x=x, zeta=zeta)
     if x < (1.0 + 0.5 * zeta) * (1.0 - 1e-12):
         raise BranchError(f"hyperbolic branch needs x >= 1 + zeta/2, got x={x}, zeta={zeta}")
+    calls = 0
+    known = {}  # probe values at the bracket ends, handed to the solver once
 
-    def f(d: float) -> float:
-        sh = sinhc(0.5 * d)
-        return sinhc(d) + 0.5 * zeta * sh * sh - x
+    def fdf(d: float) -> tuple[float, float]:
+        nonlocal calls
+        if d in known:
+            return known.pop(d)
+        calls += 1
+        s, ds = sinhc_d(d)
+        sh, dsh = sinhc_d(0.5 * d)
+        return s + 0.5 * zeta * sh * sh - x, ds + 0.5 * zeta * sh * dsh
 
-    hi = 1.0
-    while f(hi) < 0.0:
-        hi *= 2.0
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = None, fdf(hi)
+    while f_hi[0] < 0.0:
+        lo, f_lo, hi = hi, f_hi, 2.0 * hi
         if hi > 700.0:
             raise NoSignChange(f"no delta bracket below overflow for x={x}, zeta={zeta}")
-    return solve_bracketed(f, 0.0, hi, tol=1e-15)
+        f_hi = fdf(hi)
+    known[hi] = f_hi
+    if f_lo is not None:
+        known[lo] = f_lo
+    res = solve_newton(fdf, lo, hi, tol=1e-15)
+    return RootResult(res.root, res.residual, calls, res.bracket)
 
 
 def ibs_solve_xi(x: float, zeta: float) -> RootResult:
@@ -141,12 +159,13 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     if x > (1.0 + 0.5 * zeta) * (1.0 + 1e-12):
         raise BranchError(f"trigonometric branch needs x <= 1 + zeta/2, got x={x}, zeta={zeta}")
 
-    def f(t: float) -> float:
-        sc = sinc(t)
-        return sinc(2.0 * t) + 0.5 * zeta * sc * sc - x
+    def fdf(t: float) -> tuple[float, float]:
+        s2, ds2 = sinc_d(2.0 * t)
+        s, ds = sinc_d(t)
+        return s2 + 0.5 * zeta * s * s - x, 2.0 * ds2 + zeta * s * ds
 
     try:
-        return solve_bracketed(f, 0.0, 0.5 * math.pi, tol=1e-15)
+        return solve_newton(fdf, 0.0, 0.5 * math.pi, tol=1e-15)
     except NoSignChange:
         raise NoRootInInterval(
             f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
@@ -210,20 +229,35 @@ def a_fwd(s0: float, a: float, t: float) -> float:
     return s0 * expm1_over_x(a * t)
 
 
-def _ibs_curvature_at_zero(zeta: float, xstar: float) -> float:
-    """Second derivative of I_BS at its zero, by central differences."""
-    h = 1e-3 * xstar
-    ip = rate_ibs(xstar + h, zeta).value
-    im = rate_ibs(xstar - h, zeta).value
-    return (ip + im) / (h * h)
+def _atm_curvature(zeta: float) -> float:
+    """x*^2 * I_BS''(x*) = x*^2/V(zeta) at the rate function's zero x* = (e^zeta - 1)/zeta.
+
+    V(zeta) = int_0^1 ((e^zeta - e^(zeta*t))/zeta)^2 dt is the scaled
+    variance of the time average to leading order.  Its closed form
+    (e^(2 zeta) - 2 e^zeta (e^zeta - 1)/zeta + (e^(2 zeta) - 1)/(2 zeta))/zeta^2
+    cancels like 1e-16/zeta^2, so |zeta| < 0.5 uses its Taylor series; above
+    that the ratio is formed without e^(2 zeta), which would overflow first.
+    """
+    if abs(zeta) < 0.5:
+        v = 0.0
+        for c in reversed(_ATM_VARIANCE_SERIES):
+            v = v * zeta + c
+        xstar = expm1_over_x(zeta)
+        return xstar * xstar / v
+    if zeta > 0.0:
+        em = -math.expm1(-zeta)
+        return em * em / (1.0 - 2.0 * em / zeta - 0.5 * math.expm1(-2.0 * zeta) / zeta)
+    e, em = math.exp(zeta), math.expm1(zeta)
+    return em * em / (e * e - 2.0 * e * em / zeta + 0.5 * math.expm1(2.0 * zeta) / zeta)
 
 
 def sigma_ln(k: float, s0: float, sigma: float, a: float, t: float) -> float:
     """Equivalent log-normal volatility for the European proxy.
 
     Within a relative window of 1e-4 around K = A_fwd the 0/0 limit is
-    taken via the quadratic behaviour of I_BS at its zero, which gives
-    sigma/(x* * sqrt(I_BS''(x*))); at zeta = 0 this is sigma/sqrt(3).
+    taken from the quadratic behaviour of I_BS at its zero x*, whose
+    curvature is 1/V(zeta) (see ``_atm_curvature``); this gives
+    sigma*sqrt(V(zeta))/x*, which is sigma/sqrt(3) at zeta = 0.
     """
     require_finite(k=k, sigma=sigma)
     if k <= 0.0 or s0 <= 0.0:
@@ -234,8 +268,7 @@ def sigma_ln(k: float, s0: float, sigma: float, a: float, t: float) -> float:
     xstar = expm1_over_x(zeta)
     log_m = math.log(k / (s0 * xstar))
     if abs(log_m) < _ATM_WINDOW:
-        curv = _ibs_curvature_at_zero(zeta, xstar)
-        return sigma / (xstar * math.sqrt(curv))
+        return sigma / math.sqrt(_atm_curvature(zeta))
     ibs = rate_ibs(k / s0, zeta).value
     return sigma * abs(log_m) / math.sqrt(2.0 * ibs)
 

@@ -39,7 +39,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_finite
 from .errors import DomainError, QuadratureNotConverged
@@ -322,6 +321,8 @@ def bond_exact_zero_drift(
                 f"{name} is {v:g} (r0={r0}, sigma={sigma}, T={T}); the exact quadrature "
                 f"needs it finite and > 0"
             )
+    from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
+
     sqrt_y = math.sqrt(y)
     sqrt_s = math.sqrt(s)
 

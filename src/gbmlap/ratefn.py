@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._mathutil import require_finite, sinc, sinhc
+from ._mathutil import require_finite, sinc, sinc_d, sinhc, sinhc_d
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
-from .rootfind import RootResult, solve_bracketed
+from .rootfind import RootResult, solve_bracketed, solve_newton
 
 __all__ = [
     "Branch",
@@ -95,11 +95,17 @@ def solve_delta(b: float, zeta: float) -> RootResult:
     if b > thr * (1.0 + 1e-12):
         raise BranchError(f"b={b} exceeds the branch boundary {thr} for zeta={zeta}")
 
-    def f(d: float) -> float:
-        paren = math.cosh(0.5 * d) + 0.5 * zeta * sinhc(0.5 * d)
-        return zeta * zeta - d * d - 4.0 * b * b * paren * paren
+    b4 = 4.0 * b * b
 
-    return solve_bracketed(f, 0.0, abs(zeta), tol=1e-15)
+    # value and slope; the slope takes sinh(h) as h*sinhc(h)
+    def fdf(d: float) -> tuple[float, float]:
+        h = 0.5 * d
+        s, ds = sinhc_d(h)
+        paren = math.cosh(h) + 0.5 * zeta * s
+        slope = 0.5 * h * s + 0.25 * zeta * ds
+        return zeta * zeta - d * d - b4 * paren * paren, -2.0 * d - 2.0 * b4 * paren * slope
+
+    return solve_newton(fdf, 0.0, abs(zeta), tol=1e-15)
 
 
 def solve_xi(b: float, zeta: float) -> RootResult:
@@ -122,11 +128,18 @@ def solve_xi(b: float, zeta: float) -> RootResult:
         raise DomainError(f"solve_xi requires b > 0, got {b}")
     z2 = zeta * zeta
 
-    def h(x: float) -> float:
-        return math.sqrt(4.0 * x * x + z2) - b * (2.0 * math.cos(x) + zeta * sinc(x))
+    # value and slope; the slope takes sin(x) as x*sinc(x), and at x = zeta = 0
+    # the slope of the root term is its right-hand limit 2
+    def hdh(x: float) -> tuple[float, float]:
+        r = math.sqrt(4.0 * x * x + z2)
+        s, ds = sinc_d(x)
+        return (
+            r - b * (2.0 * math.cos(x) + zeta * s),
+            (4.0 * x / r if r > 0.0 else 2.0) + b * (2.0 * x * s - zeta * ds),
+        )
 
     try:
-        res = solve_bracketed(h, 0.0, math.pi, tol=1e-15)
+        res = solve_newton(hdh, 0.0, math.pi, tol=1e-15)
     except NoSignChange:
         raise NoRootInInterval(
             f"no trigonometric root for b={b}, zeta={zeta}: "

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from scipy import special as _sp
-
 from .errors import DomainError, PoleError
 
 __all__ = ["erfc", "erfcx", "bessel_k", "gamma_fn", "norm_cdf"]
@@ -33,7 +31,9 @@ def erfcx(x: float) -> float:
     """
     if not math.isfinite(x):
         raise DomainError(f"erfcx requires finite x, got {x!r}")
-    return float(_sp.erfcx(x))
+    from scipy.special import erfcx as _erfcx  # loaded on first use, not with gbmlap
+
+    return float(_erfcx(x))
 
 
 def bessel_k(nu: float, x: float) -> float:
@@ -42,7 +42,9 @@ def bessel_k(nu: float, x: float) -> float:
         raise DomainError(f"bessel_k requires x > 0, got {x!r}")
     if nu < 0.0 or not math.isfinite(nu):
         raise DomainError(f"bessel_k requires nu >= 0, got {nu!r} (use K_-nu = K_nu)")
-    return float(_sp.kv(nu, x))
+    from scipy.special import kv  # loaded on first use, not with gbmlap
+
+    return float(kv(nu, x))
 
 
 def gamma_fn(x: float) -> float:

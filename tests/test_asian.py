@@ -51,6 +51,26 @@ def test_ibs_delta_boundary_and_oracle():
         ibs_solve_delta(1.0, 1.0)
 
 
+def test_ibs_delta_counts_every_evaluation(monkeypatch):
+    # the bracket-doubling probes are evaluations of the equation too: count
+    # them through sinhc_d, which the equation calls twice per evaluation
+    from gbmlap import asian
+
+    calls = 0
+    sinhc_d = asian.sinhc_d
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return sinhc_d(v)
+
+    monkeypatch.setattr(asian, "sinhc_d", counted)
+    for x, zeta in ((1.2, 0.1), (3.0, 1.0), (1e6, 0.5), (1.0, 0.0)):
+        calls = 0
+        res = ibs_solve_delta(x, zeta)
+        assert calls == 2 * res.iterations
+
+
 def test_ibs_xi_boundary_and_oracle():
     for z in (0.0, 0.5):
         assert abs(ibs_solve_xi(1.0 + 0.5 * z, z).root) < 1e-9
@@ -136,6 +156,42 @@ def test_sigma_ln_atm_limit():
     afwd = a_fwd(100.0, 0.5, 1.0)
     got = sigma_ln(afwd, 100.0, 0.2, 0.5, 1.0)
     assert math.isfinite(got) and got > 0.0
+
+
+# sigma*sqrt(V(zeta))/x* at sigma = 1 from a 50-digit mpmath evaluation of the closed
+# form V(zeta) = (e^(2 zeta) - 2 e^zeta (e^zeta - 1)/zeta + (e^(2 zeta) - 1)/(2 zeta))/zeta^2
+ATM_SIGMA_LN = (
+    (0.0, 0.57735026918962576),
+    (1e-08, 0.5773502699113136),
+    (-1e-08, 0.57735026846793793),
+    (0.0001, 0.57735748607099643),
+    (-0.0001, 0.57734305231426917),
+    (0.01, 0.5780719858558729),
+    (-0.01, 0.5766286126636945),
+    (0.1, 0.58456891281463158),
+    (-0.1, 0.570137636259159),
+    (0.5, 0.61335471506785165),
+    (2.0, 0.71363452594196313),
+    (-1.9, 0.44891460895199554),
+    (10.0, 0.92200122876504844),
+    # both sides of the series switch at |zeta| = 0.5
+    (0.49999999999999994, 0.61335471506785164),
+    (-0.5, 0.54149408253679828),
+    (-0.49999999999999994, 0.54149408253679829),
+)
+
+
+def test_sigma_ln_atm_closed_form():
+    for zeta, ref in ATM_SIGMA_LN:
+        got = sigma_ln(a_fwd(1.0, zeta, 1.0), 1.0, 1.0, zeta, 1.0)
+        assert abs(got - ref) <= 1e-13 * ref
+    for sigma in (0.2, 0.3, 1.7):
+        assert sigma_ln(100.0, 100.0, sigma, 0.0, 1.0) == sigma / math.sqrt(3.0)
+    # far drifts, where e^(2 zeta) overflows: up to terms in e^-|zeta| the ratio
+    # is 1/sqrt(2|zeta|) for zeta << 0 and sqrt(1 - 1.5/zeta) for zeta >> 0
+    for zeta, ref in ((-400.0, 1.0 / math.sqrt(800.0)), (400.0, math.sqrt(1.0 - 1.5 / 400.0))):
+        got = sigma_ln(a_fwd(1.0, zeta, 1.0), 1.0, 1.0, zeta, 1.0)
+        assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_sigma_ln_switchover_continuity():

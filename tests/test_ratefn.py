@@ -114,6 +114,17 @@ def test_solve_xi_root_below_sine_zero(zeta, u):
     assert abs(res.residual) <= 1e-12
 
 
+def test_solve_xi_evals_near_zeta_minus_two():
+    # the root sits next to the vertex of a nearly parabolic equation, where
+    # Brent took 67-93 evaluations at these points; Newton halves its way in
+    for zeta in (-2.0 + 1e-8, -2.0 + 1e-12):
+        thr = abs(zeta) / (2.0 + zeta)
+        for factor in (1.0 + 1e-12, 1.0 + 1e-6, 1.01):
+            res = solve_xi(thr * factor, zeta)
+            assert 0.0 < res.root < math.pi
+            assert res.iterations <= 60
+
+
 def test_rate_R_drifted_trig_evals():
     # with no sine-cap solve, a drifted trigonometric R costs at most two
     # evaluations more than zeta = 0

@@ -1,9 +1,12 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from gbmlap._mathutil import _CUTOFF, sinc, sinc_d, sinhc, sinhc_d
 from gbmlap.dothan import sin_sinh_quadrature
 from gbmlap.errors import DomainError, PoleError
 from gbmlap.specfun import bessel_k, erfc, erfcx, gamma_fn, norm_cdf
@@ -94,3 +97,28 @@ def test_norm_cdf():
     for x in (-2.0, -0.3, 0.7, 3.0):
         assert abs(norm_cdf(x) + norm_cdf(-x) - 1.0) < 1e-15
     assert abs(norm_cdf(1.0) - 0.8413447460685429) < 1e-15
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # scipy.special is imported on first use by erfcx, bessel_k and the exact
+    # bond, so the closed-form path never loads it
+    code = "import sys, gbmlap; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_sinc_sinhc_slopes():
+    # each pair is the function's own value and a slope that matches central
+    # differences on both sides of the series cutoff, with odd symmetry
+    for x in (0.0, 0.5 * _CUTOFF, 2.0 * _CUTOFF, 0.01, 0.7, 3.0, 20.0):
+        h = 1e-5 * max(1.0, x)
+        for f, fd in ((sinc, sinc_d), (sinhc, sinhc_d)):
+            value, slope = fd(x)
+            assert value == f(x)
+            central = (f(x + h) - f(x - h)) / (2.0 * h)
+            assert abs(slope - central) <= 1e-8 * max(1.0, abs(central))
+            assert fd(-x)[1] == -slope
+    assert sinc_d(0.0) == (1.0, 0.0) and sinhc_d(0.0) == (1.0, 0.0)
+    # closed forms (x cos x - sin x)/x^2 and (x cosh x - sinh x)/x^2 at x = 1
+    assert abs(sinc_d(1.0)[1] - (math.cos(1.0) - math.sin(1.0))) <= 1e-15
+    assert abs(sinhc_d(1.0)[1] - (math.cosh(1.0) - math.sinh(1.0))) <= 1e-15
