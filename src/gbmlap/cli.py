@@ -4,7 +4,8 @@ Subcommands: ``rate`` (rate-function evaluation), ``bond`` (one quote by
 any method), ``asian`` (approximation, MC benchmark, or OTM limit),
 ``mc`` (Laplace-transform Monte Carlo), ``reproduce`` (CSV of the
 published benchmark tables and the maximum-maturity figure data), and
-``validate`` (the deterministic invariant suite).
+``validate`` (the deterministic invariant suite; ``--json`` prints its
+results as one JSON list).
 
 Exit codes: 0 success, 1 numerical failure (the message names the failing
 operation), 2 argument errors, 3 validation failures.  Single quotes are
@@ -35,7 +36,7 @@ from .validation import run_checks, table1_row, table3_row
 _NUMERICAL_ERRORS = (GbmlapError, ValueError, ArithmeticError)
 
 
-def _emit_json(payload: dict) -> None:
+def _emit_json(payload: dict | list) -> None:
     print(json.dumps(payload, indent=2))  # tuples in diagnostics print as lists
 
 
@@ -180,10 +181,13 @@ def _cmd_reproduce(args, parser) -> int:
 
 def _cmd_validate(args) -> int:
     results = run_checks(quick=args.quick)
-    for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s): {r.detail}")
     n_pass = sum(r.passed for r in results)
-    print(f"{n_pass}/{len(results)} checks passed")
+    if args.json:
+        _emit_json([asdict(r) for r in results])
+    else:
+        for r in results:
+            print(f"{'PASS' if r.passed else 'FAIL'} {r.name} ({r.seconds:.2f}s): {r.detail}")
+        print(f"{n_pass}/{len(results)} checks passed")
     return 0 if n_pass == len(results) else 3
 
 
@@ -243,6 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="run the deterministic invariant suite")
     p_val.add_argument("--quick", action="store_true", help="coarse grids, no slow sweeps")
+    p_val.add_argument("--json", action="store_true",
+                       help="print one JSON list of {name, passed, detail, seconds}")
     return parser
 
 

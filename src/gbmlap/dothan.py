@@ -17,8 +17,8 @@ the bracket (whose closed-form integral is 1/a - K_1(a)) and by evaluating
 e^z * erfc(large) through the scaled function erfcx, so the amplitude decays
 like exp(-z^2/s) with no overflow.  Quadrature subdivides at the sine's
 zeros z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined 15-point
-Gauss-Legendre panel per lobe.  Lobes are evaluated in blocks of 6, 12,
-24, ... lobes: one call to the integrand gives every lobe of a block its
+Gauss-Legendre panel per lobe.  Lobes are evaluated in blocks of 16, 32,
+64, ... lobes: one call to the integrand gives every lobe of a block its
 coarse (whole-lobe) and fine (two-halves) sums, and only a lobe whose two
 sums disagree is refined further.  The alternating lobe partial sums are
 accelerated with Wynn's epsilon algorithm over a window of the last 24
@@ -26,7 +26,7 @@ sums; summation runs lobe by lobe over each block and stops when the
 extrapolated value has settled below quad_tol (after at least 6 lobes) or
 when three consecutive lobes each contribute less than quad_tol, whichever
 comes first.  A T = 200 bond (r0 = 0.05, sigma = 0.5) then needs 14 lobes
-instead of 13,465, in two integrand calls.  A non-finite y or s, or a
+instead of 13,465, in one integrand call.  A non-finite y or s, or a
 non-finite integrand value, raises DomainError.  Everything here is
 stateless.
 """
@@ -42,7 +42,7 @@ import numpy as np
 
 from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_finite
 from .errors import DomainError, QuadratureNotConverged
-from .model import ModelParams, dothan_scale, scale
+from .model import ModelParams, scale
 from .ratefn import rate_R
 from .specfun import bessel_k, gamma_fn
 
@@ -85,7 +85,20 @@ class BondQuote:
     diagnostics: dict
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# 15-point Gauss-Legendre rule on [-1, 1], equal to numpy's leggauss(15)
+# (written out so that importing this module does not load numpy.polynomial)
+_GL_NODES = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+    -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0,
+    0.20119409399743451, 0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_GL_WEIGHTS = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+    0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613,
+    0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
 # A panel's 45 nodes as fractions of its width from its low edge (the rule
 # on the whole panel, then on each half), and the weights per unit width of
 # its coarse (whole-panel) and fine (two-halves) sums
@@ -96,10 +109,13 @@ _PANEL_WEIGHTS[:15, 0] = 0.5 * _GL_WEIGHTS
 _PANEL_WEIGHTS[15:, 1] = 0.25 * np.tile(_GL_WEIGHTS, 2)
 _MAX_DEPTH = 12
 # Wynn epsilon table over the lobe partial sums: how many sums it spans, and
-# how many lobes must be summed before its value may end the summation (also
-# the size of the first block of lobes; each later block doubles)
+# how many lobes must be summed before its value may end the summation
 _WYNN_WINDOW = 24
 _WYNN_MIN_LOBES = 6
+# Lobes in the first block; each later block doubles.  One integrand call
+# costs about as much as 15 more lobes in the call, so one block of 16
+# covers every sum that stops by lobe 16 in a single call
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -162,28 +178,6 @@ def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
             + _refine(g, mid, hi, *right, 0.5 * tol, depth + 1, counts))
 
 
-def _wynn_diagonal(prev: list[float], s: float) -> list[float]:
-    """Ascending diagonal of Wynn's epsilon table after the partial sum s.
-
-    prev[j] is eps_j of the previous diagonal; entry j+1 of the new one is
-    prev[j-1] + 1/(new[j] - prev[j]) with eps_-1 = 0.  A zero or non-finite
-    difference (equal sums, or a column already converged to rounding) is
-    never divided by: the diagonal ends at that column and regrows from the
-    columns below it.  At most ``_WYNN_WINDOW`` entries are kept, so the
-    diagonal spans the last ``_WYNN_WINDOW`` partial sums.
-    """
-    new = [s]
-    for j in range(min(len(prev), _WYNN_WINDOW - 1)):
-        d = new[j] - prev[j]
-        if d == 0.0 or not math.isfinite(d):
-            break
-        e = (prev[j - 1] if j else 0.0) + 1.0 / d
-        if not math.isfinite(e):
-            break
-        new.append(e)
-    return new
-
-
 def sin_sinh_quadrature(
     amplitude: Callable[[np.ndarray], np.ndarray],
     freq: float,
@@ -193,11 +187,10 @@ def sin_sinh_quadrature(
     """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz by signed lobes.
 
     Lobe k spans [asinh(k*pi/freq), asinh((k+1)*pi/freq)], one half-period
-    of the sine.  Lobes are evaluated in blocks: the first holds
-    ``_WYNN_MIN_LOBES`` lobes, each later one twice as many as the one
-    before, clipped to ``max_lobes``.  One call to the amplitude gives the
-    coarse and fine Gauss-Legendre sums of every lobe of a block; a lobe
-    whose two sums disagree is refined adaptively.  The lobe partial sums
+    of the sine.  Lobes are evaluated in blocks of 16, 32, 64, ... lobes,
+    the last clipped to ``max_lobes``.  One call to the amplitude gives the
+    coarse and fine Gauss-Legendre sums of every lobe of a block; only a
+    lobe whose two sums disagree is refined adaptively.  The lobe partial sums
     feed a Wynn epsilon table (the highest even column of each diagonal is
     the extrapolated value); its error estimate is the distance from the
     latest value to the two before it.  Summation runs lobe by lobe over
@@ -210,7 +203,8 @@ def sin_sinh_quadrature(
 
     ``amplitude`` must be elementwise on a 1-D array of z.  It may be
     evaluated on lobes past the one where the sum stops, up to the end of
-    the current block, and must be finite there too.
+    the current block (up to lobe 16 even when the sum stops at lobe 3),
+    and must be finite there too.
 
     The reported error estimate is at least ``tol``.  Raises DomainError
     for a non-finite or non-positive ``freq``, a non-positive ``tol``, or
@@ -226,33 +220,56 @@ def sin_sinh_quadrature(
     def g(z: np.ndarray) -> np.ndarray:
         return np.sin(freq * np.sinh(z)) * amplitude(z)
 
+    inf = math.inf
+    panel_tol = 0.01 * tol
     counts = [0, 0, 0]
     total = 0.0
     streak = 0
-    last = math.inf
+    last = inf
+    # diag is the ascending diagonal of Wynn's epsilon table after the latest
+    # partial sum: entry j+1 is eps_{j-1} + 1/(new eps_j - old eps_j) of the
+    # diagonal before, with eps_-1 = 0.  A zero or non-finite difference (equal
+    # sums, or a column already converged to rounding) is never divided by:
+    # the diagonal ends at that column and regrows from the columns below it.
+    # It keeps at most _WYNN_WINDOW entries, so it spans that many sums
     diag: list[float] = []
     prev1: float | None = None  # the two previous extrapolated values
     prev2: float | None = None
-    k0, size = 0, _WYNN_MIN_LOBES
+    k0, size = 0, _FIRST_BLOCK
     while k0 < max_lobes:
         k1 = min(k0 + size, max_lobes)
         edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
         sums = _panel_sums(g, edges[:-1], edges[1:], counts)
         edges = edges.tolist()
-        for i in range(k1 - k0):
-            k = k0 + i
-            lobe = _refine(g, edges[i], edges[i + 1], *sums[i], 0.01 * tol, 0, counts)
+        for i, (coarse, fine) in enumerate(sums):
+            if abs(fine - coarse) <= max(panel_tol, 1e-13 * abs(fine)):
+                counts[0] += 1
+                lobe = fine
+            else:
+                lobe = _refine(g, edges[i], edges[i + 1], coarse, fine, panel_tol, 0, counts)
             total += lobe
             last = abs(lobe)
             streak = streak + 1 if last < tol else 0
             if streak >= 3:
-                return QuadratureResult(total, max(last, tol), k + 1, "raw", *counts)
-            diag = _wynn_diagonal(diag, total)
+                return QuadratureResult(total, max(last, tol), k0 + i + 1, "raw", *counts)
+            new = [total]
+            eps, below = total, 0.0
+            for old in diag[:_WYNN_WINDOW - 1]:
+                d = eps - old
+                if not 0.0 < abs(d) < inf:
+                    break
+                eps = below + 1.0 / d
+                if not -inf < eps < inf:
+                    break
+                new.append(eps)
+                below = old
+            diag = new
             est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
             if est is not None and prev1 is not None and prev2 is not None:
                 err = abs(est - prev1) + abs(est - prev2)
-                if err < tol and k + 1 >= _WYNN_MIN_LOBES:
-                    return QuadratureResult(est, max(err, tol), k + 1, "extrapolated", *counts)
+                if err < tol and k0 + i + 1 >= _WYNN_MIN_LOBES:
+                    return QuadratureResult(est, max(err, tol), k0 + i + 1, "extrapolated",
+                                            *counts)
             prev1, prev2 = est, prev1
         k0, size = k1, 2 * size
     raise QuadratureNotConverged(
@@ -313,8 +330,8 @@ def bond_exact_zero_drift(
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
-    ds = dothan_scale(ModelParams(sigma=sigma, a=0.0, T=T, theta=r0))
-    y, s = ds.y, ds.s
+    y = 2.0 * r0 / (sigma * sigma)  # the (y, s) of model.dothan_scale
+    s = 0.5 * sigma * sigma * T
     for name, v in (("y = 2*r0/sigma^2", y), ("s = sigma^2*T/2", s)):
         if not (0.0 < v < math.inf):
             raise DomainError(

@@ -238,3 +238,9 @@ def test_validate_quick(capsys):
     # exactly the three documented published-digit deviations fail
     assert failed == {"table1_asymptotic_yields", "table3_reproduction", "series_small_b"}
     assert code == 3
+    code, out, _ = _run(capsys, "validate", "--quick", "--json")
+    entries = json.loads(out)
+    assert [set(e) for e in entries] == [{"name", "passed", "detail", "seconds"}] * 21
+    assert [e["name"] for e in entries] == [l.split()[1] for l in lines]
+    assert {e["name"] for e in entries if not e["passed"]} == failed
+    assert code == 3

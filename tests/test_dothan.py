@@ -1,12 +1,22 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from gbmlap import reference
 from gbmlap.dothan import (
+    _FIRST_BLOCK,
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _WYNN_MIN_LOBES,
+    _WYNN_WINDOW,
     BondMethod,
+    _panel_sums,
+    _refine,
     bond_asymptotic,
     bond_exact_zero_drift,
     bond_perpetual,
@@ -18,6 +28,23 @@ from gbmlap.dothan import (
 )
 from gbmlap.errors import DomainError, QuadratureNotConverged
 from gbmlap.specfun import bessel_k
+
+
+def test_gauss_legendre_table_is_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(15)
+    assert _GL_NODES.tolist() == nodes.tolist()
+    assert _GL_WEIGHTS.tolist() == weights.tolist()
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # recent numpy loads numpy.polynomial on first use, older numpy with numpy
+    # itself; either way importing gbmlap must not load it
+    code = ("import sys, numpy; print('numpy.polynomial' in sys.modules); "
+            "import gbmlap; print('numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    with_numpy, with_gbmlap = out.stdout.split()
+    assert with_gbmlap == with_numpy
+
 
 def test_exact_quadrature_reproduces_published_prices():
     # published zero-drift benchmark rows at r0 = 0.1
@@ -163,12 +190,104 @@ def test_exact_quadrature_frozen_diagnostics(r0, sigma, T, n_lobes, n_panels, ca
     assert abs(q.price - price) <= 1e-14 * price
 
 
+@pytest.mark.parametrize("r0, sigma, T", [row[:3] for row in _FROZEN_EXACT if row[3] == row[4]])
+def test_exact_quadrature_unrefined_sum_takes_one_call(r0, sigma, T):
+    # no lobe is refined and the sum stops inside the first block of 16
+    assert bond_exact_zero_drift(r0, sigma, T).diagnostics["n_calls"] == 1
+
+
+def _reference_wynn_diagonal(prev, s):
+    """Wynn diagonal update as a function (the lobe loop now inlines it)."""
+    new = [s]
+    for j in range(min(len(prev), _WYNN_WINDOW - 1)):
+        d = new[j] - prev[j]
+        if d == 0.0 or not math.isfinite(d):
+            break
+        e = (prev[j - 1] if j else 0.0) + 1.0 / d
+        if not math.isfinite(e):
+            break
+        new.append(e)
+    return new
+
+
+def _reference_quadrature(amplitude, freq, tol, max_lobes):
+    """The lobe loop before it inlined the agreement test and the Wynn update:
+    (value, n_lobes, n_panels, depth_cap_hits, summation).
+
+    It keeps the current block schedule: the BLAS product in ``_panel_sums``
+    may round a lobe's sums differently by one ulp when the lobe sits at
+    another row of a differently sized block, so only the same schedule
+    gives the same bits for every amplitude.
+    """
+    def g(z):
+        return np.sin(freq * np.sinh(z)) * amplitude(z)
+
+    counts = [0, 0, 0]
+    total, streak, last = 0.0, 0, math.inf
+    diag, prev1, prev2 = [], None, None
+    k0, size = 0, _FIRST_BLOCK
+    while k0 < max_lobes:
+        k1 = min(k0 + size, max_lobes)
+        edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
+        sums = _panel_sums(g, edges[:-1], edges[1:], counts)
+        edges = edges.tolist()
+        for i in range(k1 - k0):
+            k = k0 + i
+            lobe = _refine(g, edges[i], edges[i + 1], *sums[i], 0.01 * tol, 0, counts)
+            total += lobe
+            last = abs(lobe)
+            streak = streak + 1 if last < tol else 0
+            if streak >= 3:
+                return total, k + 1, counts[0], counts[1], "raw"
+            diag = _reference_wynn_diagonal(diag, total)
+            est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
+            if est is not None and prev1 is not None and prev2 is not None:
+                err = abs(est - prev1) + abs(est - prev2)
+                if err < tol and k + 1 >= _WYNN_MIN_LOBES:
+                    return est, k + 1, counts[0], counts[1], "extrapolated"
+            prev1, prev2 = est, prev1
+        k0, size = k1, 2 * size
+    return "not converged"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    freq=st.floats(0.3, 10.0),
+    ratio=st.floats(0.05, 1.0),
+    noise=st.floats(0.0, 1.0),
+    kink=st.floats(0.0, 3.0),
+    tol_exp=st.integers(4, 13),
+    max_lobes=st.integers(1, 120),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_quadrature_matches_reference_lobe_loop(freq, ratio, noise, kink, tol_exp, max_lobes,
+                                                seed):
+    # lobe k contributes (-1)^k * 2*w_k/freq from the cosh(z) factor: w_k = ratio^k
+    # gives an alternating geometric sum, noise > 0 random weights; the kink at
+    # z = kink makes the lobe holding it refine
+    w = ratio ** np.arange(max_lobes + 1) * (
+        1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, max_lobes + 1))
+
+    def amplitude(z):
+        k = np.minimum(np.floor(freq * np.sinh(z) / math.pi).astype(int), max_lobes)
+        return np.cosh(z) * w[k] * (1.0 + np.abs(z - kink))
+
+    tol = 10.0 ** -tol_exp
+    ref = _reference_quadrature(amplitude, freq, tol, max_lobes)
+    try:
+        q = sin_sinh_quadrature(amplitude, freq, tol=tol, max_lobes=max_lobes)
+    except QuadratureNotConverged:
+        assert ref == "not converged"
+        return
+    assert (q.value, q.n_lobes, q.n_panels, q.depth_cap_hits, q.summation) == ref
+
+
 def test_quadrature_raw_stop_inside_first_block():
-    # lobes 3 and 4 end the sum although the first block evaluates 6
+    # lobes 3 and 4 end the sum although the first block evaluates 16
     rec, seen = _recording(lambda z: 1e-12 * np.exp(-z))
     q = sin_sinh_quadrature(rec, 2.0, tol=1e-9)
     assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 3, 3, 1)
-    assert seen[0] <= math.asinh(6 * math.pi / 2.0)
+    assert seen[0] <= math.asinh(16 * math.pi / 2.0)
     z1 = math.asinh(math.pi / 2.0)  # only the first lobe is nonzero
     q = sin_sinh_quadrature(lambda z: (1.0 - np.minimum(z / z1, 1.0)) ** 4, 2.0, tol=1e-9)
     assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 4, 4, 1)
@@ -194,8 +313,8 @@ def test_exact_quadrature_long_maturity_extrapolated():
     assert q.diagnostics["summation"] == "extrapolated"
     assert q.diagnostics["depth_cap_hits"] == 0
     assert q.diagnostics["n_panels"] >= q.diagnostics["n_lobes"]
-    # one integrand call per block of lobes: the 6- and 12-lobe blocks cover the 14
-    assert q.diagnostics["n_calls"] == 2 < q.diagnostics["n_lobes"]
+    # one integrand call per block of lobes: the first block of 16 covers the 14
+    assert q.diagnostics["n_calls"] == 1 < q.diagnostics["n_lobes"]
     tight = bond_exact_zero_drift(0.05, 0.5, 200.0, quad_tol=1e-11)
     assert abs(tight.price - q.price) <= 1e-9
 
