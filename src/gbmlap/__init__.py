@@ -34,7 +34,7 @@ from .dothan import (
     moment_m2,
     sin_sinh_quadrature,
 )
-from .model import DothanScaled, ModelParams, ScaledParams, dothan_scale, scale, t_max
+from .model import ModelParams, ScaledParams, scale, t_max
 from .oracles import (
     MCEstimate,
     ShootingResult,
@@ -63,7 +63,7 @@ from .specfun import bessel_k, erfc, erfcx, gamma_fn, norm_cdf
 __all__ = [
     "__version__",
     # model
-    "ModelParams", "ScaledParams", "DothanScaled", "scale", "dothan_scale", "t_max",
+    "ModelParams", "ScaledParams", "scale", "t_max",
     # rootfind
     "RootResult", "solve_bracketed", "solve_newton",
     # specfun

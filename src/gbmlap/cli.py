@@ -8,7 +8,8 @@ published benchmark tables and the maximum-maturity figure data), and
 results as one JSON list).
 
 Exit codes: 0 success, 1 numerical failure (the message names the failing
-operation), 2 argument errors, 3 validation failures.  Single quotes are
+operation), 2 argument errors, 3 validation failures, 141 (128 + SIGPIPE)
+when the reader of standard output closes it early.  Single quotes are
 emitted as JSON with snake_case keys; ``reproduce`` emits CSV (header row,
 comma delimiter, '.' decimals, LF line endings) with the published
 tables' print precision.  Monte Carlo runs only with an explicit --seed,
@@ -22,6 +23,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -37,7 +39,8 @@ _NUMERICAL_ERRORS = (GbmlapError, ValueError, ArithmeticError)
 
 
 def _emit_json(payload: dict | list) -> None:
-    print(json.dumps(payload, indent=2))  # tuples in diagnostics print as lists
+    # tuples in diagnostics print as lists; NaN or inf raises ValueError, not invalid JSON
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _mc_diagnostics(est: oracles.MCEstimate) -> dict:
@@ -257,16 +260,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "rate":
-            return _cmd_rate(args)
-        if args.command == "bond":
-            return _cmd_bond(args, parser)
-        if args.command == "asian":
-            return _cmd_asian(args, parser)
-        if args.command == "mc":
-            return _cmd_mc(args)
-        if args.command == "reproduce":
-            return _cmd_reproduce(args, parser)
-        return _cmd_validate(args)
+            code = _cmd_rate(args)
+        elif args.command == "bond":
+            code = _cmd_bond(args, parser)
+        elif args.command == "asian":
+            code = _cmd_asian(args, parser)
+        elif args.command == "mc":
+            code = _cmd_mc(args)
+        elif args.command == "reproduce":
+            code = _cmd_reproduce(args, parser)
+        else:
+            code = _cmd_validate(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: send what is left to devnull so the exit flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except _NUMERICAL_ERRORS as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -330,7 +330,7 @@ def bond_exact_zero_drift(
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
-    y = 2.0 * r0 / (sigma * sigma)  # the (y, s) of model.dothan_scale
+    y = 2.0 * r0 / (sigma * sigma)
     s = 0.5 * sigma * sigma * T
     for name, v in (("y = 2*r0/sigma^2", y), ("s = sigma^2*T/2", s)):
         if not (0.0 < v < math.inf):

@@ -10,7 +10,7 @@ Two dimensionless coordinate systems are used downstream:
 * (b, zeta) with b^2 = sigma^2*theta*T^2/2 and zeta = a*T - the scaling
   regime in which the rate-function asymptotics are exact;
 * (y, s) with y = 2*r0/sigma^2 and s = sigma^2*T/2 - the variables of the
-  exact zero-drift quadrature.
+  exact zero-drift quadrature, formed in ``dothan.bond_exact_zero_drift``.
 
 All types here are immutable values; every function is pure.
 """
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from ._mathutil import require_finite
 from .errors import DomainError
 
-__all__ = ["ModelParams", "ScaledParams", "DothanScaled", "scale", "dothan_scale", "t_max"]
+__all__ = ["ModelParams", "ScaledParams", "scale", "t_max"]
 
 
 @dataclass(frozen=True)
@@ -59,25 +59,10 @@ class ScaledParams:
     zeta: float
 
 
-@dataclass(frozen=True)
-class DothanScaled:
-    """Exact-formula coordinates: y = 2*r0/sigma^2 > 0, s = sigma^2*T/2 > 0."""
-
-    y: float
-    s: float
-
-
 def scale(p: ModelParams) -> ScaledParams:
     """Map raw parameters to (b, zeta): b = sqrt(sigma^2*theta/2)*T, zeta = a*T."""
     b = math.sqrt(0.5 * p.sigma * p.sigma * p.theta) * p.T
     return ScaledParams(b=b, zeta=p.a * p.T)
-
-
-def dothan_scale(p: ModelParams) -> DothanScaled:
-    """Map raw parameters to (y, s); requires theta > 0 (read as r0)."""
-    if p.theta <= 0.0:
-        raise DomainError("dothan_scale requires theta > 0 (interpreted as r0)")
-    return DothanScaled(y=2.0 * p.theta / (p.sigma * p.sigma), s=0.5 * p.sigma * p.sigma * p.T)
 
 
 def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:

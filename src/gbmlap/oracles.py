@@ -86,11 +86,11 @@ class ShootingResult:
     """Variational value with the solved shooting parameters.
 
     multiplier is 0 for the unconstrained (Laplace-side) problem.
-    ode_steps counts the points of the final shot's integration (accepted
+    ode_steps counts the points of the root slope's integration (accepted
     steps plus the start).  bc_residual is the boundary-condition defect
     |h'(1) - zeta|, combined with the constraint defect |int e^h - x| for
-    the constrained problem.  shots counts the ODE integrations behind the
-    value (0 when it is known without shooting).
+    the constrained problem.  shots counts the distinct ODE integrations
+    (slopes tried) behind the value, 0 when it is known without shooting.
     """
 
     value: float
@@ -294,23 +294,22 @@ def _shoot(kappa: float, zeta: float, slope: float, ode_tol: float):
     return (*y1, n_points)
 
 
-def _solve_slope(kappa: float, zeta: float, ode_tol: float) -> tuple[float, int]:
-    """Slope c with h'(1; c) = zeta for kappa > 0, and the shots it took.
+def _shoot_slope(kappa, zeta: float, ode_tol: float, bracket):
+    """Slope c with h'(1; c) = zeta on h'' = kappa(c)*e^h, its shot and the shot count.
 
-    h'(1) is increasing in c.  A comparison argument gives a rigorous bracket: at c = zeta the defect
-    is +kappa*int e^h > 0, and at c = zeta - kappa*(e^zeta - 1)/zeta the
-    trajectory stays below zeta*t, so the defect is negative.  Slopes are
-    searched within [-50, 50] per the shooting contract.
+    ``bracket(defect)`` probes c -> h'(1; c) - zeta and returns a sign-change
+    interval.  Shots are kept by slope, so Brent reuses the bracket's probes
+    and the root (always a slope Brent evaluated) is read from its own shot.
     """
+    shots = {}
 
-    def g(c: float) -> float:
-        return _shoot(kappa, zeta, c, ode_tol)[1] - zeta
+    def defect(c: float) -> float:
+        if c not in shots:
+            shots[c] = _shoot(kappa(c), zeta, c, ode_tol)
+        return shots[c][1] - zeta
 
-    lo = max(zeta - kappa * expm1_over_x(zeta), -50.0)
-    if g(lo) > 0.0:
-        raise ShootingFailed(f"slope root below -50 (kappa={kappa}, zeta={zeta})")
-    res = solve_bracketed(g, lo, zeta, tol=1e-12)
-    return res.root, 1 + res.iterations
+    slope = solve_bracketed(defect, *bracket(defect), tol=1e-12).root
+    return slope, shots[slope], len(shots)
 
 
 def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingResult:
@@ -327,15 +326,24 @@ def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRes
     if b == 0.0:
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
     kappa = 2.0 * b * b
-    slope, shots = _solve_slope(kappa, zeta, ode_tol)
-    _, hp1, int_eh, int_kin, nsteps = _shoot(kappa, zeta, slope, ode_tol)
+
+    def bracket(defect):
+        # h'(1) rises with c: the defect is kappa*int e^h > 0 at c = zeta and, by a
+        # comparison argument, negative at c = zeta - kappa*(e^zeta - 1)/zeta.
+        lo = max(zeta - kappa * expm1_over_x(zeta), -50.0)
+        if defect(lo) > 0.0:
+            raise ShootingFailed(f"slope root below -50 (kappa={kappa}, zeta={zeta})")
+        return lo, zeta
+
+    slope, shot, shots = _shoot_slope(lambda c: kappa, zeta, ode_tol, bracket)
+    _, hp1, int_eh, int_kin, nsteps = shot
     return ShootingResult(
         value=kappa * int_eh + 0.5 * int_kin,
         initial_slope=slope,
         multiplier=0.0,
         ode_steps=nsteps,
         bc_residual=abs(hp1 - zeta),
-        shots=shots + 1,
+        shots=shots,
     )
 
 
@@ -359,37 +367,28 @@ def ibs_variational(x: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRe
     if abs(x - xstar) <= 1e-12 * max(1.0, xstar):
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
 
-    shots = 0
+    def bracket(defect):
+        sign = 1.0 if x > xstar else -1.0  # side of zeta on which the root lies
+        lo = zeta + sign * 1e-6 * max(1.0, abs(zeta))
+        glo = defect(lo)
+        hi, step, ghi = lo, 0.5, glo
+        while ghi > 0.0:
+            hi += sign * step
+            step *= 2.0
+            if abs(hi) > 60.0:
+                raise ShootingFailed(f"no slope bracket within |c| <= 60 for x={x}, zeta={zeta}")
+            ghi = defect(hi)
+        if glo < 0.0:
+            raise ShootingFailed(f"no sign change from c={lo} for x={x}, zeta={zeta}")
+        return (lo, hi) if lo <= hi else (hi, lo)
 
-    def defect(c: float) -> float:
-        nonlocal shots
-        shots += 1
-        return _shoot(-(c - zeta) / x, zeta, c, ode_tol)[1] - zeta
-
-    ins = 1e-6 * max(1.0, abs(zeta))
-    sign = 1.0 if x > xstar else -1.0  # side of zeta on which the root lies
-    lo = zeta + sign * ins
-    glo = defect(lo)
-    hi = lo
-    step = 0.5
-    ghi = glo
-    while ghi > 0.0:
-        hi += sign * step
-        step *= 2.0
-        if abs(hi) > 60.0:
-            raise ShootingFailed(f"no slope bracket within |c| <= 60 for x={x}, zeta={zeta}")
-        ghi = defect(hi)
-    if glo < 0.0:
-        raise ShootingFailed(f"no sign change from c={lo} for x={x}, zeta={zeta}")
-    c_lo, c_hi = (lo, hi) if lo <= hi else (hi, lo)
-    slope = solve_bracketed(defect, c_lo, c_hi, tol=1e-12).root
-    mu = (slope - zeta) / x
-    _, hp1, int_eh, int_kin, nsteps = _shoot(-mu, zeta, slope, ode_tol)
+    slope, shot, shots = _shoot_slope(lambda c: -(c - zeta) / x, zeta, ode_tol, bracket)
+    _, hp1, int_eh, int_kin, nsteps = shot
     return ShootingResult(
         value=0.5 * int_kin,
         initial_slope=slope,
-        multiplier=mu,
+        multiplier=(slope - zeta) / x,
         ode_steps=nsteps,
         bc_residual=max(abs(hp1 - zeta), abs(int_eh - x)),
-        shots=shots + 1,
+        shots=shots,
     )

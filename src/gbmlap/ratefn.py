@@ -191,7 +191,8 @@ def boundary_value(zeta: float) -> float:
     Common limit of both branches as their roots go to zero:
     -(zeta^2/4 - 1 - (2+zeta)^2/2 + (2+zeta)^2/zeta * log(1+zeta/2)).
     Verified against both one-sided branch evaluations; reduces to 1 as
-    zeta -> 0.
+    zeta -> 0.  Raises DomainError where the evaluation overflows (zeta
+    above about 1e154).
     """
     require_finite(zeta=zeta)
     _check_zeta(zeta)
@@ -199,6 +200,8 @@ def boundary_value(zeta: float) -> float:
         return 1.0 + 0.5 * zeta + zeta * zeta / 12.0
     p = 2.0 + zeta
     printed = -1.0 + 0.25 * zeta * zeta - 0.5 * p * p + (p * p / zeta) * math.log1p(0.5 * zeta)
+    if not math.isfinite(printed):
+        raise DomainError(f"boundary_value overflows double precision at zeta={zeta}")
     return -printed
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gbmlap
-from gbmlap.cli import main
+from gbmlap.cli import _emit_json, main
 
 
 def _run(capsys, *argv):
@@ -37,20 +37,44 @@ def test_rate_numerical_error_exit_code(capsys):
     [
         ["rate", "--b", "0.01", "--zeta", "2000"],
         ["rate", "--b", "1e-300", "--zeta", "0.5"],
+        # b = 1 lies on the boundary locus, where R at zeta = 1e300 is not representable
+        ["rate", "--b", "1", "--zeta", "1e300"],
         ["bond", "--method", "perpetual", "--r0", "0.05", "--sigma", "0.1", "--a", "-10"],
         ["bond", "--method", "taylor", "--r0", "0.1", "--sigma", "50", "--T", "1e3"],
         ["bond", "--method", "small-r0", "--r0", "0.1", "--sigma", "0.3", "--T", "1e4"],
         ["asian", "--s0", "100", "--k", "110", "--r", "1", "--sigma", "0.3", "--T", "1000",
          "--kind", "call"],
     ],
-    ids=["rate-zeta-overflow", "rate-tiny-b", "bond-perpetual-gamma", "bond-taylor-exp",
+    ids=["rate-zeta-overflow", "rate-tiny-b", "rate-boundary-overflow", "bond-perpetual-gamma", "bond-taylor-exp",
          "bond-small-r0-moment", "asian-forward"],
 )
 def test_numerical_failure_exit_code(capsys, argv):
-    code, _, err = _run(capsys, *argv)
+    code, out, err = _run(capsys, *argv)
     assert code == 1
-    assert f"error in {argv[0]}" in err
-    assert "Traceback" not in err
+    assert out == ""
+    assert err.startswith(f"error in {argv[0]}: ") and err.count("\n") == 1
+
+
+def test_emit_json_refuses_nan():
+    with pytest.raises(ValueError):
+        _emit_json({"R": float("nan")})
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_141_silently(buffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmlap.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbmlap", "rate", "--b", "0.5", "--zeta", "0.9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
 
 
 def test_bond_exact_below_resolution_exit_code(capsys):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from gbmlap.errors import DomainError
-from gbmlap.model import DothanScaled, ModelParams, ScaledParams, dothan_scale, scale, t_max
+from gbmlap.model import ModelParams, ScaledParams, scale, t_max
 from gbmlap.ratefn import convergence_radius
 
 
@@ -31,20 +31,6 @@ def test_scale_round_trip():
         theta = 2.0 * b * b / (sigma * sigma * T * T)
         got = scale(ModelParams(sigma=sigma, a=0.0, T=T, theta=theta)).b
         assert abs(got - b) <= 4.0 * eps * b
-
-
-def test_dothan_scale_examples():
-    ds = dothan_scale(ModelParams(sigma=0.1, a=0.0, T=1.0, theta=0.1))
-    assert abs(ds.y - 20.0) < 1e-12 and abs(ds.s - 0.005) < 1e-16
-    ds = dothan_scale(ModelParams(sigma=0.5, a=0.0, T=10.0, theta=0.1))
-    assert abs(ds.y - 0.8) < 1e-14 and abs(ds.s - 1.25) < 1e-14
-    ds = dothan_scale(ModelParams(sigma=0.2, a=0.0, T=2.0, theta=0.02))
-    assert abs(ds.y - 1.0) < 1e-14 and abs(ds.s - 0.04) < 1e-16
-
-
-def test_dothan_scale_rejects_zero_rate():
-    with pytest.raises(DomainError):
-        dothan_scale(ModelParams(sigma=0.1, a=0.0, T=1.0, theta=0.0))
 
 
 def test_params_validation():
@@ -100,4 +86,3 @@ def test_frozen_dataclasses():
     p = ModelParams(sigma=0.3, a=0.0, T=1.0, theta=0.1)
     with pytest.raises(AttributeError):
         p.sigma = 0.4
-    assert isinstance(dothan_scale(p), DothanScaled)

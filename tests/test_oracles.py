@@ -187,10 +187,27 @@ def test_jb_variational_vs_closed_form():
         assert sh.bc_residual <= 1e-9
 
 
-def test_variational_shots():
-    res = jb_variational(0.7, 0.5)
-    assert res.shots > 0
-    assert ibs_variational(1.2, 0.5).shots > 0
+def test_variational_shots(monkeypatch):
+    # every slope is integrated once, and shots counts those integrations;
+    # at I_BS (0.3, 0.0) the bracket search runs below zeta
+    slopes = []
+    shoot = gbmlap.oracles._shoot
+
+    def counting_shoot(kappa, zeta, slope, ode_tol):
+        slopes.append(slope)
+        return shoot(kappa, zeta, slope, ode_tol)
+
+    monkeypatch.setattr(gbmlap.oracles, "_shoot", counting_shoot)
+    for oracle, args, shots in [
+        (jb_variational, (0.7, 0.5), 6),
+        (jb_variational, (1.5, 2.0), 10),
+        (ibs_variational, (1.2, 0.5), 12),
+        (ibs_variational, (0.3, 0.0), 12),
+    ]:
+        slopes.clear()
+        res = oracle(*args)
+        assert len(set(slopes)) == len(slopes) == res.shots == shots, (oracle.__name__, args)
+        assert res.initial_slope in slopes
     assert jb_variational(0.0, 0.5).shots == 0
 
 

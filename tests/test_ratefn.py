@@ -187,6 +187,14 @@ def test_boundary_values_frozen():
     assert boundary_value(0.0) == 1.0
 
 
+@pytest.mark.parametrize("zeta", [1.4e154, 1e300])
+def test_boundary_value_overflow_is_domain_error(zeta):
+    # the closed form overflows to -inf at 1.4e154 and to NaN at 1e300
+    with pytest.raises(DomainError) as exc:
+        boundary_value(zeta)
+    assert f"zeta={zeta}" in str(exc.value)
+
+
 def test_branch_continuity():
     eps = 1e-8
     for z in (0.25, 0.5, 1.0, 2.0, 4.0, -0.5):
