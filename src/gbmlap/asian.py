@@ -15,7 +15,10 @@ the classical sigma/sqrt(3)).
 
 Closed forms come in two branches joined continuously at x = 1 + zeta/2:
 hyperbolic (root delta >= 0) for x above, trigonometric (root xi in
-(0, pi/2)) below.  All functions are pure.
+(0, pi/2)) below.  As for R, they are one root equation in
+u = delta^2 = -4*xi^2 and one value formula (``_ibs_solve_u``,
+``_ibs_value``), and the branch is the sign of the root u.  All functions
+are pure.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._mathutil import expm1_over_x, require_finite, sinc, sinc_d, sinhc, sinhc_d, tanhc
+from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
-from .ratefn import Branch, RateEval
+from .ratefn import RateEval, _rate_eval, _root_result
 from .rootfind import RootResult, solve_newton
 from .specfun import norm_cdf
 
@@ -46,8 +49,6 @@ __all__ = [
 
 # relative moneyness window around A_fwd inside which the ATM limit is used
 _ATM_WINDOW = 1e-4
-# relative pivot window at x = 1 + zeta/2 where both roots degenerate to 0
-_PIVOT_WINDOW = 1e-13
 # Taylor coefficients of V(zeta) in _atm_curvature: (2^(n+2)*n + 2)/(n+3)!, n = 0..17
 _ATM_VARIANCE_SERIES = tuple((2.0 ** (n + 2) * n + 2.0) / math.factorial(n + 3) for n in range(18))
 
@@ -100,98 +101,103 @@ class OptionQuote:
     diagnostics: dict
 
 
+def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int, tuple, float]:
+    """Root u = delta^2 = -4*xi^2 of S*C + zeta*S^2/2 = x on one side of the pivot u = 0.
+
+    C and S are ``cosh_sinhc(u/4)``.  The left side increases in u, is
+    1 + zeta/2 at u = 0 and equals S*P, with P = C + zeta*S/2 formed as in
+    R's equation; it is solved as S*P/x = 1, so the root resolves x at any
+    scale.  Hyperbolic side: the upper end of the bracket is found by
+    quadrupling u from 1, its lower end is the last probe below the root
+    (or 0), the solver reuses both probes' values, and the count includes
+    every probe.  Trigonometric side: [-pi^2, 0], xi in [0, pi/2], where
+    the left side is at most 0 < x wherever P <= 0.  Returns u, the
+    residual S*P - x, the evaluations, the final bracket and its factor 1.
+    """
+    a = 1.0 + 0.5 * zeta
+    k = 1.0 / x
+    calls = 0
+    known = {}  # probe values at the bracket ends, handed to the solver once
+
+    def fdf(u: float) -> tuple[float, float]:
+        nonlocal calls
+        if u in known:
+            return known.pop(u)
+        calls += 1
+        v = 0.25 * u
+        _, s, d = cosh_sinhc(v)
+        p = a * s + 2.0 * v * d
+        return s * p * k - 1.0, 0.25 * k * (d * p + 0.5 * s * (s + zeta * d))
+
+    if hyperbolic:
+        lo, hi = 0.0, 1.0
+        f_lo, f_hi = None, fdf(hi)
+        while f_hi[0] < 0.0:
+            lo, f_lo, hi = hi, f_hi, 4.0 * hi
+            if hi > 490000.0:  # delta = sqrt(u) past 700, where cosh(delta) nears overflow
+                raise NoSignChange(f"no delta bracket below overflow for x={x}, zeta={zeta}")
+            f_hi = fdf(hi)
+        known[hi] = f_hi
+        if f_lo is not None:
+            known[lo] = f_lo
+    else:
+        lo, hi = -math.pi * math.pi, 0.0
+    try:
+        res = solve_newton(fdf, lo, hi, tol=1e-15)
+    except NoSignChange:  # the probed hyperbolic bracket always changes sign
+        raise NoRootInInterval(
+            f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
+        ) from None
+    return res.root, res.residual * x, calls, res.bracket, 1.0
+
+
 def ibs_solve_delta(x: float, zeta: float) -> RootResult:
     """Root delta >= 0 of sinh(d)/d + 2*zeta*sinh^2(d/2)/d^2 = x.
 
-    Requires x >= 1 + zeta/2 (the left side's value at delta = 0); the
-    left side is increasing, so the bracket is found by doubling its upper
-    end from 1, and its lower end is the last probe below the root (0 if
-    there is none).  The solver reuses the probes' values at the two ends,
-    and ``iterations`` counts every evaluation, probes included.  At the
-    pivot x = 1 + zeta/2 the bracket's lower end is the root, returned
-    after two evaluations.
+    Requires x >= 1 + zeta/2 (the left side at delta = 0); solved for
+    u = delta^2 by ``_ibs_solve_u``.  At the pivot x = 1 + zeta/2 the
+    root 0 is returned after two evaluations.
     """
     require_finite(x=x, zeta=zeta)
     if x < (1.0 + 0.5 * zeta) * (1.0 - 1e-12):
         raise BranchError(f"hyperbolic branch needs x >= 1 + zeta/2, got x={x}, zeta={zeta}")
-    calls = 0
-    known = {}  # probe values at the bracket ends, handed to the solver once
-
-    def fdf(d: float) -> tuple[float, float]:
-        nonlocal calls
-        if d in known:
-            return known.pop(d)
-        calls += 1
-        s, ds = sinhc_d(d)
-        sh, dsh = sinhc_d(0.5 * d)
-        return s + 0.5 * zeta * sh * sh - x, ds + 0.5 * zeta * sh * dsh
-
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = None, fdf(hi)
-    while f_hi[0] < 0.0:
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        if hi > 700.0:
-            raise NoSignChange(f"no delta bracket below overflow for x={x}, zeta={zeta}")
-        f_hi = fdf(hi)
-    known[hi] = f_hi
-    if f_lo is not None:
-        known[lo] = f_lo
-    res = solve_newton(fdf, lo, hi, tol=1e-15)
-    return RootResult(res.root, res.residual, calls, res.bracket)
+    return _root_result(*_ibs_solve_u(x, zeta, True))
 
 
 def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     """Root xi in [0, pi/2] of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x.
 
-    Requires 0 < x <= 1 + zeta/2.  The left side is evaluated in the
-    pole-free form sinc(2*xi) + zeta*sinc(xi)^2/2, which extends
-    continuously to xi = pi/2 with value 2*zeta/pi^2, and the solve runs on
-    [0, pi/2] for every zeta.  The left side equals
-    sin(xi)*(2*xi*cos(xi) + zeta*sin(xi))/(2*xi^2), so wherever
-    2*xi*cos(xi) + zeta*sin(xi) <= 0 it is at most 0 < x: every root lies
-    where the log argument in the closed form is positive.  At the pivot
-    x = 1 + zeta/2 the root is xi = 0, the bracket's lower end; x below the
-    left side's infimum raises NoRootInInterval.
+    Requires 0 < x <= 1 + zeta/2.  Solved in the pole-free form
+    sinc(2*xi) + zeta*sinc(xi)^2/2 = x, for u = -4*xi^2 on xi in [0, pi/2]
+    (``_ibs_solve_u``); every root has a positive log argument in the
+    closed form.  At the pivot x = 1 + zeta/2 the root is 0; x below the
+    left side's infimum 2*zeta/pi^2 raises NoRootInInterval.
     """
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"ibs_solve_xi requires x > 0, got {x}")
     if x > (1.0 + 0.5 * zeta) * (1.0 + 1e-12):
         raise BranchError(f"trigonometric branch needs x <= 1 + zeta/2, got x={x}, zeta={zeta}")
-
-    def fdf(t: float) -> tuple[float, float]:
-        s2, ds2 = sinc_d(2.0 * t)
-        s, ds = sinc_d(t)
-        return s2 + 0.5 * zeta * s * s - x, 2.0 * ds2 + zeta * s * ds
-
-    try:
-        return solve_newton(fdf, 0.0, 0.5 * math.pi, tol=1e-15)
-    except NoSignChange:
-        raise NoRootInInterval(
-            f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
-        ) from None
+    return _root_result(*_ibs_solve_u(x, zeta, False))
 
 
-def _ibs_hyp_value(x: float, zeta: float, delta: float) -> float:
-    th = tanhc(0.5 * delta)
-    ratio = th / (1.0 + 0.5 * zeta * th)
-    return (
-        0.5 * (delta * delta - zeta * zeta) * (1.0 - ratio)
-        - 2.0 * zeta * math.log(math.cosh(0.5 * delta) + 0.5 * zeta * sinhc(0.5 * delta))
-        + zeta * zeta
-    )
+def _ibs_value(x: float, zeta: float, u: float) -> float:
+    """I_BS = (u - zeta^2)*(1 - S/P)/2 - 2*zeta*log(P) + zeta^2 at a solved root u.
 
-
-def _ibs_trig_value(x: float, zeta: float, xi: float) -> float:
-    # tan(xi)/(xi + zeta*tan(xi)/2) rewritten pole-free as sin/(xi*cos + zeta*sin/2)
-    if xi == 0.0:
-        ratio = 1.0 / (1.0 + 0.5 * zeta)
-    else:
-        ratio = math.sin(xi) / (xi * math.cos(xi) + 0.5 * zeta * math.sin(xi))
-    return (
-        2.0 * (xi * xi + 0.25 * zeta * zeta) * (ratio - 1.0)
-        - 2.0 * zeta * math.log(math.cos(xi) + 0.5 * zeta * sinc(xi))
-        + zeta * zeta
+    S and P as in ``_ibs_solve_u``.  Raises DomainError where P is not
+    positive, where S*P misses x by more than 1e-8 relative (P is lost to
+    rounding: x near 0 with zeta near -2, or zeta << 0 on the hyperbolic
+    side), or where the value is not finite.
+    """
+    _, s, d = cosh_sinhc(0.25 * u)
+    p = (1.0 + 0.5 * zeta) * s + 0.5 * u * d
+    if p > 0.0 and abs(s * p - x) <= 1e-8 * x:
+        value = 0.5 * (u - zeta * zeta) * (1.0 - s / p) - 2.0 * zeta * math.log(p) + zeta * zeta
+        if math.isfinite(value):
+            return value
+    raise DomainError(
+        f"I_BS is not resolved in double precision at x={x}, zeta={zeta} "
+        f"(root u = {u!r}, log argument P = {p!r}, where S*P should equal x)"
     )
 
 
@@ -200,25 +206,11 @@ def rate_ibs(x: float, zeta: float) -> RateEval:
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"rate_ibs requires x > 0, got {x}")
-    pivot = 1.0 + 0.5 * zeta
-    if abs(x - pivot) <= _PIVOT_WINDOW * max(1.0, abs(pivot)):
-        value = _ibs_trig_value(x, zeta, 0.0)
-        return RateEval(
-            value=max(value, 0.0), branch=Branch.BOUNDARY, root=0.0, residual=0.0, evals=0
-        )
-    if x > pivot:
-        res = ibs_solve_delta(x, zeta)
-        value = _ibs_hyp_value(x, zeta, res.root)
-        branch = Branch.HYPERBOLIC
-    else:
-        res = ibs_solve_xi(x, zeta)
-        value = _ibs_trig_value(x, zeta, res.root)
-        branch = Branch.TRIGONOMETRIC
+    u, residual, evals, _, _ = _ibs_solve_u(x, zeta, x > 1.0 + 0.5 * zeta)
+    value = _ibs_value(x, zeta, u)
     if -1e-9 < value < 0.0:  # roundoff at the rate function's zero
         value = 0.0
-    return RateEval(
-        value=value, branch=branch, root=res.root, residual=res.residual, evals=res.iterations
-    )
+    return _rate_eval(value, u, residual, evals)
 
 
 def a_fwd(s0: float, a: float, t: float) -> float:

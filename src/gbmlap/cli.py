@@ -257,8 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = parser.parse_args(argv)
+        finally:
+            sys.stdout.flush()  # --help and --version print, then exit inside parse_args
         if args.command == "rate":
             code = _cmd_rate(args)
         elif args.command == "bond":

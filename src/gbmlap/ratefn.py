@@ -6,10 +6,13 @@ Laplace transform E[exp(-theta*X_T)] in the scaling regime of
 is exp(-r0*T*R).  R is evaluated in closed form from one transcendental
 root per call:
 
-* hyperbolic branch (root delta in [0, |zeta|]) when b <= |zeta|/(2+zeta),
-* trigonometric branch (root xi) when b >= |zeta|/(2+zeta),
-* a closed-form value exactly on the boundary locus, where both roots
-  degenerate to zero.
+* hyperbolic branch (root delta in [0, |zeta|]) when b < |zeta|/(2+zeta),
+* trigonometric branch (root xi) when b > |zeta|/(2+zeta).
+
+Under delta = 2i*xi the branches are one analytic function of
+u = delta^2 = -4*xi^2: one root equation and one value formula
+(``_solve_u``, ``_value``).  The branch is the sign of the root u; on the
+locus u = 0 is a simple root, where R is ``boundary_value``.
 
 Sign convention: the returned ``value`` is normalized to be the positive
 rate, i.e. J_B = 2*b^2*value >= 0 and bond yields r0*value come out
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._mathutil import require_finite, sinc, sinc_d, sinhc, sinhc_d
-from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
+from ._mathutil import cosh_sinhc, require_finite
+from .errors import BranchError, DomainError, NoRootInInterval
 from .rootfind import RootResult, solve_bracketed, solve_newton
 
 __all__ = [
@@ -44,9 +47,6 @@ __all__ = [
     "convergence_radius",
     "boundary_value",
 ]
-
-# relative width of the exact-boundary detection window around b = |zeta|/(2+zeta)
-_BOUNDARY_WINDOW = 1e-13
 
 # small-b series coefficients of R(b,0) in powers of b^2 (constant term first)
 SERIES_COEFFS = (1.0, -1.0 / 3.0, 4.0 / 15.0, -92.0 / 315.0, 1072.0 / 2835.0)
@@ -70,85 +70,125 @@ class RateEval:
     evals: int
 
 
-def _branch_threshold(zeta: float) -> float:
-    """Boundary locus b = |zeta|/(2+zeta) separating the two branches."""
-    return abs(zeta) / (2.0 + zeta)
-
-
 def _check_zeta(zeta: float) -> None:
     if zeta <= -2.0:
         raise DomainError(f"zeta must be > -2, got {zeta}")
 
 
+def _root_of(u: float) -> float:
+    """The published root of u = delta^2 = -4*xi^2: delta for u > 0, xi for u < 0, else 0."""
+    return math.sqrt(u) if u > 0.0 else 0.5 * math.sqrt(-u) if u < 0.0 else 0.0
+
+
+def _root_result(u: float, residual: float, evals: int, bracket: tuple, to_u: float) -> RootResult:
+    """A solve in u, with its final bracket in u/to_u, reported in delta or xi."""
+    return RootResult(_root_of(u), residual, evals, tuple(sorted(_root_of(e * to_u) for e in bracket)))
+
+
+def _rate_eval(value: float, u: float, residual: float, evals: int) -> RateEval:
+    """R or I_BS at a solved u: the branch is the sign of u, BOUNDARY where u is 0."""
+    if u < 0.0:
+        return RateEval(value, Branch.TRIGONOMETRIC, 0.5 * math.sqrt(-u), residual, evals)
+    if u > 0.0:
+        return RateEval(value, Branch.HYPERBOLIC, math.sqrt(u), residual, evals)
+    return RateEval(value, Branch.BOUNDARY, 0.0, residual, evals)
+
+
+def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int, tuple, float]:
+    """Root u = delta^2 = -4*xi^2 of sqrt(zeta^2 - u) = 2*b*P on one side of the locus.
+
+    P = C + zeta*S/2, with C and S from ``cosh_sinhc(u/4)``, is formed as
+    (1 + zeta/2)*S + (u/2)*dS/dv, which does not cancel as zeta -> -2.  The
+    equation is analytic in u across the locus, where u = 0 is a simple
+    root.  Hyperbolic side: squared, zeta^2 - u = 4*b^2*P^2 on [0, zeta^2],
+    as small b puts the root at u = zeta^2.  Trigonometric side: P falls
+    from 1 + zeta/2 at u = 0 to a first zero below pi/2 + atan(zeta/pi) and
+    pi*sqrt(1 + zeta/2), and stays negative up to xi = pi, so a root has
+    2*b*P <= b*(2 + zeta) and xi below sqrt((b*(2 + zeta))^2 - zeta^2)/2;
+    the least of these bounds is xi_max.  Each side is solved for w in
+    [-1, 1], u/zeta^2 or u/(4*xi_max^2), with a unit right side, so the
+    solver's tolerances are relative.  Returns u, the relative residual
+    1 - 4*b^2*P^2/(zeta^2 - u), the evaluations, the final w bracket and u/w.
+    """
+    z2 = zeta * zeta
+    a = 1.0 + 0.5 * zeta
+    reach = b * (2.0 + zeta)
+    if hyperbolic:
+        scale, lo, hi = 0.25 * z2, 0.0, 1.0
+        b2 = b * b
+        q = (2.0 * b / zeta) ** 2
+
+        def fdf(w: float) -> tuple[float, float]:
+            v = w * scale
+            _, s, d = cosh_sinhc(v)
+            p = a * s + 2.0 * v * d
+            return 1.0 - w - q * p * p, -1.0 - b2 * p * (s + zeta * d)
+    else:
+        az = abs(zeta)
+        xi_max = min(0.5 * math.sqrt((reach - az) * (reach + az)),
+                     0.5 * math.pi + math.atan(zeta / math.pi), math.pi * math.sqrt(a))
+        scale, lo, hi = xi_max * xi_max, -1.0, 0.0
+        k, m = 1.0 / reach, 2.0 / a
+        h1, h2 = 2.0 * scale * k, 0.25 * scale * m
+
+        # (sqrt(zeta^2 - u) - 2*b*P)/reach, with P/(1 + zeta/2) = S + m*v*dS/dv
+        def fdf(w: float) -> tuple[float, float]:
+            v = w * scale
+            _, s, d = cosh_sinhc(v)
+            r = math.sqrt(z2 - 4.0 * v)
+            return r * k - s - m * v * d, -(h1 / r if r > 0.0 else math.inf) - h2 * (s + zeta * d)
+
+    res = solve_newton(fdf, lo, hi, tol=1e-15)
+    w, f, to_u = res.root, res.residual, 4.0 * scale
+    u = w * to_u
+    if hyperbolic:
+        residual = f / (1.0 - w) if w < 1.0 else f
+    else:
+        # 2*b*P = r - reach*f at the root
+        r = math.sqrt(z2 - u)
+        t = reach * f / r if r > 0.0 else f
+        residual = t * (2.0 - t)
+    return u, residual, res.iterations, res.bracket, to_u
+
+
 def solve_delta(b: float, zeta: float) -> RootResult:
     """Root delta in [0, |zeta|] of the hyperbolic-branch equation.
 
-    The equation is zeta^2 - delta^2 = 4*b^2*(cosh(delta/2) +
-    zeta*sinh(delta/2)/delta)^2; the delta -> 0 factor is evaluated by
-    series (limit zeta/2), so the boundary root delta = 0 is exact.
+    The equation is zeta^2 - delta^2 = 4*b^2*P^2 with P = cosh(delta/2) +
+    zeta*sinh(delta/2)/delta, solved for u = delta^2 (``_solve_u``); the
+    residual is relative, 1 - 4*b^2*P^2/(zeta^2 - delta^2).
     """
     require_finite(b=b, zeta=zeta)
     _check_zeta(zeta)
     if zeta == 0.0 or b <= 0.0:
         raise BranchError(f"hyperbolic branch needs zeta != 0 and b > 0, got b={b}, zeta={zeta}")
-    thr = _branch_threshold(zeta)
+    thr = abs(zeta) / (2.0 + zeta)
     if b > thr * (1.0 + 1e-12):
         raise BranchError(f"b={b} exceeds the branch boundary {thr} for zeta={zeta}")
-
-    b4 = 4.0 * b * b
-
-    # value and slope; the slope takes sinh(h) as h*sinhc(h)
-    def fdf(d: float) -> tuple[float, float]:
-        h = 0.5 * d
-        s, ds = sinhc_d(h)
-        paren = math.cosh(h) + 0.5 * zeta * s
-        slope = 0.5 * h * s + 0.25 * zeta * ds
-        return zeta * zeta - d * d - b4 * paren * paren, -2.0 * d - 2.0 * b4 * paren * slope
-
-    return solve_newton(fdf, 0.0, abs(zeta), tol=1e-15)
+    return _root_result(*_solve_u(b, zeta, True))
 
 
 def solve_xi(b: float, zeta: float) -> RootResult:
     """Root xi in [0, pi) of the trigonometric-branch equation.
 
     The equation is 2*xi^2*(4*xi^2 + zeta^2) = 2*b^2*(2*xi*cos(xi) +
-    zeta*sin(xi))^2.  It is solved in the unsquared form
-    sqrt(4*xi^2 + zeta^2) = b*(2*cos(xi) + zeta*sinc(xi)) on [0, pi], which
-    drops the spurious double zero at xi = 0 and the roots with a negative
-    right side: every root of the unsquared form has 2*xi*cos(xi) +
-    zeta*sin(xi) > 0, so it lies below the first positive zero of that
-    factor, where the log argument in the closed form stays positive.  At
-    xi = 0 the difference is |zeta| - b*(2 + zeta): xi = 0 is returned on
-    the branch boundary, and NoRootInInterval is raised when b is on its
-    hyperbolic side or zeta <= -2.  The reported residual is against the
-    squared equation.
+    zeta*sin(xi))^2, solved unsquared, sqrt(4*xi^2 + zeta^2) =
+    b*(2*cos(xi) + zeta*sinc(xi)), for u = -4*xi^2 (``_solve_u``).  That
+    drops the double zero at xi = 0 and the roots where the log argument
+    2*xi*cos(xi) + zeta*sin(xi) of the closed form is not positive.  xi = 0
+    is returned on the branch boundary; NoRootInInterval is raised when b
+    is on its hyperbolic side or zeta <= -2.  The residual is relative:
+    1 - b^2*(2*cos(xi) + zeta*sinc(xi))^2/(4*xi^2 + zeta^2).
     """
     require_finite(b=b, zeta=zeta)
     if b <= 0.0:
         raise DomainError(f"solve_xi requires b > 0, got {b}")
-    z2 = zeta * zeta
-
-    # value and slope; the slope takes sin(x) as x*sinc(x), and at x = zeta = 0
-    # the slope of the root term is its right-hand limit 2
-    def hdh(x: float) -> tuple[float, float]:
-        r = math.sqrt(4.0 * x * x + z2)
-        s, ds = sinc_d(x)
-        return (
-            r - b * (2.0 * math.cos(x) + zeta * s),
-            (4.0 * x / r if r > 0.0 else 2.0) + b * (2.0 * x * s - zeta * ds),
-        )
-
-    try:
-        res = solve_newton(hdh, 0.0, math.pi, tol=1e-15)
-    except NoSignChange:
+    if b * (2.0 + zeta) < abs(zeta):
         raise NoRootInInterval(
             f"no trigonometric root for b={b}, zeta={zeta}: "
             "b is on the hyperbolic side or zeta <= -2"
-        ) from None
-    xi = res.root
-    paren = 2.0 * xi * math.cos(xi) + zeta * math.sin(xi)
-    residual = 2.0 * xi * xi * (4.0 * xi * xi + z2) - 2.0 * b * b * paren * paren
-    return RootResult(root=xi, residual=residual, iterations=res.iterations, bracket=res.bracket)
+        )
+    return _root_result(*_solve_u(b, zeta, False))
 
 
 def solve_lambda(b: float) -> RootResult:
@@ -156,33 +196,23 @@ def solve_lambda(b: float) -> RootResult:
     return solve_xi(b, 0.0)
 
 
-def _hyp_value(b: float, zeta: float, delta: float) -> float:
-    """Hyperbolic-branch R at a solved delta (positive-rate normalization)."""
-    half = 0.5 * delta
-    sh = sinhc(half)
-    printed = (
-        1.0
-        + math.sinh(half) ** 2
-        + 0.25 * zeta * (zeta - 4.0) * sh * sh
-        - (2.0 - zeta) * sinhc(delta)
-        + (zeta / (b * b)) * math.log(math.cosh(half) + 0.5 * zeta * sh)
-        - zeta * zeta / (2.0 * b * b)
-    )
-    return -printed
+def _value(b: float, zeta: float, u: float) -> float:
+    """R at a solved root u = delta^2 = -4*xi^2 of either branch (positive-rate normalization).
 
-
-def _trig_value(b: float, zeta: float, xi: float) -> float:
-    """Trigonometric-branch R at a solved xi (positive-rate normalization)."""
-    sc = sinc(xi)
-    printed = (
-        1.0
-        - math.sin(xi) ** 2
-        - 0.25 * zeta * (4.0 - zeta) * sc * sc
-        + (zeta - 2.0) * sinc(2.0 * xi)
-        + (zeta / (b * b)) * math.log(math.cos(xi) + 0.5 * zeta * sc)
-        - zeta * zeta / (2.0 * b * b)
+    Raises DomainError where the log argument P = C + zeta*S/2 or the
+    value is not a positive finite number.
+    """
+    c, s, d = cosh_sinhc(0.25 * u)
+    p = (1.0 + 0.5 * zeta) * s + 0.5 * u * d
+    if p > 0.0:
+        value = -(1.0 + (0.25 * u + 0.25 * zeta * (zeta - 4.0)) * s * s - (2.0 - zeta) * s * c
+                  + (zeta / (b * b)) * math.log(p) - zeta * zeta / (2.0 * b * b))
+        if 0.0 < value < math.inf:
+            return value
+    raise DomainError(
+        f"R has no positive finite value in double precision at b={b}, zeta={zeta} "
+        f"(root u = {u!r}, log argument P = {p!r})"
     )
-    return -printed
 
 
 def boundary_value(zeta: float) -> float:
@@ -210,6 +240,8 @@ def rate_R(b: float, zeta: float) -> RateEval:
 
     b = 0 returns 1 by continuity of the small-b series (J_B is 0 there
     regardless); zeta = 0 is the trigonometric branch.  zeta must be > -2.
+    Raises DomainError on overflow, on a trigonometric root with a relative
+    residual above 2e-8, and on a value that is not positive and finite.
     """
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
@@ -217,28 +249,22 @@ def rate_R(b: float, zeta: float) -> RateEval:
     _check_zeta(zeta)
     if b == 0.0:
         return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
-    thr = _branch_threshold(zeta)
-    if zeta != 0.0 and abs(b - thr) <= _BOUNDARY_WINDOW * max(1.0, thr):
-        return RateEval(
-            value=boundary_value(zeta), branch=Branch.BOUNDARY, root=0.0, residual=0.0, evals=0
+    try:
+        u, residual, evals, _, _ = _solve_u(b, zeta, b * (2.0 + zeta) < abs(zeta))
+        # exactly on the locus the closed form avoids the zeta/b^2 cancellation
+        value = _value(b, zeta, u) if u != 0.0 else boundary_value(zeta)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError(
+            f"rate_R overflows double precision at b={b}, zeta={zeta} "
+            "(cosh/sinh of the hyperbolic root, or zeta/b^2, exceed 1.8e308)"
+        ) from None
+    # sqrt(zeta^2 - u) >= |zeta| does not cancel for u < 0: P is lost to rounding
+    if u < 0.0 and not -2e-8 <= residual <= 2e-8:
+        raise DomainError(
+            f"rate_R is not resolved in double precision at b={b}, zeta={zeta} "
+            f"(relative residual {residual:.1e} at the root u = {u!r})"
         )
-    if b < thr:
-        try:
-            res = solve_delta(b, zeta)
-            value = _hyp_value(b, zeta, res.root)
-        except OverflowError:
-            raise DomainError(
-                f"rate_R overflows double precision at b={b}, zeta={zeta} "
-                "(cosh/sinh of the hyperbolic root exceed 1.8e308)"
-            ) from None
-        branch = Branch.HYPERBOLIC
-    else:
-        res = solve_xi(b, zeta)
-        value = _trig_value(b, zeta, res.root)
-        branch = Branch.TRIGONOMETRIC
-    return RateEval(
-        value=value, branch=branch, root=res.root, residual=res.residual, evals=res.iterations
-    )
+    return _rate_eval(value, u, residual, evals)
 
 
 def rate_R_zero_drift(b: float) -> RateEval:

@@ -52,23 +52,23 @@ def test_ibs_delta_boundary_and_oracle():
 
 
 def test_ibs_delta_counts_every_evaluation(monkeypatch):
-    # the bracket-doubling probes are evaluations of the equation too: count
-    # them through sinhc_d, which the equation calls twice per evaluation
+    # the bracket probes are evaluations of the equation too: count them
+    # through cosh_sinhc, which the equation calls once per evaluation
     from gbmlap import asian
 
     calls = 0
-    sinhc_d = asian.sinhc_d
+    cosh_sinhc = asian.cosh_sinhc
 
     def counted(v):
         nonlocal calls
         calls += 1
-        return sinhc_d(v)
+        return cosh_sinhc(v)
 
-    monkeypatch.setattr(asian, "sinhc_d", counted)
+    monkeypatch.setattr(asian, "cosh_sinhc", counted)
     for x, zeta in ((1.2, 0.1), (3.0, 1.0), (1e6, 0.5), (1.0, 0.0)):
         calls = 0
         res = ibs_solve_delta(x, zeta)
-        assert calls == 2 * res.iterations
+        assert calls == res.iterations
 
 
 def test_ibs_xi_boundary_and_oracle():
@@ -135,6 +135,21 @@ def test_rate_ibs_domain():
         rate_ibs(0.0, 0.0)
     with pytest.raises(DomainError):
         rate_ibs(-1.0, 0.0)
+
+
+@pytest.mark.parametrize("x, zeta", [(1e-300, -2.0), (1e-300, -1.999999999), (1e-11, -30.0)])
+def test_rate_ibs_unresolved_log_argument_is_domain_error(x, zeta):
+    # P = C + zeta*S/2 cancels far below x/S, which the root equation sets
+    # it to; these raised ZeroDivisionError or a bare "math domain error"
+    with pytest.raises(DomainError) as exc:
+        rate_ibs(x, zeta)
+    assert f"x={x}, zeta={zeta}" in str(exc.value)
+
+
+def test_sigma_ln_unresolved_rate_is_domain_error():
+    # moneyness 1e-11 at zeta = -30 is the last case above
+    with pytest.raises(DomainError):
+        sigma_ln(1e-9, 100.0, 1e-9, -1.0, 30.0)
 
 
 def test_a_fwd():

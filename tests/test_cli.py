@@ -77,6 +77,23 @@ def test_closed_stdout_exits_141_silently(buffered):
     assert err == b""
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["rate", "--help"], ["--version"]])
+def test_help_and_version_into_closed_stdout_exit_141_silently(argv):
+    # argparse prints these and exits while parsing; with buffered stdout the
+    # closed pipe shows only when the text is flushed
+    env = dict(os.environ, PYTHONPATH=str(Path(gbmlap.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gbmlap", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_bond_exact_below_resolution_exit_code(capsys):
     code, _, err = _run(
         capsys, "bond", "--method", "exact", "--r0", "5", "--sigma", "0.2", "--T", "30"

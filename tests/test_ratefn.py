@@ -125,6 +125,49 @@ def test_solve_xi_evals_near_zeta_minus_two():
             assert res.iterations <= 60
 
 
+def test_solve_xi_near_zeta_minus_two_matches_mpmath():
+    # frozen 80-digit bisection roots; the equation in xi hid these roots
+    # under its rounding (1.054e-8 returned for 1.2248e-9 at the third point)
+    cases = (
+        (-2.0 + 1e-8, 1.0 + 1e-6, 1.2247442491957753e-7),
+        (-2.0 + 1e-8, 1.01, 1.2186666858113446e-5),
+        (-2.0 + 1e-12, 1.0 + 1e-6, 1.2247986979838848e-9),
+        (-2.0 + 1e-12, 1.01, 1.2187208644385553e-7),
+    )
+    for zeta, factor, ref in cases:
+        res = solve_xi(abs(zeta) / (2.0 + zeta) * factor, zeta)
+        assert abs(res.root - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("b, zeta", [(1e4, 0.5), (50.0, 3.0), (1e3, -1.0)])
+def test_solve_xi_relative_residual_at_large_b(b, zeta):
+    # the residual 1 - b^2*(2*cos(xi) + zeta*sinc(xi))^2/(4*xi^2 + zeta^2) does
+    # not grow with b (the squared equation's read 3.5e-12, 7.3e-12, 1.6e-12)
+    assert abs(solve_xi(b, zeta).residual) <= 1e-12
+
+
+@pytest.mark.parametrize("zeta", [0.25, 1.0, -0.5, 2.0])
+def test_rate_R_next_to_the_locus(zeta):
+    # u = 0 is a simple root of the equation in u = delta^2 = -4*xi^2, so b
+    # within 1e-10 of the locus takes no more evaluations than elsewhere
+    thr = abs(zeta) / (2.0 + zeta)
+    for factor, branch in ((1.0 - 1e-10, Branch.HYPERBOLIC), (1.0 + 1e-10, Branch.TRIGONOMETRIC)):
+        ev = rate_R(thr * factor, zeta)
+        assert ev.branch is branch and ev.evals <= 6
+        assert abs(ev.value - boundary_value(zeta)) <= 1e-8
+
+
+def test_rate_R_evals_near_zeta_minus_two():
+    # both sides of the locus as zeta -> -2, where the roots in delta and xi
+    # took 45-70 evaluations
+    for zeta in (-2.0 + 1e-8, -2.0 + 1e-12):
+        thr = abs(zeta) / (2.0 + zeta)
+        for factor in (1.0 + 1e-12, 1.0 + 1e-6, 1.01, 1.0 - 1e-6, 0.99):
+            ev = rate_R(thr * factor, zeta)
+            assert ev.branch is (Branch.HYPERBOLIC if factor < 1.0 else Branch.TRIGONOMETRIC)
+            assert ev.evals <= 12
+
+
 def test_rate_R_drifted_trig_evals():
     # with no sine-cap solve, a drifted trigonometric R costs at most two
     # evaluations more than zeta = 0
@@ -170,10 +213,22 @@ def test_rate_R_degenerate_and_domain():
         rate_R(0.01, 2000.0)
 
 
+@pytest.mark.parametrize("b, zeta", [(1e20, 0.0), (1e18, 0.5), (1e-300, 0.5), (1e-20, 1e-9), (1e20, 10.0)])
+def test_rate_R_unresolved_is_domain_error(b, zeta):
+    # no double-precision answer: a trigonometric root lost to rounding, a log
+    # argument at or below 0, zeta/b^2 overflowing, or a value cancelled to
+    # below 0; these raised bare ValueError or ZeroDivisionError, or returned
+    # -4.1e14 at (1e-20, 1e-9)
+    with pytest.raises(DomainError) as exc:
+        rate_R(b, zeta)
+    assert f"b={b}, zeta={zeta}" in str(exc.value)
+
+
 def test_rate_R_boundary_dispatch():
     z = 1.0
     ev = rate_R(1.0 / 3.0, z)
-    assert ev.branch is Branch.BOUNDARY and ev.evals == 0
+    # u = 0 is an ordinary root: the solver returns it after its two endpoint evaluations
+    assert ev.branch is Branch.BOUNDARY and ev.evals == 2
     assert abs(ev.value - boundary_value(z)) == 0.0
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from gbmlap import asian, ratefn
-from gbmlap._mathutil import sinc, sinhc
 from gbmlap.errors import MaxIterations, NoSignChange
 from gbmlap.rootfind import solve_bracketed, solve_newton
 
@@ -129,6 +128,11 @@ def test_monotone_cubic_properties(root, scale, off):
         assert abs(res2.root - res.root) <= 1e-10 * max(1.0, abs(root))
 
 
+def _over(fn, t):
+    """fn(t)/t with its limit 1 at t = 0 (for sin and sinh)."""
+    return fn(t) / t if t else 1.0
+
+
 def _closed_form_cases(kind, zeta, u):
     """(library root, the equation as documented, bracket, value at a root) for one branch.
 
@@ -138,23 +142,23 @@ def _closed_form_cases(kind, zeta, u):
     pivot = 1.0 + 0.5 * zeta
     if kind == "R_hyperbolic":
         b = thr * (1.0 - 0.5 * u)
-        f = lambda d: zeta * zeta - d * d - 4.0 * b * b * (math.cosh(0.5 * d) + 0.5 * zeta * sinhc(0.5 * d)) ** 2
-        return ratefn.solve_delta(b, zeta).root, f, (0.0, abs(zeta)), lambda d: ratefn._hyp_value(b, zeta, d)
+        f = lambda d: zeta * zeta - d * d - 4.0 * b * b * (math.cosh(0.5 * d) + 0.5 * zeta * _over(math.sinh, 0.5 * d)) ** 2
+        return ratefn.solve_delta(b, zeta).root, f, (0.0, abs(zeta)), lambda d: ratefn._value(b, zeta, d * d)
     if kind == "R_trigonometric":
         b = max(thr, 0.01) * (1.0 + 4.0 * u)
-        f = lambda x: math.sqrt(4.0 * x * x + zeta * zeta) - b * (2.0 * math.cos(x) + zeta * sinc(x))
-        return ratefn.solve_xi(b, zeta).root, f, (0.0, math.pi), lambda x: ratefn._trig_value(b, zeta, x)
+        f = lambda x: math.sqrt(4.0 * x * x + zeta * zeta) - b * (2.0 * math.cos(x) + zeta * _over(math.sin, x))
+        return ratefn.solve_xi(b, zeta).root, f, (0.0, math.pi), lambda x: ratefn._value(b, zeta, -4.0 * x * x)
     if kind == "ibs_hyperbolic":
         x = pivot * (1.0 + 20.0 * u)
-        f = lambda d: sinhc(d) + 0.5 * zeta * sinhc(0.5 * d) ** 2 - x
+        f = lambda d: _over(math.sinh, d) + 0.5 * zeta * _over(math.sinh, 0.5 * d) ** 2 - x
         hi = 1.0
         while f(hi) < 0.0:
             hi *= 2.0
-        return asian.ibs_solve_delta(x, zeta).root, f, (0.0, hi), lambda d: asian._ibs_hyp_value(x, zeta, d)
+        return asian.ibs_solve_delta(x, zeta).root, f, (0.0, hi), lambda d: asian._ibs_value(x, zeta, d * d)
     lo = max(0.0, 2.0 * zeta / math.pi ** 2)
     x = pivot - (pivot - lo) * u * 0.99
-    f = lambda t: sinc(2.0 * t) + 0.5 * zeta * sinc(t) ** 2 - x
-    return asian.ibs_solve_xi(x, zeta).root, f, (0.0, 0.5 * math.pi), lambda t: asian._ibs_trig_value(x, zeta, t)
+    f = lambda t: _over(math.sin, 2.0 * t) + 0.5 * zeta * _over(math.sin, t) ** 2 - x
+    return asian.ibs_solve_xi(x, zeta).root, f, (0.0, 0.5 * math.pi), lambda t: asian._ibs_value(x, zeta, -4.0 * t * t)
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from gbmlap._mathutil import _CUTOFF, sinc, sinc_d, sinhc, sinhc_d
+from gbmlap._mathutil import _CUTOFF, cosh_sinhc
 from gbmlap.dothan import sin_sinh_quadrature
 from gbmlap.errors import DomainError, PoleError
 from gbmlap.specfun import bessel_k, erfc, erfcx, gamma_fn, norm_cdf
@@ -107,18 +107,26 @@ def test_import_leaves_scipy_special_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_sinc_sinhc_slopes():
-    # each pair is the function's own value and a slope that matches central
-    # differences on both sides of the series cutoff, with odd symmetry
-    for x in (0.0, 0.5 * _CUTOFF, 2.0 * _CUTOFF, 0.01, 0.7, 3.0, 20.0):
-        h = 1e-5 * max(1.0, x)
-        for f, fd in ((sinc, sinc_d), (sinhc, sinhc_d)):
-            value, slope = fd(x)
-            assert value == f(x)
-            central = (f(x + h) - f(x - h)) / (2.0 * h)
-            assert abs(slope - central) <= 1e-8 * max(1.0, abs(central))
-            assert fd(-x)[1] == -slope
-    assert sinc_d(0.0) == (1.0, 0.0) and sinhc_d(0.0) == (1.0, 0.0)
-    # closed forms (x cos x - sin x)/x^2 and (x cosh x - sinh x)/x^2 at x = 1
-    assert abs(sinc_d(1.0)[1] - (math.cos(1.0) - math.sin(1.0))) <= 1e-15
-    assert abs(sinhc_d(1.0)[1] - (math.cosh(1.0) - math.sinh(1.0))) <= 1e-15
+def test_cosh_sinhc_values_and_slopes():
+    # C = cosh(sqrt(v)), S = sinh(sqrt(v))/sqrt(v) for v > 0, their cos/sin
+    # continuation for v < 0, and a slope dS/dv that matches central
+    # differences on both sides of the series cutoff; dC/dv = S/2 checks C
+    cutoff = _CUTOFF * _CUTOFF  # the series' cutoff on |v|
+    for mag in (0.5 * cutoff, 0.999 * cutoff, 1.001 * cutoff, 2.0 * cutoff, 1e-6, 0.1, 0.7, 3.0, 9.0):
+        for v in (mag, -mag):
+            c, s, d = cosh_sinhc(v)
+            x = math.sqrt(abs(v))
+            if v > 0.0:
+                assert c == math.cosh(x) and s == math.sinh(x) / x
+            else:
+                assert c == math.cos(x) and s == math.sin(x) / x
+            h = 1e-4 * max(mag, 0.01)
+            (c_hi, s_hi, _), (c_lo, s_lo, _) = cosh_sinhc(v + h), cosh_sinhc(v - h)
+            assert abs(d - (s_hi - s_lo) / (2.0 * h)) <= 1e-7 * max(1.0, abs(d))
+            assert abs(0.5 * s - (c_hi - c_lo) / (2.0 * h)) <= 1e-7 * max(1.0, abs(s))
+    assert cosh_sinhc(0.0) == (1.0, 1.0, 1.0 / 6.0)
+    # the series below the cutoff and (C - S)/(2v) above it meet within the
+    # direct form's cancellation there (about 6*eps/|v|)
+    for v in (cutoff, -cutoff):
+        below, above = cosh_sinhc(v * (1.0 - 1e-15))[2], cosh_sinhc(v)[2]
+        assert abs(below - above) <= 1e-13 * abs(above)
