@@ -12,23 +12,26 @@ Five deterministic methods, each returning a BondQuote:
 * ``bond_perpetual``    - the T -> infinity limit (finite for a < sigma^2/2),
   an inverse-gamma Laplace transform in terms of Bessel K.
 
-The exact integrand is stabilized by absorbing the p -> 2*e^(-z) tail of
-the bracket (whose closed-form integral is 1/a - K_1(a)) and by evaluating
-e^z * erfc(large) through the scaled function erfcx, so the amplitude decays
-like exp(-z^2/s) with no overflow.  Quadrature subdivides at the sine's
-zeros z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined 15-point
-Gauss-Legendre panel per lobe.  Lobes are evaluated in blocks of 16, 32,
-64, ... lobes: one call to the integrand gives every lobe of a block its
-coarse (whole-lobe) and fine (two-halves) sums, and only a lobe whose two
-sums disagree is refined further.  The alternating lobe partial sums are
-accelerated with Wynn's epsilon algorithm over a window of the last 24
-sums; summation runs lobe by lobe over each block and stops when the
-extrapolated value has settled below quad_tol (after at least 6 lobes) or
-when three consecutive lobes each contribute less than quad_tol, whichever
-comes first.  A T = 200 bond (r0 = 0.05, sigma = 0.5) then needs 14 lobes
-instead of 13,465, in one integrand call.  A non-finite y or s, or a
-non-finite integrand value, raises DomainError.  Everything here is
-stateless.
+The exact integrand is stabilized by absorbing the 2*e^(-z) tail of the
+amplitude (whose closed-form integral is 1/a - K_1(a)) and by writing both
+of its erfc terms through the scaled function erfcx behind one shared
+factor e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2: one exp and two
+erfcx per node, so the amplitude decays like exp(-z^2/s) with no overflow
+(past s = 2,704, where erfcx(w - c) would overflow, a two-term form with
+erfc is used).  Quadrature subdivides at the sine's zeros
+z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined Gauss-Kronrod
+G15/K31 panel per lobe.  Lobes are evaluated in blocks of 16, 32, 64, ...
+lobes: one call to the integrand, at 31 nodes per lobe, gives every lobe
+of a block its coarse (15-point Gauss) and fine (31-point Kronrod) sums,
+and only a lobe whose two sums disagree is refined further.  The
+alternating lobe partial sums are accelerated with Wynn's epsilon
+algorithm over a window of the last 24 sums; summation runs lobe by lobe
+over each block and stops when the extrapolated value has settled below
+quad_tol (after at least 6 lobes) or when three consecutive lobes each
+contribute less than quad_tol, whichever comes first.  A T = 200 bond
+(r0 = 0.05, sigma = 0.5) then needs 14 lobes instead of 13,465, in one
+integrand call.  A non-finite y or s, or a non-finite integrand value,
+raises DomainError.  Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_f
 from .errors import DomainError, QuadratureNotConverged
 from .model import ModelParams, scale
 from .ratefn import rate_R
-from .specfun import bessel_k, gamma_fn
 
 __all__ = [
     "BondMethod",
@@ -99,23 +101,48 @@ _GL_WEIGHTS = np.array([
     0.1984314853271116, 0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
     0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
 ])
-# A panel's 45 nodes as fractions of its width from its low edge (the rule
-# on the whole panel, then on each half), and the weights per unit width of
-# its coarse (whole-panel) and fine (two-halves) sums
-_PANEL_OFFSETS = np.concatenate((0.5 + 0.5 * _GL_NODES, 0.25 + 0.25 * _GL_NODES,
-                                 0.75 + 0.25 * _GL_NODES))
-_PANEL_WEIGHTS = np.zeros((45, 2))
-_PANEL_WEIGHTS[:15, 0] = 0.5 * _GL_WEIGHTS
-_PANEL_WEIGHTS[15:, 1] = 0.25 * np.tile(_GL_WEIGHTS, 2)
+# 31-point Kronrod extension of the rule above (QUADPACK's K31, exact to
+# degree 46): the 16 nodes it adds, which interleave with the 15 Gauss
+# nodes, and the weights of all 31 nodes in ascending order
+_KRONROD_NODES = np.array([
+    -0.9980022986933971, -0.9677390756791391, -0.8972645323440819, -0.790418501442466,
+    -0.650996741297417, -0.4850818636402397, -0.29918000715316884, -0.1011420669187175,
+    0.1011420669187175, 0.29918000715316884, 0.4850818636402397, 0.650996741297417,
+    0.790418501442466, 0.8972645323440819, 0.9677390756791391, 0.9980022986933971,
+])
+_K31_NODES = np.empty(31)
+_K31_NODES[0::2] = _KRONROD_NODES
+_K31_NODES[1::2] = _GL_NODES
+_K31_WEIGHTS = np.array([
+    0.005377479872923349, 0.015007947329316122, 0.02546084732671532, 0.03534636079137585,
+    0.04458975132476488, 0.05348152469092809, 0.06200956780067064, 0.06985412131872826,
+    0.07684968075772038, 0.08308050282313302, 0.08856444305621176, 0.09312659817082532,
+    0.09664272698362368, 0.09917359872179196, 0.10076984552387559, 0.10133000701479154,
+    0.10076984552387559, 0.09917359872179196, 0.09664272698362368, 0.09312659817082532,
+    0.08856444305621176, 0.08308050282313302, 0.07684968075772038, 0.06985412131872826,
+    0.06200956780067064, 0.05348152469092809, 0.04458975132476488, 0.03534636079137585,
+    0.02546084732671532, 0.015007947329316122, 0.005377479872923349,
+])
+# A panel's 31 nodes as fractions of its width from its low edge, and the
+# weights per unit width of its coarse (G15, on the 15 Gauss nodes) and fine
+# (K31, on all 31) sums
+_PANEL_OFFSETS = 0.5 + 0.5 * _K31_NODES
+_PANEL_WEIGHTS = np.zeros((31, 2))
+_PANEL_WEIGHTS[1::2, 0] = 0.5 * _GL_WEIGHTS
+_PANEL_WEIGHTS[:, 1] = 0.5 * _K31_WEIGHTS
 _MAX_DEPTH = 12
 # Wynn epsilon table over the lobe partial sums: how many sums it spans, and
 # how many lobes must be summed before its value may end the summation
 _WYNN_WINDOW = 24
 _WYNN_MIN_LOBES = 6
 # Lobes in the first block; each later block doubles.  One integrand call
-# costs about as much as 15 more lobes in the call, so one block of 16
+# costs about as much as 15-20 more lobes in the call, so one block of 16
 # covers every sum that stops by lobe 16 in a single call
 _FIRST_BLOCK = 16
+# Largest c = sqrt(s)/2 at which the exact bond's amplitude uses the
+# one-exponent form: erfcx(w - c) reaches about 2*e^(c^2), which overflows
+# past c = 26.6
+_ONE_EXP_C_MAX = 26.0
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,7 @@ class QuadratureResult:
 
     ``summation`` is "extrapolated" when the Wynn epsilon estimate ended the
     lobe sum and "raw" when three small lobes did; ``n_panels`` counts the
-    Gauss-Legendre panels of the summed lobes and ``depth_cap_hits`` those
+    G15/K31 panels of the summed lobes and ``depth_cap_hits`` those
     panels that reached the refinement cap unconverged (their value is used
     as is); ``n_calls`` counts calls to the amplitude, one per block of
     lobes plus one per refinement of a panel.
@@ -141,12 +168,12 @@ class QuadratureResult:
 
 def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                 counts: list[int]) -> list[list[float]]:
-    """[coarse, fine] 15-point Gauss-Legendre sums of g over each panel [lo, hi].
+    """[coarse, fine] Gauss-Kronrod sums of g over each panel [lo, hi].
 
-    The coarse sum covers the whole panel, the fine sum its two halves.
-    One call to g covers every panel (45 nodes each); counts[2] is
-    incremented per call.  Raises DomainError if any value of g is not
-    finite.
+    The coarse sum is the 15-point Gauss-Legendre rule, the fine sum its
+    31-point Kronrod extension, which reuses the 15 Gauss nodes.  One call
+    to g covers every panel (31 nodes each); counts[2] is incremented per
+    call.  Raises DomainError if any value of g is not finite.
     """
     width = hi - lo
     z = lo[:, None] + width[:, None] * _PANEL_OFFSETS
@@ -154,17 +181,17 @@ def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     counts[2] += 1
     if not np.isfinite(v).all():
         raise DomainError(f"the integrand is not finite on z in [{lo[0]:g}, {hi[-1]:g}]")
-    return ((v.reshape(-1, 45) @ _PANEL_WEIGHTS) * width[:, None]).tolist()
+    return ((v.reshape(-1, 31) @ _PANEL_WEIGHTS) * width[:, None]).tolist()
 
 
 def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
             coarse: float, fine: float, tol: float, depth: int, counts: list[int]) -> float:
     """Integral of g over the panel [lo, hi] from its coarse and fine sums.
 
-    The fine sum is kept when the two agree; otherwise both halves are
-    summed in one call to g and refined in turn.  counts[0] is incremented
-    per panel, counts[1] per panel that stops at the depth cap without
-    agreement.
+    The fine (K31) sum is kept when it agrees with the coarse (G15) one;
+    otherwise both halves get their G15/K31 pair from one call to g (62
+    nodes) and are refined in turn.  counts[0] is incremented per panel,
+    counts[1] per panel that stops at the depth cap without agreement.
     """
     counts[0] += 1
     if abs(fine - coarse) <= max(tol, 1e-13 * abs(fine)):
@@ -188,12 +215,13 @@ def sin_sinh_quadrature(
 
     Lobe k spans [asinh(k*pi/freq), asinh((k+1)*pi/freq)], one half-period
     of the sine.  Lobes are evaluated in blocks of 16, 32, 64, ... lobes,
-    the last clipped to ``max_lobes``.  One call to the amplitude gives the
-    coarse and fine Gauss-Legendre sums of every lobe of a block; only a
-    lobe whose two sums disagree is refined adaptively.  The lobe partial sums
-    feed a Wynn epsilon table (the highest even column of each diagonal is
-    the extrapolated value); its error estimate is the distance from the
-    latest value to the two before it.  Summation runs lobe by lobe over
+    the last clipped to ``max_lobes``.  One call to the amplitude, at 31
+    nodes per lobe, gives the coarse (G15) and fine (K31) Gauss-Kronrod sums
+    of every lobe of a block; only a lobe whose two sums disagree is
+    refined adaptively.  The lobe partial sums feed a Wynn epsilon table
+    (the highest even column of each diagonal is the extrapolated value);
+    its error estimate is the distance from the latest value to the two
+    before it.  Summation runs lobe by lobe over
     each block and stops at whichever comes first:
 
     * extrapolated: at least ``_WYNN_MIN_LOBES`` lobes are summed and the
@@ -311,21 +339,54 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     )
 
 
+def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
+    """q(z) of ``bond_exact_zero_drift``, elementwise, for s = sigma^2*T/2.
+
+    With w = z/sqrt(s) and c = sqrt(s)/2, e^(-z)*erfc(w - c) and
+    e^z*erfc(w + c) share the factor e^(-(w^2 + c^2)), so
+
+        q(z) = e^(-(w^2 + c^2)) * (erfcx(w - c) + erfcx(w + c)),
+
+    one exp and two erfcx per node.  erfcx(w - c) reaches about 2*e^(c^2),
+    so past c = _ONE_EXP_C_MAX (s above 2,704) the two-term form
+    e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c), whose first term
+    stays below 2*e^(-z), is used instead.
+    """
+    from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
+
+    sqrt_s = math.sqrt(s)
+    c = 0.5 * sqrt_s
+    c2 = c * c
+    if c <= _ONE_EXP_C_MAX:
+        def amplitude(z: np.ndarray) -> np.ndarray:
+            w = z / sqrt_s
+            return np.exp(-c2 - w * w) * (_sp.erfcx(w - c) + _sp.erfcx(w + c))
+    else:
+        def amplitude(z: np.ndarray) -> np.ndarray:
+            t1 = np.exp(-z) * _sp.erfc((2.0 * z - s) / (2.0 * sqrt_s))
+            t2 = np.exp(-0.25 * s - z * z / s) * _sp.erfcx((s + 2.0 * z) / (2.0 * sqrt_s))
+            return t1 + t2
+    return amplitude
+
+
 def bond_exact_zero_drift(
     r0: float, sigma: float, T: float, quad_tol: float = 1e-9
 ) -> BondQuote:
     """Exact zero-drift price by oscillatory quadrature.
 
-    B = 1 + sqrt(y) * integral_0^inf sin(2*sqrt(y)*sinh z) * p(z) dz with
-    y = 2*r0/sigma^2, s = sigma^2*T/2 and the stabilized bracket
+    B = 1 - sqrt(y) * integral_0^inf sin(2*sqrt(y)*sinh z) * q(z) dz with
+    y = 2*r0/sigma^2, s = sigma^2*T/2 and the stabilized amplitude
 
-        p(z) = -e^(-z)*erfc((2z-s)/(2*sqrt(s)))
-               - exp(-s/4 - z^2/s)*erfcx((s+2z)/(2*sqrt(s))),
+        q(z) = e^(-z)*erfc(w - c) + e^z*erfc(w + c),  w = z/sqrt(s), c = sqrt(s)/2,
 
-    algebraically equal to e^(-z)*Erfc((s-2z)/(2 sqrt s))
-    - e^z*Erfc((s+2z)/(2 sqrt s)) - 2*e^(-z) but free of cancellation
-    and overflow.  The absolute error estimate is <= quad_tol.  Raises
-    DomainError when y or s is zero or not finite in floating point.
+    algebraically equal to 2*e^(-z) + e^z*Erfc((s+2z)/(2 sqrt s))
+    - e^(-z)*Erfc((s-2z)/(2 sqrt s)) but free of cancellation.  It is
+    evaluated as e^(-(w^2 + c^2)) * (erfcx(w - c) + erfcx(w + c)), one exp
+    and two erfcx per node, and for s above 2,704, where erfcx(w - c)
+    would overflow, as e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c)
+    (see ``_exact_amplitude``).  The absolute error estimate is <=
+    quad_tol.  Raises DomainError when y or s is zero or not finite in
+    floating point.
     """
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
@@ -338,18 +399,9 @@ def bond_exact_zero_drift(
                 f"{name} is {v:g} (r0={r0}, sigma={sigma}, T={T}); the exact quadrature "
                 f"needs it finite and > 0"
             )
-    from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
-
     sqrt_y = math.sqrt(y)
-    sqrt_s = math.sqrt(s)
-
-    def bracket(z: np.ndarray) -> np.ndarray:
-        t1 = -np.exp(-z) * _sp.erfc((2.0 * z - s) / (2.0 * sqrt_s))
-        t2 = -np.exp(-0.25 * s - z * z / s) * _sp.erfcx((s + 2.0 * z) / (2.0 * sqrt_s))
-        return t1 + t2
-
-    quad = sin_sinh_quadrature(bracket, 2.0 * sqrt_y, tol=quad_tol)
-    price = 1.0 + sqrt_y * quad.value
+    quad = sin_sinh_quadrature(_exact_amplitude(s), 2.0 * sqrt_y, tol=quad_tol)
+    price = 1.0 - sqrt_y * quad.value
     err = sqrt_y * quad.error_estimate
     if price <= err:
         raise DomainError(
@@ -405,13 +457,20 @@ def bond_small_rate(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     """Second-order small-r0 price 1 - r0*m1 + r0^2*m2/2.
 
     An upper bound on the true price (from e^-x <= 1 - x + x^2/2 inside
-    the expectation); only meaningful while r0*m1 is small.
+    the expectation); only meaningful while r0*m1 is small.  Raises
+    DomainError where the second-order term exceeds the first-order one,
+    so that the truncated series says nothing about the price.
     """
     _validate_bond_args(r0, sigma, a, T)
     m1 = moment_m1(a, sigma, T)
     m2 = moment_m2(a, sigma, T)
     first = r0 * m1
     second = 0.5 * r0 * r0 * m2
+    if second > first:
+        raise DomainError(
+            f"small-rate expansion is invalid here: its second-order term r0^2*m2/2 = "
+            f"{second:g} exceeds its first-order term r0*m1 = {first:g}"
+        )
     price = 1.0 - first + second
     if price <= 0.0:
         raise DomainError(f"small-rate expansion is invalid here (price {price:g} <= 0)")
@@ -457,7 +516,11 @@ def bond_perpetual(r0: float, sigma: float, a: float) -> BondQuote:
 
     price = 2/Gamma(nu) * y^(nu/2) * K_nu(2*sqrt(y)) with y = 2*r0/sigma^2
     and nu = 1 - 2*a/sigma^2 (the Laplace transform of the limiting
-    inverse-gamma distribution of the integral).
+    inverse-gamma distribution of the integral), evaluated as the exponential
+    of its logarithm with the scaled e^x*K_nu(x), so that neither Gamma(nu),
+    y^(nu/2) nor K_nu overflows or underflows on its own; a price below the
+    float range comes back as 0.0.  Raises DomainError where e^x*K_nu(x)
+    is not a finite positive float.
     """
     require_finite(r0=r0, sigma=sigma, a=a)
     if sigma <= 0.0:
@@ -470,7 +533,16 @@ def bond_perpetual(r0: float, sigma: float, a: float) -> BondQuote:
         )
     y = 2.0 * r0 / (sigma * sigma)
     nu = 1.0 - 2.0 * a / (sigma * sigma)
-    price = 2.0 / gamma_fn(nu) * y ** (0.5 * nu) * bessel_k(nu, 2.0 * math.sqrt(y))
+    x = 2.0 * math.sqrt(y)
+    from scipy.special import kve  # loaded here, so that importing gbmlap does not load it
+
+    k = float(kve(nu, x))
+    if not 0.0 < k < math.inf:
+        raise DomainError(
+            f"perpetual price not representable: e^x*K_nu(x) at x = 2*sqrt(y) is {k!r} "
+            f"for nu = {nu!r}, y = {y!r}"
+        )
+    price = math.exp(math.log(2.0) - math.lgamma(nu) + 0.5 * nu * math.log(y) + math.log(k) - x)
     return BondQuote(
         price=price,
         method=BondMethod.PERPETUAL,

@@ -42,11 +42,12 @@ def test_rate_numerical_error_exit_code(capsys):
         ["bond", "--method", "perpetual", "--r0", "0.05", "--sigma", "0.1", "--a", "-10"],
         ["bond", "--method", "taylor", "--r0", "0.1", "--sigma", "50", "--T", "1e3"],
         ["bond", "--method", "small-r0", "--r0", "0.1", "--sigma", "0.3", "--T", "1e4"],
+        ["bond", "--method", "small-r0", "--r0", "0.05", "--sigma", "0.8", "--T", "30"],
         ["asian", "--s0", "100", "--k", "110", "--r", "1", "--sigma", "0.3", "--T", "1000",
          "--kind", "call"],
     ],
     ids=["rate-zeta-overflow", "rate-tiny-b", "rate-boundary-overflow", "bond-perpetual-gamma", "bond-taylor-exp",
-         "bond-small-r0-moment", "asian-forward"],
+         "bond-small-r0-moment", "bond-small-r0-divergent", "asian-forward"],
 )
 def test_numerical_failure_exit_code(capsys, argv):
     code, out, err = _run(capsys, *argv)

@@ -12,9 +12,12 @@ from gbmlap.dothan import (
     _FIRST_BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
+    _K31_NODES,
+    _K31_WEIGHTS,
     _WYNN_MIN_LOBES,
     _WYNN_WINDOW,
     BondMethod,
+    _exact_amplitude,
     _panel_sums,
     _refine,
     bond_asymptotic,
@@ -34,6 +37,66 @@ def test_gauss_legendre_table_is_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(15)
     assert _GL_NODES.tolist() == nodes.tolist()
     assert _GL_WEIGHTS.tolist() == weights.tolist()
+
+
+def test_kronrod_table():
+    # K31 extends the G15 rule: symmetric, positive weights summing to 2,
+    # exact to degree 3*15 + 1 = 46, with the Gauss nodes at its odd entries
+    assert (np.diff(_K31_NODES) > 0.0).all()
+    assert _K31_NODES.tolist() == (-_K31_NODES[::-1]).tolist()
+    assert _K31_WEIGHTS.tolist() == _K31_WEIGHTS[::-1].tolist()
+    assert (_K31_WEIGHTS > 0.0).all()
+    assert abs(_K31_WEIGHTS.sum() - 2.0) <= 1e-15
+    for p in range(47):
+        exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
+        assert abs(_K31_WEIGHTS @ _K31_NODES ** p - exact) <= 1e-15, p
+    assert _K31_NODES[1::2].tolist() == _GL_NODES.tolist()
+    # the outermost Kronrod node, 0.998002298693397060285... to 30 digits
+    assert _K31_NODES[-1] == 0.9980022986933971
+
+
+def test_panel_sums_are_g15_and_k31():
+    # coarse = G15 and fine = K31 on each panel, for a polynomial of degree 46
+    # that G15 integrates wrongly and K31 exactly
+    lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([1.0, 0.0, 0.25])
+    counts = [0, 0, 0]
+    sums = _panel_sums(lambda z: z ** 46, lo, hi, counts)
+    assert counts == [0, 0, 1]
+    for (coarse, fine), a, b in zip(sums, lo, hi):
+        exact = (b ** 47 - a ** 47) / 47.0
+        x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
+        assert abs(coarse - 0.5 * (b - a) * (_GL_WEIGHTS @ x ** 46)) <= 1e-14 * exact
+        assert abs(fine - exact) <= 1e-13 * exact
+        assert abs(coarse - exact) > 1e-9 * exact
+
+
+def _two_term_amplitude(z, s):
+    """The amplitude's two-term form e^(-z)*erfc(w - c) + e^z*erfc(w + c),
+    with its second term through erfcx (the form before the one-exponent one)."""
+    from scipy import special
+    sqrt_s = math.sqrt(s)
+    return (np.exp(-z) * special.erfc((2.0 * z - s) / (2.0 * sqrt_s))
+            + np.exp(-0.25 * s - z * z / s) * special.erfcx((s + 2.0 * z) / (2.0 * sqrt_s)))
+
+
+@pytest.mark.parametrize("s", [1e-4, 0.4, 25.0, 2600.0, 2900.0, 4000.0])
+def test_exact_amplitude_matches_two_term_form(s):
+    # s = 2600 takes the one-exponent form, 2900 and 4000 the two-term one,
+    # whose erfcx(w - c) would overflow; z runs to just past the amplitude's
+    # underflow, where (w - c)^2 or z reaches about 745
+    c = 0.5 * math.sqrt(s)
+    z = np.random.default_rng(int(s * 10)).uniform(0.0, min(math.sqrt(s) * (28.0 + c), 760.0), 200)
+    new, old = _exact_amplitude(s)(z), _two_term_amplitude(z, s)
+    assert np.isfinite(new).all()
+    assert (np.abs(new - old) <= 1e-15 + 1e-13 * np.abs(old)).all()
+
+
+def test_exact_quadrature_past_the_amplitude_switch_is_perpetual():
+    # s = sigma^2*T/2 = 3,750 takes the two-term amplitude; at T = 30,000 the
+    # price has converged to the perpetual one
+    q = bond_exact_zero_drift(0.05, 0.5, 30000.0)
+    assert q.diagnostics["s"] == 3750.0
+    assert abs(q.price - bond_perpetual(0.05, 0.5, 0.0).price) <= 1e-9
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
@@ -375,6 +438,14 @@ def test_small_rate_quote():
     assert qe.price <= q2.price
 
 
+def test_small_rate_divergent_series_is_domain_error():
+    # r0^2*m2/2 > r0*m1: the truncated series priced these at 1.33e6 and 2.7e27
+    for r0, sigma, a, T in [(0.05, 0.8, 0.0, 30.0), (1e-12, 0.01, 0.0, 1e6)]:
+        with pytest.raises(DomainError, match="second-order term"):
+            bond_small_rate(r0, sigma, a, T)
+    assert bond_small_rate(0.0, 0.8, 0.0, 30.0).price == 1.0
+
+
 def test_small_rate_two_sided_bound():
     sigma, T = 0.2, 1.0
     m1 = moment_m1(0.0, sigma, T)
@@ -417,8 +488,28 @@ def test_perpetual_domain():
     with pytest.raises(DomainError):
         bond_perpetual(0.0, 0.5, 0.0)
     # nu = 2001 (to rounding): Gamma(nu) overflows a float
-    with pytest.raises(DomainError, match=r"gamma_fn overflows the float range at x = 2000\.99"):
+    with pytest.raises(DomainError, match=r"nu = 2000\.99"):
         bond_perpetual(0.05, 0.1, -10.0)
+
+
+def test_perpetual_in_log_space_at_large_nu():
+    # Gamma(nu), y^(nu/2) and K_nu over- or underflow on their own at large
+    # nu; their product does not.  nu = 251 at (50, 0.2, -5), where the
+    # direct product raised "gamma_fn overflows"
+    p = bond_perpetual(50.0, 0.2, -5.0).price
+    assert abs(p - 5.494151065925739e-05) <= 1e-12 * p
+    # nu = 141, y = 1e6: the price e^-1584 underflows to 0 (the direct
+    # product raised a bare OverflowError from y^(nu/2))
+    assert bond_perpetual(5000.0, 0.1, -0.7).price == 0.0
+    # nu = 101, y = 2e-8: K_nu overflows even scaled (the direct product was NaN)
+    with pytest.raises(DomainError, match=r"nu = 101\.0, y = 2e-08"):
+        bond_perpetual(1e-8, 1.0, -50.0)
+    # the log-space form equals the direct product where both are finite
+    for r0, sigma, a in [(0.05, 0.5, 0.0), (0.05, 0.5, 0.1), (0.05, 0.5, -0.3),
+                         (0.1, 0.3, 0.0), (0.01, 1.0, 0.2)]:
+        y, nu = 2.0 * r0 / sigma ** 2, 1.0 - 2.0 * a / sigma ** 2
+        direct = 2.0 / math.gamma(nu) * y ** (0.5 * nu) * bessel_k(nu, 2.0 * math.sqrt(y))
+        assert abs(bond_perpetual(r0, sigma, a).price - direct) <= 1e-15 * direct
 
 
 def test_perpetual_is_large_T_limit():
