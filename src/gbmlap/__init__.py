@@ -58,7 +58,7 @@ from .ratefn import (
     solve_xi,
 )
 from .rootfind import RootResult, solve_bracketed, solve_newton
-from .specfun import bessel_k, erfc, erfcx, gamma_fn, norm_cdf
+from .specfun import bessel_k, norm_cdf
 
 __all__ = [
     "__version__",
@@ -67,7 +67,7 @@ __all__ = [
     # rootfind
     "RootResult", "solve_bracketed", "solve_newton",
     # specfun
-    "erfc", "erfcx", "bessel_k", "gamma_fn", "norm_cdf",
+    "bessel_k", "norm_cdf",
     # ratefn
     "Branch", "RateEval", "solve_delta", "solve_xi", "solve_lambda", "rate_R",
     "rate_R_zero_drift", "rate_R_series", "rate_R_largeb", "jb",

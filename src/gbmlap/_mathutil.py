@@ -100,7 +100,7 @@ def expm1_over_x_d2(x: float) -> float:
 
 
 def require_finite(**values: float) -> None:
-    """Raise ValueError naming the first non-finite argument."""
+    """Raise DomainError naming the first non-finite argument."""
     for name, v in values.items():
         if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v!r}")
+            raise DomainError(f"{name} must be finite, got {v!r}")

@@ -12,10 +12,6 @@ class DomainError(GbmlapError, ValueError):
     """An input lies outside an operation's mathematical domain."""
 
 
-class PoleError(DomainError):
-    """Gamma function evaluated at a non-positive integer."""
-
-
 class NoSignChange(GbmlapError, ValueError):
     """Bracket endpoints do not straddle a root."""
 

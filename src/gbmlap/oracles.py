@@ -125,10 +125,10 @@ def _trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
     return dt * (0.5 * (1.0 + f[:, -1]) + f[:, :-1].sum(axis=1))
 
 
-def _integrals(z: np.ndarray, sigma: float, a: float, T: float, antithetic: bool = False):
+def _integrals(z: np.ndarray, sigma: float, a: float, T: float):
     """Trapezoid samples of X_T from a block of draws, one path per row of ``z``.
 
-    Returns ``(x,)``, or ``(x, x_mirror)`` with the antithetic mirrors (the
+    Returns ``(x, x_mirror)``, the paths and their antithetic mirrors (the
     same draws negated).  ``z`` is overwritten: one cumulative sum, the
     scale and drift, and one exp are done in place.  The mirror's integrand
     is exp(2*drift - s) where s = sigma*W + drift is the path's exponent, so
@@ -142,29 +142,30 @@ def _integrals(z: np.ndarray, sigma: float, a: float, T: float, antithetic: bool
     np.add.accumulate(z, axis=1, out=z)
     z *= sigma * math.sqrt(dt)
     by_division = 2.0 * (np.abs(drift).max() + _W_SPREAD * abs(sigma) * math.sqrt(T)) < _EXP_NORMAL
-    mirror = np.exp(drift - z) if antithetic and not by_division else None
+    mirror = None if by_division else np.exp(drift - z)
     z += drift
     np.exp(z, out=z)
     x = _trapezoid(z, dt)
-    if not antithetic:
-        return (x,)
     if mirror is None:
         mirror = np.divide(np.exp(2.0 * drift), z, out=z)
     return x, _trapezoid(mirror, dt)
 
 
-def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed, antithetic=True):
-    """Per-path payoff means over antithetic pairs; vectorized in blocks."""
+def _check_counts(n_paths: int, n_steps: int) -> None:
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+
+
+def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed):
+    """Per-path payoff means over antithetic pairs; vectorized in blocks."""
     out = np.empty(n_paths)
     z = np.empty((min(_BLOCK, n_paths), n_steps))
     for start in range(0, n_paths, _BLOCK):
         count = min(_BLOCK, n_paths - start)
-        xs = _integrals(_keyed_normals(seed, start, z[:count]), sigma, a, T, antithetic)
-        out[start:start + count] = sum(map(payoff, xs)) / len(xs)
+        x, mirror = _integrals(_keyed_normals(seed, start, z[:count]), sigma, a, T)
+        out[start:start + count] = (payoff(x) + payoff(mirror)) / 2
     return out
 
 
@@ -187,29 +188,28 @@ def mc_laplace(
     n_paths: int,
     n_steps: int,
     seed: int,
-    antithetic: bool = True,
 ) -> MCEstimate:
     """Monte Carlo estimate of E[exp(-theta * X_T)].
 
     ``n_paths`` counts primary paths; each is averaged with its
     antithetic mirror (same draws negated), so the standard error is over
-    n_paths independent pair means.
+    n_paths independent pair means.  n_paths, n_steps >= 2, also at theta = 0.
     """
     require_finite(theta=theta, sigma=sigma, a=a, T=T)
     if theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta}")
     if T < 0.0:
         raise DomainError(f"T must be >= 0, got {T}")
+    _check_counts(n_paths, n_steps)
     if theta == 0.0:
         return MCEstimate(1.0, 0.0, n_paths, n_steps, seed)
-    vals = _mc_pair_means(
-        lambda x: np.exp(-theta * x), sigma, a, T, n_paths, n_steps, seed, antithetic
-    )
+    vals = _mc_pair_means(lambda x: np.exp(-theta * x), sigma, a, T, n_paths, n_steps, seed)
     return _estimate(vals, n_steps, seed)
 
 
 def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> MCEstimate:
     """Monte Carlo price of an arithmetic-average option (antithetic pairs)."""
+    _check_counts(n_paths, n_steps)
     a = inp.r - inp.q
     df = math.exp(-inp.r * inp.t)
     scale_ = inp.s0 / inp.t
@@ -301,6 +301,8 @@ def _shoot_slope(kappa, zeta: float, ode_tol: float, bracket):
     interval.  Shots are kept by slope, so Brent reuses the bracket's probes
     and the root (always a slope Brent evaluated) is read from its own shot.
     """
+    if not 0.0 < ode_tol < math.inf:
+        raise DomainError(f"ode_tol must be positive and finite, got {ode_tol}")
     shots = {}
 
     def defect(c: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._mathutil import cosh_sinhc, require_finite
+from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval
 from .rootfind import RootResult, solve_bracketed, solve_newton
 
@@ -238,7 +238,7 @@ def boundary_value(zeta: float) -> float:
 def rate_R(b: float, zeta: float) -> RateEval:
     """Rate function R(b, zeta) >= 0 with branch dispatch.
 
-    b = 0 returns 1 by continuity of the small-b series (J_B is 0 there
+    b = 0 returns the b -> 0 limit (e^zeta - 1)/zeta (J_B is 0 there
     regardless); zeta = 0 is the trigonometric branch.  zeta must be > -2.
     Raises DomainError on overflow, on a trigonometric root with a relative
     residual above 2e-8, and on a value that is not positive and finite.
@@ -248,7 +248,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
         raise DomainError(f"rate_R requires b >= 0, got {b}")
     _check_zeta(zeta)
     if b == 0.0:
-        return RateEval(value=1.0, branch=Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
+        return RateEval(expm1_over_x(zeta), Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
     try:
         u, residual, evals, _, _ = _solve_u(b, zeta, b * (2.0 + zeta) < abs(zeta))
         # exactly on the locus the closed form avoids the zeta/b^2 cancellation

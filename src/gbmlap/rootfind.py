@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import MaxIterations, NoSignChange
+from .errors import DomainError, MaxIterations, NoSignChange
 
 __all__ = ["RootResult", "solve_bracketed", "solve_newton"]
 
@@ -56,13 +56,13 @@ def _start(
     """Shared prologue: check the arguments and evaluate both ends.
 
     Returns the endpoint root (``lo`` first) if an end has |f| <= tol, else
-    the two endpoint values.  Raises ValueError on a bad tol or bracket and
+    the two endpoint values.  Raises DomainError on a bad tol or bracket and
     NoSignChange when the ends have the same sign.
     """
     if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
+        raise DomainError(f"tol must be positive, got {tol}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
+        raise DomainError(f"invalid bracket [{lo}, {hi}]")
     fa, fb = f(lo), f(hi)
     if abs(fa) <= tol:
         return RootResult(lo, fa, 2, (lo, hi))

@@ -202,6 +202,13 @@ def test_mc_subcommand_deterministic(capsys):
     assert set(payload) == {"mean", "stderr", "n_paths", "n_steps", "seed"}
 
 
+def test_mc_subcommand_rejects_counts_below_two_at_theta_zero(capsys):
+    code, out, err = _run(capsys, "mc", "--theta", "0", "--sigma", "0.1", "--T", "1",
+                          "--paths", "0", "--steps", "0", "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error in mc: n_paths must be >= 2")
+
+
 # whole outputs; R_asympt_pct (1, 0.4), (10, 0.1) and table-3 B_asympt T=3 round a truncated cell
 _TABLE1_CSV = (
     "T,sigma,B_exact,R_exact_pct,R_asympt_pct\n"

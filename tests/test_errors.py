@@ -1,0 +1,59 @@
+"""Every public entry point answers a NaN input with a named library error."""
+
+import math
+
+import numpy as np
+import pytest
+
+import gbmlap as g
+from gbmlap.errors import GbmlapError
+
+_CALL = g.OptionKind.CALL
+
+# entry point -> (callable, float arguments of a point it accepts)
+_ENTRY_POINTS = {
+    "ModelParams": (g.ModelParams, (0.3, 0.05, 2.0, 0.1)),
+    "t_max": (g.t_max, (0.05, 0.3, 1.0)),
+    "solve_bracketed": (lambda *a: g.solve_bracketed(lambda x: x - 0.5, *a), (0.0, 1.0, 1e-14)),
+    "solve_newton": (lambda *a: g.solve_newton(lambda x: (x - 0.5, 1.0), *a), (0.0, 1.0, 1e-14)),
+    "bessel_k": (g.bessel_k, (1.0, 2.0)),
+    "norm_cdf": (g.norm_cdf, (0.5,)),
+    "solve_delta": (g.solve_delta, (0.2, 1.0)),
+    "solve_xi": (g.solve_xi, (0.5, 0.1)),
+    "solve_lambda": (g.solve_lambda, (0.5,)),
+    "rate_R": (g.rate_R, (0.5, 0.9)),
+    "rate_R_zero_drift": (g.rate_R_zero_drift, (0.5,)),
+    "rate_R_series": (g.rate_R_series, (0.1,)),
+    "rate_R_largeb": (g.rate_R_largeb, (5.0,)),
+    "jb": (g.jb, (0.5, 0.9)),
+    "boundary_value": (g.boundary_value, (0.5,)),
+    "AsianInputs": (lambda *a: g.AsianInputs(*a, _CALL), (100.0, 110.0, 0.05, 0.0, 0.3, 1.0)),
+    "ibs_solve_delta": (g.ibs_solve_delta, (1.5, 0.1)),
+    "ibs_solve_xi": (g.ibs_solve_xi, (0.7, 0.1)),
+    "rate_ibs": (g.rate_ibs, (1.2, 0.1)),
+    "a_fwd": (g.a_fwd, (100.0, 0.05, 1.0)),
+    "sigma_ln": (g.sigma_ln, (110.0, 100.0, 0.3, 0.05, 1.0)),
+    "european_bs_price": (lambda *a: g.european_bs_price(*a, _CALL), (100.0, 110.0, 1.0, 0.3, 0.95)),
+    "otm_log_price_limit": (lambda *a: g.otm_log_price_limit(*a, _CALL), (150.0, 100.0, 0.3, 0.05, 1.0)),
+    "bond_asymptotic": (g.bond_asymptotic, (0.05, 0.3, 0.02, 10.0)),
+    "bond_exact_zero_drift": (g.bond_exact_zero_drift, (0.05, 0.3, 1.0, 1e-9)),
+    "moment_m1": (g.moment_m1, (0.05, 0.3, 1.0)),
+    "moment_m2": (g.moment_m2, (0.05, 0.3, 1.0)),
+    "bond_small_rate": (g.bond_small_rate, (0.01, 0.3, 0.02, 1.0)),
+    "bond_taylor_small_T": (g.bond_taylor_small_T, (0.05, 0.3, 0.1)),
+    "bond_perpetual": (g.bond_perpetual, (0.05, 0.3, 0.01)),
+    "sin_sinh_quadrature": (lambda *a: g.sin_sinh_quadrature(lambda z: np.exp(-z), *a), (1.0, 1e-9)),
+    "mc_laplace": (lambda *a: g.mc_laplace(*a, 50, 8, 1), (0.1, 0.3, 0.05, 1.0)),
+    "jb_variational": (g.jb_variational, (0.5, 0.9, 1e-8)),
+    "ibs_variational": (g.ibs_variational, (1.2, 0.1, 1e-8)),
+}
+
+_CASES = [(name, i) for name, (_, args) in _ENTRY_POINTS.items() for i in range(len(args))]
+
+
+@pytest.mark.parametrize("name, i", _CASES, ids=[f"{name}-arg{i}" for name, i in _CASES])
+def test_nan_argument_is_a_library_error(name, i):
+    fn, args = _ENTRY_POINTS[name]
+    fn(*args)  # the unchanged point is accepted
+    with pytest.raises(GbmlapError):
+        fn(*args[:i], math.nan, *args[i + 1:])

@@ -202,7 +202,7 @@ def test_rate_R_table1_yields():
 
 def test_rate_R_degenerate_and_domain():
     ev = rate_R(0.0, 1.7)
-    assert ev.value == 1.0 and ev.branch is Branch.ZERO_DRIFT
+    assert ev.value == 2.6317337598395287 and ev.branch is Branch.ZERO_DRIFT  # (e^1.7 - 1)/1.7
     assert jb(0.0, 1.7) == 0.0
     with pytest.raises(DomainError):
         rate_R(-0.1, 0.0)
@@ -211,6 +211,12 @@ def test_rate_R_degenerate_and_domain():
     # cosh of the hyperbolic root overflows double precision
     with pytest.raises(DomainError, match="overflows"):
         rate_R(0.01, 2000.0)
+
+
+@pytest.mark.parametrize("zeta", [-1.5, 0.5, 2.0])
+def test_rate_R_zero_b_is_the_small_b_limit(zeta):
+    # R(b, zeta) -> (e^zeta - 1)/zeta as b -> 0; b = 0 returned 1 for every zeta
+    assert abs(rate_R(0.0, zeta).value - rate_R(1e-4, zeta).value) < 1e-7
 
 
 @pytest.mark.parametrize("b, zeta", [(1e20, 0.0), (1e18, 0.5), (1e-300, 0.5), (1e-20, 1e-9), (1e20, 10.0)])
