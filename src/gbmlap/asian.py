@@ -270,7 +270,9 @@ def european_bs_price(
 ) -> float:
     """Undiscounted-forward Black formula: df*(F*N(d1) - K*N(d2)) for calls.
 
-    Puts by parity; vol = 0 degenerates to discounted intrinsic value.
+    Puts by parity; vol = 0 degenerates to discounted intrinsic value, and
+    an sd = vol*sqrt(t) that overflows to the sd -> inf limit, df*F for a
+    call and df*K for a put.
     """
     require_finite(f=f, k=k, t=t, vol=vol, df=df)
     if f <= 0.0 or k <= 0.0 or t <= 0.0 or df <= 0.0:
@@ -282,9 +284,12 @@ def european_bs_price(
         intrinsic = max(f - k, 0.0) if kind is OptionKind.CALL else max(k - f, 0.0)
         return df * intrinsic
     sd = vol * math.sqrt(t)
-    d1 = math.log(f / k) / sd + 0.5 * sd
-    d2 = d1 - sd
-    call = df * (f * norm_cdf(d1) - k * norm_cdf(d2))
+    if sd == math.inf:
+        call = df * f
+    else:
+        d1 = math.log(f / k) / sd + 0.5 * sd
+        d2 = d1 - sd
+        call = df * (f * norm_cdf(d1) - k * norm_cdf(d2))
     if kind is OptionKind.CALL:
         return call
     return call - df * (f - k)

@@ -23,7 +23,12 @@ z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined Gauss-Kronrod
 G15/K31 panel per lobe.  Lobes are evaluated in blocks of 16, 32, 64, ...
 lobes: one call to the integrand, at 31 nodes per lobe, gives every lobe
 of a block its coarse (15-point Gauss) and fine (31-point Kronrod) sums,
-and only a lobe whose two sums disagree is refined further.  The
+and only a lobe whose two sums disagree is refined further.  The exact
+bond's first block is shorter when it can be: past z = s/2,
+erfc(x) <= e^(-x^2) bounds the amplitude by 2*e^(-z^2/s - s/4), which
+fixes a lobe by which three lobes in a row are below quad_tol, so the
+block ends there (T = 1 at r0 = 0.05, sigma = 0.5 evaluates 5 lobes, not
+16) with the same lobe counts and integrand calls.  The
 alternating lobe partial sums are accelerated with Wynn's epsilon
 algorithm over a window of the last 24 sums; summation runs lobe by lobe
 over each block and stops when the extrapolated value has settled below
@@ -45,7 +50,7 @@ import numpy as np
 
 from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_finite
 from .errors import DomainError, QuadratureNotConverged
-from .model import ModelParams, scale
+from .model import _scaled
 from .ratefn import rate_R
 
 __all__ = [
@@ -135,10 +140,13 @@ _MAX_DEPTH = 12
 # how many lobes must be summed before its value may end the summation
 _WYNN_WINDOW = 24
 _WYNN_MIN_LOBES = 6
-# Lobes in the first block; each later block doubles.  One integrand call
-# costs about as much as 15-20 more lobes in the call, so one block of 16
-# covers every sum that stops by lobe 16 in a single call
+# Lobes in the first block; each later block doubles.  A block costs about
+# 20 us per integrand call plus 1-1.5 us per lobe, so a first block of 16
+# covers every sum that stops by lobe 16 in one call for little more than a
+# short block costs.  The exact bond sizes its first block from its
+# amplitude's Gaussian tail bound instead (``_tail_block``), at most 16
 _FIRST_BLOCK = 16
+_MAX_LOBES = 100_000
 # Largest c = sqrt(s)/2 at which the exact bond's amplitude uses the
 # one-exponent form: erfcx(w - c) reaches about 2*e^(c^2), which overflows
 # past c = 26.6
@@ -154,7 +162,8 @@ class QuadratureResult:
     G15/K31 panels of the summed lobes and ``depth_cap_hits`` those
     panels that reached the refinement cap unconverged (their value is used
     as is); ``n_calls`` counts calls to the amplitude, one per block of
-    lobes plus one per refinement of a panel.
+    lobes plus one per refinement of a panel; ``n_lobes_evaluated`` counts
+    the lobes of every block evaluated, up to the end of the last one.
     """
 
     value: float
@@ -164,6 +173,7 @@ class QuadratureResult:
     n_panels: int
     depth_cap_hits: int
     n_calls: int
+    n_lobes_evaluated: int
 
 
 def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
@@ -176,12 +186,15 @@ def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.nd
     call.  Raises DomainError if any value of g is not finite.
     """
     width = hi - lo
-    z = lo[:, None] + width[:, None] * _PANEL_OFFSETS
+    z = width[:, None] * _PANEL_OFFSETS
+    z += lo[:, None]
     v = g(z.ravel())
     counts[2] += 1
     if not np.isfinite(v).all():
         raise DomainError(f"the integrand is not finite on z in [{lo[0]:g}, {hi[-1]:g}]")
-    return ((v.reshape(-1, 31) @ _PANEL_WEIGHTS) * width[:, None]).tolist()
+    sums = v.reshape(-1, 31) @ _PANEL_WEIGHTS
+    sums *= width[:, None]
+    return sums.tolist()
 
 
 def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
@@ -209,7 +222,7 @@ def sin_sinh_quadrature(
     amplitude: Callable[[np.ndarray], np.ndarray],
     freq: float,
     tol: float = 1e-9,
-    max_lobes: int = 100_000,
+    max_lobes: int = _MAX_LOBES,
 ) -> QuadratureResult:
     """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz by signed lobes.
 
@@ -232,7 +245,10 @@ def sin_sinh_quadrature(
     ``amplitude`` must be elementwise on a 1-D array of z.  It may be
     evaluated on lobes past the one where the sum stops, up to the end of
     the current block (up to lobe 16 even when the sum stops at lobe 3),
-    and must be finite there too.
+    and must be finite there too.  Nothing here knows the amplitude, so
+    the first block is always 16 lobes; ``bond_exact_zero_drift``, which
+    knows its amplitude's Gaussian tail, sizes its own first block to the
+    lobe where the sum must stop.
 
     The reported error estimate is at least ``tol``.  Raises DomainError
     for a non-finite or non-positive ``freq``, a non-positive ``tol``, or
@@ -244,7 +260,16 @@ def sin_sinh_quadrature(
         raise DomainError(f"freq must be finite and > 0, got {freq}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
+    return _lobe_sum(amplitude, freq, tol, max_lobes, _FIRST_BLOCK)
 
+
+def _lobe_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
+              max_lobes: int, first_block: int) -> QuadratureResult:
+    """The lobe loop of ``sin_sinh_quadrature`` for a checked freq and tol.
+
+    The first block holds ``first_block`` lobes (at most ``_FIRST_BLOCK``);
+    each later block doubles.
+    """
     def g(z: np.ndarray) -> np.ndarray:
         return np.sin(freq * np.sinh(z)) * amplitude(z)
 
@@ -263,14 +288,15 @@ def sin_sinh_quadrature(
     diag: list[float] = []
     prev1: float | None = None  # the two previous extrapolated values
     prev2: float | None = None
-    k0, size = 0, _FIRST_BLOCK
+    k0, size = 0, first_block
     while k0 < max_lobes:
         k1 = min(k0 + size, max_lobes)
         edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
         sums = _panel_sums(g, edges[:-1], edges[1:], counts)
         edges = edges.tolist()
         for i, (coarse, fine) in enumerate(sums):
-            if abs(fine - coarse) <= max(panel_tol, 1e-13 * abs(fine)):
+            d = fine - coarse
+            if -panel_tol <= d <= panel_tol or abs(d) <= 1e-13 * abs(fine):
                 counts[0] += 1
                 lobe = fine
             else:
@@ -278,13 +304,14 @@ def sin_sinh_quadrature(
             total += lobe
             last = abs(lobe)
             streak = streak + 1 if last < tol else 0
+            n = k0 + i + 1
             if streak >= 3:
-                return QuadratureResult(total, max(last, tol), k0 + i + 1, "raw", *counts)
+                return QuadratureResult(total, max(last, tol), n, "raw", *counts, k1)
             new = [total]
             eps, below = total, 0.0
             for old in diag[:_WYNN_WINDOW - 1]:
                 d = eps - old
-                if not 0.0 < abs(d) < inf:
+                if d == 0.0 or not -inf < d < inf:
                     break
                 eps = below + 1.0 / d
                 if not -inf < eps < inf:
@@ -295,9 +322,8 @@ def sin_sinh_quadrature(
             est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
             if est is not None and prev1 is not None and prev2 is not None:
                 err = abs(est - prev1) + abs(est - prev2)
-                if err < tol and k0 + i + 1 >= _WYNN_MIN_LOBES:
-                    return QuadratureResult(est, max(err, tol), k0 + i + 1, "extrapolated",
-                                            *counts)
+                if err < tol and n >= _WYNN_MIN_LOBES:
+                    return QuadratureResult(est, max(err, tol), n, "extrapolated", *counts, k1)
             prev1, prev2 = est, prev1
         k0, size = k1, 2 * size
     raise QuadratureNotConverged(
@@ -317,20 +343,20 @@ def _validate_bond_args(r0: float, sigma: float, a: float, T: float) -> None:
 
 
 def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
-    """Price exp(-r0*T*R(b, zeta)) with (b, zeta) from ``model.scale``."""
+    """Price exp(-r0*T*R(b, zeta)) with (b, zeta) as ``model.scale`` forms them."""
     _validate_bond_args(r0, sigma, a, T)
     if r0 == 0.0:
         return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": a * T})
-    sc = scale(ModelParams(sigma=sigma, a=a, T=T, theta=r0))
-    ev = rate_R(sc.b, sc.zeta)
+    b, zeta = _scaled(sigma, a, T, r0)
+    ev = rate_R(b, zeta)
     y = r0 * ev.value
     return BondQuote(
         price=math.exp(-y * T),
         method=BondMethod.ASYMPTOTIC,
         yield_equiv=y,
         diagnostics={
-            "b": sc.b,
-            "zeta": sc.zeta,
+            "b": b,
+            "zeta": zeta,
             "rate": ev.value,
             "branch": ev.branch.value,
             "root": ev.root,
@@ -369,6 +395,33 @@ def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
     return amplitude
 
 
+def _tail_block(s: float, freq: float, tol: float) -> int:
+    """Lobes in the exact bond's first block: up to its raw stop, at most 16.
+
+    With w - c = (z - s/2)/sqrt(s) >= 0 for z >= s/2, erfc(x) <= e^(-x^2)
+    bounds both terms of the amplitude there by e^(-z^2/s - s/4), so
+
+        q(z) <= 2*e^(-z^2/s - s/4),  z >= s/2,
+
+    which falls with z.  A lobe is at most pi/freq wide (asinh has slope
+    <= 1) and its G15/K31 sums, refined or not, have positive weights, so
+    a lobe whose low edge asinh(k*pi/freq) is at least
+
+        z_c = max(s/2, sqrt(s*(log(8*pi/(freq*tol)) - s/4)))
+
+    sums to less than tol/4 in magnitude.  Lobes k0, k0 + 1 and k0 + 2,
+    k0 = ceil(freq*sinh(z_c)/pi), are three such lobes in a row, so the raw
+    stop comes by lobe k0 + 3 at the latest.  A z_c above 20 gives 16.
+    """
+    # log(8*pi/freq) - log(tol): freq*tol may underflow, 8*pi/freq cannot overflow
+    # (freq = 2*sqrt(y) >= 2*sqrt(5e-324))
+    log_ratio = math.log(8.0 * math.pi / freq) - math.log(tol)
+    z_c = max(0.5 * s, math.sqrt(s * max(log_ratio - 0.25 * s, 0.0)))
+    if z_c > 20.0:
+        return _FIRST_BLOCK
+    return min(math.ceil(freq * math.sinh(z_c) / math.pi) + 3, _FIRST_BLOCK)
+
+
 def bond_exact_zero_drift(
     r0: float, sigma: float, T: float, quad_tol: float = 1e-9
 ) -> BondQuote:
@@ -384,13 +437,19 @@ def bond_exact_zero_drift(
     evaluated as e^(-(w^2 + c^2)) * (erfcx(w - c) + erfcx(w + c)), one exp
     and two erfcx per node, and for s above 2,704, where erfcx(w - c)
     would overflow, as e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c)
-    (see ``_exact_amplitude``).  The absolute error estimate is <=
-    quad_tol.  Raises DomainError when y or s is zero or not finite in
-    floating point.
+    (see ``_exact_amplitude``).  The first block of lobes ends where the
+    tail bound q(z) <= 2*e^(-z^2/s - s/4) forces the raw stop, at most 16
+    lobes (see ``_tail_block``).  The price's absolute error estimate is
+    sqrt(y) times the quadrature's, which is quad_tol, and
+    ``yield_error_estimate`` = error_estimate/(T*price) bounds the yield's
+    error to first order.  Raises DomainError when y or s is zero or not
+    finite in floating point, or quad_tol is not > 0.
     """
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
+    if not (quad_tol > 0.0):
+        raise DomainError(f"quad_tol must be > 0, got {quad_tol}")
     y = 2.0 * r0 / (sigma * sigma)
     s = 0.5 * sigma * sigma * T
     for name, v in (("y = 2*r0/sigma^2", y), ("s = sigma^2*T/2", s)):
@@ -400,7 +459,9 @@ def bond_exact_zero_drift(
                 f"needs it finite and > 0"
             )
     sqrt_y = math.sqrt(y)
-    quad = sin_sinh_quadrature(_exact_amplitude(s), 2.0 * sqrt_y, tol=quad_tol)
+    freq = 2.0 * sqrt_y
+    quad = _lobe_sum(_exact_amplitude(s), freq, quad_tol, _MAX_LOBES,
+                     _tail_block(s, freq, quad_tol))
     price = 1.0 - sqrt_y * quad.value
     err = sqrt_y * quad.error_estimate
     if price <= err:
@@ -422,6 +483,8 @@ def bond_exact_zero_drift(
             "n_panels": quad.n_panels,
             "depth_cap_hits": quad.depth_cap_hits,
             "n_calls": quad.n_calls,
+            "n_lobes_evaluated": quad.n_lobes_evaluated,
+            "yield_error_estimate": err / (T * price),
         },
     )
 

@@ -53,16 +53,29 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ScaledParams:
-    """Asymptotic coordinates: b >= 0 dimensionless, zeta real."""
+    """Asymptotic coordinates: b >= 0 dimensionless, zeta real, both finite."""
 
     b: float
     zeta: float
 
+    def __post_init__(self):
+        if not (0.0 <= self.b < math.inf and math.isfinite(self.zeta)):
+            require_finite(b=self.b, zeta=self.zeta)
+            raise DomainError(f"b must be >= 0, got {self.b}")
+
+
+def _scaled(sigma: float, a: float, T: float, theta: float) -> tuple[float, float]:
+    """(b, zeta) of inputs that ``ModelParams`` would accept (see ``scale``)."""
+    return math.sqrt(0.5 * sigma * sigma * theta) * T, a * T
+
 
 def scale(p: ModelParams) -> ScaledParams:
-    """Map raw parameters to (b, zeta): b = sqrt(sigma^2*theta/2)*T, zeta = a*T."""
-    b = math.sqrt(0.5 * p.sigma * p.sigma * p.theta) * p.T
-    return ScaledParams(b=b, zeta=p.a * p.T)
+    """Map raw parameters to (b, zeta): b = sqrt(sigma^2*theta/2)*T, zeta = a*T.
+
+    Raises DomainError when b or zeta overflows.
+    """
+    b, zeta = _scaled(p.sigma, p.a, p.T, p.theta)
+    return ScaledParams(b=b, zeta=zeta)
 
 
 def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:

@@ -243,6 +243,14 @@ def test_european_black_values():
     assert european_bs_price(80.0, 100.0, 2.0, 0.0, 0.9, OptionKind.PUT) == 0.9 * 20.0
 
 
+@pytest.mark.parametrize("kind, limit", [(OptionKind.CALL, 90.0), (OptionKind.PUT, 99.0)])
+def test_european_black_limit_when_sd_overflows(kind, limit):
+    # sd = vol*sqrt(t) = inf: the call tends to df*F and the put to df*K, the
+    # values a finite sd of 1e305 already gives
+    assert european_bs_price(100.0, 110.0, 1e20, 1e300, 0.9, kind) == limit
+    assert european_bs_price(100.0, 110.0, 1e10, 1e300, 0.9, kind) == limit
+
+
 @given(
     f=st.floats(10.0, 500.0),
     k=st.floats(10.0, 500.0),

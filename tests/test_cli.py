@@ -142,6 +142,15 @@ def test_bond_methods(capsys):
         assert abs(payload["yield_equiv"] - 0.1) < 0.02
 
 
+def test_bond_exact_diagnostics(capsys):
+    code, out, _ = _run(capsys, "bond", "--method", "exact", "--r0", "0.05", "--sigma", "0.5",
+                        "--T", "1")
+    assert code == 0
+    d = json.loads(out)["diagnostics"]
+    assert set(d) == {"y", "s", "n_lobes", "error_estimate", "summation", "n_panels",
+                      "depth_cap_hits", "n_calls", "n_lobes_evaluated", "yield_error_estimate"}
+
+
 def test_bond_perpetual_without_T(capsys):
     code, out, _ = _run(
         capsys, "bond", "--r0", "0.05", "--sigma", "0.5", "--method", "perpetual"

@@ -14,12 +14,15 @@ from gbmlap.dothan import (
     _GL_WEIGHTS,
     _K31_NODES,
     _K31_WEIGHTS,
+    _MAX_LOBES,
     _WYNN_MIN_LOBES,
     _WYNN_WINDOW,
     BondMethod,
     _exact_amplitude,
+    _lobe_sum,
     _panel_sums,
     _refine,
+    _tail_block,
     bond_asymptotic,
     bond_exact_zero_drift,
     bond_perpetual,
@@ -357,6 +360,75 @@ def test_quadrature_raw_stop_inside_first_block():
     assert abs(q.value - 0.09218727715968919) <= 1e-15
 
 
+@settings(max_examples=300, deadline=None)
+@given(s=st.one_of(st.floats(1e-4, 2704.0), st.floats(2704.0, 4000.0)),
+       dz=st.floats(0.0, 1.0))
+def test_exact_amplitude_below_gaussian_tail_bound(s, dz):
+    # erfc(x) <= e^(-x^2) for x >= 0 bounds both forms of q past z = s/2
+    z = 0.5 * s + dz * (40.0 * math.sqrt(s) + 40.0)
+    q = float(_exact_amplitude(s)(np.array([z]))[0])
+    assert q <= 2.0 * math.exp(-z * z / s - 0.25 * s) * (1.0 + 1e-12)
+
+
+def _ladder_rungs():
+    # exact_ladder's short rungs (r0, sigma, T) in [0.01, 0.2] x [0.1, 0.8] x
+    # [0.25, 10], the frozen rows, and a rung whose lobes are refined
+    u = np.random.default_rng(20261019).uniform(size=(60, 3))
+    short = [(0.01 + 0.19 * a, 0.1 + 0.7 * b, 0.25 + 9.75 * c) for a, b, c in u]
+    return short + [row[:3] for row in _FROZEN_EXACT] + [(0.001, 1e-4, 0.001)]
+
+
+@pytest.mark.parametrize("quad_tol", [1e-9, 1e-11])
+def test_exact_tail_block_matches_a_first_block_of_16(quad_tol):
+    sized = 0
+    for r0, sigma, T in _ladder_rungs():
+        q = bond_exact_zero_drift(r0, sigma, T, quad_tol)
+        d = q.diagnostics
+        freq = 2.0 * math.sqrt(d["y"])
+        block = _tail_block(d["s"], freq, quad_tol)
+        ref = _lobe_sum(_exact_amplitude(d["s"]), freq, quad_tol, _MAX_LOBES, _FIRST_BLOCK)
+        # a BLAS product's rounding of a row may depend on the rows in the call,
+        # so the sums may differ in the last bits (1.5 ulp of 1 at most when
+        # every panel sum is moved by up to 2 ulp); the counts may not
+        assert abs(q.price - (1.0 - math.sqrt(d["y"]) * ref.value)) <= 8 * math.ulp(1.0)
+        assert (d["n_lobes"], d["n_panels"], d["summation"], d["depth_cap_hits"],
+                d["n_calls"]) == (ref.n_lobes, ref.n_panels, ref.summation,
+                                  ref.depth_cap_hits, ref.n_calls), (r0, sigma, T)
+        if block < _FIRST_BLOCK:
+            # the raw stop comes inside the sized block
+            assert d["n_lobes"] <= block == d["n_lobes_evaluated"]
+            sized += 1
+        else:
+            assert block == _FIRST_BLOCK
+            assert d["n_lobes_evaluated"] == ref.n_lobes_evaluated
+    assert sized >= 20
+
+
+def test_exact_short_rung_evaluates_few_lobes():
+    d = bond_exact_zero_drift(0.05, 0.5, 1.0).diagnostics
+    assert (d["n_lobes"], d["n_calls"]) == (4, 1)
+    assert d["n_lobes_evaluated"] <= 8
+    # the public quadrature, which does not know the amplitude, evaluates 16
+    q = sin_sinh_quadrature(_exact_amplitude(d["s"]), 2.0 * math.sqrt(d["y"]))
+    assert (q.n_lobes, q.n_lobes_evaluated) == (4, _FIRST_BLOCK)
+
+
+def test_exact_yield_error_estimate():
+    q = bond_exact_zero_drift(0.1, 0.3, 5.0)
+    d = q.diagnostics
+    assert d["yield_error_estimate"] == d["error_estimate"] / (5.0 * q.price)
+    # at small sigma the absolute estimate, 4.5e-7, is 45% of 1 - B, and the
+    # yield's estimate says so
+    q = bond_exact_zero_drift(0.001, 1e-4, 0.001)
+    assert q.diagnostics["yield_error_estimate"] >= 0.4 * q.yield_equiv
+
+
+@pytest.mark.parametrize("quad_tol", [0.0, -1e-9])
+def test_exact_quadrature_rejects_bad_tolerance(quad_tol):
+    with pytest.raises(DomainError, match="quad_tol must be > 0"):
+        bond_exact_zero_drift(0.05, 0.3, 1.0, quad_tol)
+
+
 @pytest.mark.parametrize("r0, sigma, T, name", [
     (1e300, 1e-5, 1.0, "y"),
     (0.1, 1e-160, 1.0, "y"),
@@ -553,3 +625,6 @@ def test_validation_errors():
         bond_asymptotic(-0.1, 0.3, 0.0, 1.0)
     with pytest.raises(DomainError):
         bond_asymptotic(0.1, 0.3, 0.0, 0.0)
+    # b = sqrt(sigma^2*r0/2)*T overflows; rate_R rejects it
+    with pytest.raises(DomainError, match="^b must be finite"):
+        bond_asymptotic(1.0, 1e200, 0.0, 1.0)

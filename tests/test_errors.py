@@ -13,6 +13,7 @@ _CALL = g.OptionKind.CALL
 # entry point -> (callable, float arguments of a point it accepts)
 _ENTRY_POINTS = {
     "ModelParams": (g.ModelParams, (0.3, 0.05, 2.0, 0.1)),
+    "ScaledParams": (g.ScaledParams, (0.5, 0.1)),
     "t_max": (g.t_max, (0.05, 0.3, 1.0)),
     "solve_bracketed": (lambda *a: g.solve_bracketed(lambda x: x - 0.5, *a), (0.0, 1.0, 1e-14)),
     "solve_newton": (lambda *a: g.solve_newton(lambda x: (x - 0.5, 1.0), *a), (0.0, 1.0, 1e-14)),

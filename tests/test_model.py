@@ -44,6 +44,19 @@ def test_params_validation():
         ModelParams(sigma=float("nan"), a=0.0, T=1.0, theta=0.1)
 
 
+@pytest.mark.parametrize("b, zeta", [(-1.0, math.inf), (-1.0, 0.1), (math.inf, 0.0),
+                                     (0.5, -math.inf)])
+def test_scaled_params_validation(b, zeta):
+    with pytest.raises(DomainError):
+        ScaledParams(b, zeta)
+
+
+def test_scale_overflow_is_domain_error():
+    # b = sqrt(sigma^2*theta/2)*T overflows
+    with pytest.raises(DomainError, match="^b must be finite"):
+        scale(ModelParams(sigma=1e200, a=0.0, T=1e200, theta=1.0))
+
+
 def test_t_max_explicit_threshold():
     assert abs(t_max(0.1, 0.3, 0.9) - 10.0) < 1e-12
     assert abs(t_max(0.05, 1.0, 0.9) - math.sqrt(0.9 / 0.05)) < 1e-12
