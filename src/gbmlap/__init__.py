@@ -4,7 +4,7 @@ Closed-form large-deviations rate functions for E[exp(-theta*X_T)] with
 X_T the time integral of a geometric Brownian motion, applied to
 zero-coupon bond pricing when the short rate is a gBM and to
 arithmetic-average Asian options, with exact-quadrature, Monte Carlo and
-variational-shooting oracles for cross-validation.
+variational collocation oracles for cross-validation.
 """
 
 __version__ = "0.1.0"

@@ -33,4 +33,4 @@ class QuadratureNotConverged(GbmlapError, RuntimeError):
 
 
 class ShootingFailed(GbmlapError, RuntimeError):
-    """No bracketing slope or multiplier found for a shooting solve."""
+    """A variational oracle's collocation solve did not converge or is not resolved."""

@@ -16,27 +16,28 @@ check:
   the range of normal floats.
 
 * Direct numerical solution of the two variational problems behind the
-  rate functions, by shooting on the Euler-Lagrange equation
-  h'' = kappa * e^h with h(0) = 0 and natural condition h'(1) = zeta
-  (kappa = 2*b^2 on the Laplace side; kappa = -mu with the multiplier mu
-  adjusted so that int_0^1 e^h = x on the distribution side).  Each shot
-  integrates the ODE with a scalar Dormand-Prince 5(4) loop (Dormand &
-  Prince, 1980) whose tableau, initial step, step-size control (safety
-  0.9, factor clamped to [0.2, 10]) and RMS error norm are those of
-  scipy's RK45, so a shot takes the same steps as ``solve_ivp`` would.
+  rate functions: the Euler-Lagrange equation h'' = kappa * e^h with
+  h(0) = 0 and natural condition h'(1) = zeta (kappa = 2*b^2 on the
+  Laplace side; kappa = -mu with the multiplier mu adjusted so that
+  int_0^1 e^h = x on the distribution side) is solved as one boundary-value
+  problem by Chebyshev collocation and damped Newton (Trefethen, *Spectral
+  Methods in MATLAB*, 2000, chapters 6, 7, 12 and 14).  mu is one more
+  unknown and the constraint one more row, and both the constraint and the
+  objective use Clenshaw-Curtis weights.  Each value comes from 2N + 1 = 65
+  nodes and is checked against a solve on N + 1 = 33.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from ._mathutil import expm1_over_x, require_finite
 from .asian import AsianInputs, OptionKind
 from .errors import DomainError, ShootingFailed
-from .rootfind import solve_bracketed
 
 __all__ = [
     "MCEstimate",
@@ -53,21 +54,6 @@ _U64 = (1 << 64) - 1
 _EXP_NORMAL = 708.0
 # multiples of sigma*sqrt(T) that |sigma*W_t| on [0, T] exceeds with probability below 1e-300
 _W_SPREAD = 40.0
-# cap on h inside the ODE right-hand side; off-root shots blow up in finite
-# time, capping keeps the integration finite with the correct sign of h'(1)
-_H_CAP = 40.0
-
-# Dormand-Prince 5(4) pair: stage rows of A (the nodes are not needed, the
-# shooting ODE is autonomous), 5th-order weights B and error weights E
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_DP_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_DP_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
 
 
 @dataclass(frozen=True)
@@ -83,14 +69,15 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Variational value with the solved shooting parameters.
+    """Variational value with the solved trajectory's parameters.
 
-    multiplier is 0 for the unconstrained (Laplace-side) problem.
-    ode_steps counts the points of the root slope's integration (accepted
-    steps plus the start).  bc_residual is the boundary-condition defect
+    initial_slope is h'(0).  multiplier is 0 for the unconstrained
+    (Laplace-side) problem.  ode_steps counts the collocation nodes of the
+    returned trajectory.  bc_residual is the boundary-condition defect
     |h'(1) - zeta|, combined with the constraint defect |int e^h - x| for
-    the constrained problem.  shots counts the distinct ODE integrations
-    (slopes tried) behind the value, 0 when it is known without shooting.
+    the constrained problem.  shots counts the Newton steps of all the
+    collocation solves behind the value.  ode_steps and shots are 0 when the
+    value is known without solving.
     """
 
     value: float
@@ -222,105 +209,135 @@ def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> M
     return _estimate(vals, n_steps, seed)
 
 
-def _rms(v, scale) -> float:
-    return math.sqrt(sum((x / w) ** 2 for x, w in zip(v, scale)) / len(v))
+@dataclass(frozen=True)
+class _Grid:
+    """Chebyshev collocation on t in [0, 1] with n + 1 nodes, t[0] = 1 down to t[n] = 0.
 
-
-def _dopri45(rhs, y: list, rtol: float, atol: float):
-    """Integrate the autonomous system y' = rhs(y) over t in [0, 1].
-
-    Adaptive Dormand-Prince 5(4) with local extrapolation.  The initial
-    step (Hairer, Norsett & Wanner, Sec. II.4) and the step control copy
-    scipy's RK45: error scale atol + rtol*max(|y_old|, |y_new|), RMS norm,
-    factor 0.9*err^(-1/5) clamped to [0.2, 10] and never above 1 right
-    after a rejection.  Returns (y(1), accepted steps + 1).
-    """
-    f = rhs(y)
-    scale = [atol + abs(v) * rtol for v in y]
-    d0, d1 = _rms(y, scale), _rms(f, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else min(0.01 * d0 / d1, 1.0)
-    f1 = rhs([v + h0 * g for v, g in zip(y, f)])
-    d2 = _rms([g1 - g for g1, g in zip(f1, f)], scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    h_abs = min(100.0 * h0, h1, 1.0)
-    t, points = 0.0, 1
-    while t < 1.0:
-        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise ShootingFailed(f"ODE step size fell below {min_step:g} at t={t}")
-            t_new = min(t + h_abs, 1.0)
-            h = t_new - t
-            h_abs = h
-            k = [f]
-            for row in _DP_A:
-                k.append(rhs([v + h * sum(a * kj for a, kj in zip(row, col))
-                              for v, col in zip(y, zip(*k))]))
-            y_new = [v + h * sum(w * kj for w, kj in zip(_DP_B, col)) for v, col in zip(y, zip(*k))]
-            f_new = rhs(y_new)
-            k.append(f_new)
-            err = [h * sum(w * kj for w, kj in zip(_DP_E, col)) for col in zip(*k)]
-            scale = [atol + max(abs(v), abs(w)) * rtol for v, w in zip(y, y_new)]
-            err_norm = _rms(err, scale)
-            if err_norm < 1.0:
-                factor = 10.0 if err_norm == 0.0 else min(10.0, 0.9 * err_norm ** -0.2)
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs *= max(0.2, 0.9 * err_norm ** -0.2)
-            rejected = True
-        t, y, f = t_new, y_new, f_new
-        points += 1
-    return y, points
-
-
-def _shoot(kappa: float, zeta: float, slope: float, ode_tol: float):
-    """Integrate h'' = kappa*e^h from (0, slope) over [0, 1].
-
-    Returns (h(1), h'(1), int e^h, int (h'-zeta)^2, n_points); the e^h in
-    the right-hand side is capped so off-root blowups stay integrable.
+    d is the differentiation matrix and w the Clenshaw-Curtis weights.  jac
+    is the constant part of the collocation Jacobian in the unknowns z = (h
+    at the nodes, mu): row 0 holds h'(1), rows 1..n-1 h'', row n h(0), and
+    the last row and column are left for mu.
     """
 
-    def rhs(y):
-        e = math.exp(min(y[0], _H_CAP))
-        dh = y[1]
-        return (dh, kappa * e, e, (dh - zeta) ** 2)
-
-    y1, n_points = _dopri45(rhs, [0.0, slope, 0.0, 0.0], ode_tol, 0.01 * ode_tol)
-    return (*y1, n_points)
+    t: np.ndarray
+    d: np.ndarray
+    w: np.ndarray
+    jac: np.ndarray
 
 
-def _shoot_slope(kappa, zeta: float, ode_tol: float, bracket):
-    """Slope c with h'(1; c) = zeta on h'' = kappa(c)*e^h, its shot and the shot count.
+@cache
+def _chebyshev(n: int) -> _Grid:
+    """Grid of n + 1 Chebyshev points, mapped from x in [-1, 1] to t = (1 + x)/2.
 
-    ``bracket(defect)`` probes c -> h'(1; c) - zeta and returns a sign-change
-    interval.  Shots are kept by slope, so Brent reuses the bracket's probes
-    and the root (always a slope Brent evaluated) is read from its own shot.
+    d is ``cheb`` of Trefethen, *Spectral Methods in MATLAB* (2000),
+    chapter 6.  w is the interpolatory rule on the nodes (Clenshaw-Curtis,
+    chapter 12): it integrates T_k(x) exactly, to 1/(1 - k^2) on [0, 1] for
+    even k and to 0 for odd k.  Built on first use: the first BLAS and
+    LAPACK calls of a process raise its resident memory by about 1 MB,
+    which importing the module should not cost.
     """
-    if not 0.0 < ode_tol < math.inf:
-        raise DomainError(f"ode_tol must be positive and finite, got {ode_tol}")
-    shots = {}
+    k = np.arange(n + 1)
+    x = np.cos(np.pi * k / n)
+    c = np.where(k % 2 == 0, 1.0, -1.0)
+    c[[0, n]] *= 2.0
+    d = np.outer(c, 1.0 / c) / (x[:, None] - x + np.eye(n + 1))
+    d -= np.diag(d.sum(axis=1))
+    d *= 2.0
+    moments = np.zeros(n + 1)
+    moments[::2] = 1.0 / (1.0 - k[::2] ** 2)
+    w = np.linalg.solve(np.cos(np.outer(k, k) * np.pi / n), moments)
+    jac = np.zeros((n + 2, n + 2))
+    jac[0, :-1] = d[0]
+    jac[1:n, :-1] = (d @ d)[1:n]
+    jac[n, n] = 1.0
+    return _Grid(0.5 * (1.0 + x), d, w, jac)
 
-    def defect(c: float) -> float:
-        if c not in shots:
-            shots[c] = _shoot(kappa(c), zeta, c, ode_tol)
-        return shots[c][1] - zeta
 
-    slope = solve_bracketed(defect, *bracket(defect), tol=1e-12).root
-    return slope, shots[slope], len(shots)
+# the oracles solve on 2N + 1 nodes and check the value against N + 1
+_N = 32
+_MAX_STEPS = 40
+# relative disagreement of the two grids' values above which a solve is unresolved
+_AGREE = 1e-8
 
 
-def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingResult:
-    """Laplace-side rate by direct minimization via the shooting method.
+def _newton(g: _Grid, zeta: float, z: np.ndarray, x: float | None) -> tuple[np.ndarray, int]:
+    """Damped Newton solve of the collocation system in z = (h at the nodes, mu).
+
+    Rows: h'' + mu*e^h = 0 at the interior nodes, h'(1) = zeta, h(0) = 0 and
+    int e^h = x, or mu kept at its start when x is None.  A step whose
+    residual (max norm) does not fall is halved, at most 10 times.  The solve
+    ends with a step below 1e-9*max(1, |z_i|) in every unknown, which leaves
+    an error of the order of its square.  Returns (z, Newton steps).
+    """
+    n = g.t.size - 1
+    inner = np.arange(1, n)
+
+    def system(z):
+        h, mu = z[:-1], z[-1]
+        e = np.exp(h)
+        f = g.jac[:, :-1] @ h
+        f[0] -= zeta
+        f[inner] += mu * e[inner]
+        jac = g.jac.copy()
+        jac[inner, inner] += mu * e[inner]
+        jac[inner, -1] = e[inner]
+        if x is None:
+            jac[-1, -1] = 1.0
+        else:
+            f[-1] = g.w @ e - x
+            jac[-1, :-1] = g.w * e
+        return f, jac, np.abs(f).max()
+
+    # trial steps may overflow e^h; such a step has an infinite or NaN residual and is halved
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, jac, r = system(z)
+        for step in range(1, _MAX_STEPS + 1):
+            dz = np.linalg.solve(jac, -f)
+            if np.all(np.abs(dz) <= 1e-9 * np.maximum(1.0, np.abs(z))):
+                return z + dz, step
+            for halvings in range(11):
+                trial = z + 0.5 ** halvings * dz
+                f_t, jac_t, r_t = system(trial)
+                if r_t < r:
+                    break
+            else:
+                raise ShootingFailed(f"Newton step {step} does not lower the residual {r:.2e}")
+            z, f, jac, r = trial, f_t, jac_t, r_t
+    raise ShootingFailed(f"Newton did not converge in {_MAX_STEPS} steps (residual {r:.2e})")
+
+
+def _solve(zeta: float, z0: np.ndarray, x: float | None, kappa: float = 0.0) -> ShootingResult:
+    """Minimize kappa*int e^h + (1/2)*int (h' - zeta)^2, with int e^h = x if x is given.
+
+    Solves on the fine grid from z0, then on the coarse grid from every
+    other fine node, and raises ShootingFailed when the two values differ
+    by more than _AGREE*max(1, |value|).  The result is the fine solve's.
+    """
+    def value(g, z):
+        h = z[:-1]
+        return float(kappa * (g.w @ np.exp(h)) + 0.5 * (g.w @ (g.d @ h - zeta) ** 2))
+
+    fine, coarse = _chebyshev(2 * _N), _chebyshev(_N)
+    z, steps = _newton(fine, zeta, z0, x)
+    zc, coarse_steps = _newton(coarse, zeta, np.append(z[:-1:2], z[-1]), x)
+    v, vc = value(fine, z), value(coarse, zc)
+    if not abs(v - vc) <= _AGREE * max(1.0, abs(v)):
+        raise ShootingFailed(f"{2 * _N + 1} and {_N + 1} nodes disagree: {v!r} against {vc!r}")
+    h, d = z[:-1], fine.d
+    defect = abs(d[0] @ h - zeta)
+    if x is not None:
+        defect = max(defect, abs(fine.w @ np.exp(h) - x))
+    return ShootingResult(v, float(d[-1] @ h), 0.0 if x is None else float(z[-1]), h.size,
+                          float(defect), steps + coarse_steps)
+
+
+def jb_variational(b: float, zeta: float) -> ShootingResult:
+    """Laplace-side rate by direct minimization.
 
     Minimizes 2*b^2*int e^h + (1/2)*int (h' - zeta)^2 over h(0) = 0 by
-    solving h'' = 2*b^2*e^h with h'(1) = zeta and evaluating the
-    objective along the trajectory.  Independent of the closed forms in
-    ``ratefn``.
+    solving h'' = 2*b^2*e^h with h'(1) = zeta by collocation, starting
+    from h = zeta*t, and evaluating the objective on the collocation
+    nodes.  Independent of the closed forms in ``ratefn``.
     """
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
@@ -328,38 +345,19 @@ def jb_variational(b: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRes
     if b == 0.0:
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
     kappa = 2.0 * b * b
-
-    def bracket(defect):
-        # h'(1) rises with c: the defect is kappa*int e^h > 0 at c = zeta and, by a
-        # comparison argument, negative at c = zeta - kappa*(e^zeta - 1)/zeta.
-        lo = max(zeta - kappa * expm1_over_x(zeta), -50.0)
-        if defect(lo) > 0.0:
-            raise ShootingFailed(f"slope root below -50 (kappa={kappa}, zeta={zeta})")
-        return lo, zeta
-
-    slope, shot, shots = _shoot_slope(lambda c: kappa, zeta, ode_tol, bracket)
-    _, hp1, int_eh, int_kin, nsteps = shot
-    return ShootingResult(
-        value=kappa * int_eh + 0.5 * int_kin,
-        initial_slope=slope,
-        multiplier=0.0,
-        ode_steps=nsteps,
-        bc_residual=abs(hp1 - zeta),
-        shots=shots,
-    )
+    return _solve(zeta, np.append(zeta * _chebyshev(2 * _N).t, -kappa), None, kappa)
 
 
-def ibs_variational(x: float, zeta: float, ode_tol: float = 1e-10) -> ShootingResult:
-    """Distribution-side rate by constrained shooting.
+def ibs_variational(x: float, zeta: float) -> ShootingResult:
+    """Distribution-side rate by constrained minimization.
 
     Minimizes (1/2)*int (h' - zeta)^2 subject to int_0^1 e^h = x,
-    h(0) = 0.  The stationarity system is h'' = -mu*e^h with h'(1) = zeta,
-    and integrating h'' once ties the unknowns together:
-    c - zeta = mu * int e^h at any solution, so with mu set to
-    (c - zeta)/x the single shooting parameter c enforces both the
-    boundary condition and the constraint at once.  Near c = zeta the
-    defect h'(1) - zeta behaves like (c - zeta)*(1 - x*/x), which fixes
-    the bracketing direction.  Independent of the closed forms in
+    h(0) = 0.  The stationarity system h'' = -mu*e^h, h'(1) = zeta is
+    solved by collocation together with the constraint, mu being one more
+    unknown.  The start h = zeta*t + alpha*(t - t^2/2) keeps both boundary
+    conditions and meets the constraint: alpha is Newton's root of the
+    increasing convex log int e^h - log x, and integrating h'' once gives
+    mu = (h'(0) - zeta)/x = alpha/x.  Independent of the closed forms in
     ``asian``.
     """
     require_finite(x=x, zeta=zeta)
@@ -368,29 +366,17 @@ def ibs_variational(x: float, zeta: float, ode_tol: float = 1e-10) -> ShootingRe
     xstar = expm1_over_x(zeta)
     if abs(x - xstar) <= 1e-12 * max(1.0, xstar):
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
-
-    def bracket(defect):
-        sign = 1.0 if x > xstar else -1.0  # side of zeta on which the root lies
-        lo = zeta + sign * 1e-6 * max(1.0, abs(zeta))
-        glo = defect(lo)
-        hi, step, ghi = lo, 0.5, glo
-        while ghi > 0.0:
-            hi += sign * step
-            step *= 2.0
-            if abs(hi) > 60.0:
-                raise ShootingFailed(f"no slope bracket within |c| <= 60 for x={x}, zeta={zeta}")
-            ghi = defect(hi)
-        if glo < 0.0:
-            raise ShootingFailed(f"no sign change from c={lo} for x={x}, zeta={zeta}")
-        return (lo, hi) if lo <= hi else (hi, lo)
-
-    slope, shot, shots = _shoot_slope(lambda c: -(c - zeta) / x, zeta, ode_tol, bracket)
-    _, hp1, int_eh, int_kin, nsteps = shot
-    return ShootingResult(
-        value=0.5 * int_kin,
-        initial_slope=slope,
-        multiplier=(slope - zeta) / x,
-        ode_steps=nsteps,
-        bc_residual=max(abs(hp1 - zeta), abs(int_eh - x)),
-        shots=shots,
-    )
+    fine = _chebyshev(2 * _N)
+    t, w = fine.t, fine.w
+    q = t - 0.5 * t * t
+    alpha = 0.0
+    # a start that the nodes cannot resolve comes out NaN, and Newton then fails
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            e = np.exp(zeta * t + alpha * q)
+            step = np.log(w @ e / x) * (w @ e) / (w @ (q * e))
+            alpha -= step
+            if not abs(step) > 1e-9 * max(1.0, abs(alpha)):
+                break
+        z0 = np.append(zeta * t + alpha * q, alpha / x)
+    return _solve(zeta, z0, x)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval
-from .rootfind import RootResult, solve_bracketed, solve_newton
+from .rootfind import RootResult, solve_newton
 
 __all__ = [
     "Branch",
@@ -317,6 +317,9 @@ def convergence_radius() -> tuple[float, float]:
     y0 solves y*tanh(y) = 1 and R_b = y0/cosh(y0) is the radius: the
     series converges for |b| < R_b (about 0.6627).
     """
-    res = solve_bracketed(lambda y: y * math.tanh(y) - 1.0, 0.5, 2.0, tol=1e-15)
-    y0 = res.root
+    def fdf(y):
+        t = math.tanh(y)
+        return y * t - 1.0, t + y * (1.0 - t * t)
+
+    y0 = solve_newton(fdf, 0.5, 2.0, tol=1e-15).root
     return y0, y0 / math.cosh(y0)

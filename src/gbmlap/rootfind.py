@@ -5,20 +5,22 @@ with |f| <= tol returned as the root after the two endpoint evaluations,
 ``NoSignChange`` and ``MaxIterations``, the width rule tol*max(1, |x|),
 and ``iterations`` counting calls of the function.
 
-* ``solve_newton`` backs every closed-form root, whose equations have
-  cheap analytic slopes.  One evaluation is one call returning the value
-  and the slope.  It is the safeguarded Newton method ``rtsafe`` (Press et
-  al., *Numerical Recipes*, 3rd ed., section 9.4): a Newton step is taken
-  only when it lands inside the sign-change interval and at least halves
-  the step before last, and bisection is taken otherwise, so a wrong slope
-  can slow a solve but never lead it out of the bracket.
-* ``solve_bracketed`` serves equations with no slope (shooting defects,
-  constants): Brent's method (Brent, *Algorithms for Minimization without
-  Derivatives*, 1973, the ``zeroin`` procedure).  Each step tries inverse
-  quadratic interpolation through the last three iterates, or a secant
-  step when only two are distinct; a step that leaves the inner three
-  quarters of the bracket, or that does not at least halve the step taken
-  two iterations earlier, is replaced by bisection.
+* ``solve_newton`` backs the closed-form roots and the convergence-radius
+  constant, whose equations have cheap analytic slopes.  One evaluation
+  is one call returning the value and the slope.  It is the safeguarded
+  Newton method ``rtsafe`` (Press et al., *Numerical Recipes*, 3rd ed.,
+  section 9.4): a Newton step is taken only when it lands inside the
+  sign-change interval and at least halves the step before last, and
+  bisection is taken otherwise, so a wrong slope can slow a solve but
+  never lead it out of the bracket.
+* ``solve_bracketed`` is for callers' equations with no slope; no library
+  module calls it.  It is Brent's method (Brent, *Algorithms for
+  Minimization without Derivatives*, 1973, the ``zeroin`` procedure).
+  Each step tries inverse quadratic interpolation through the last three
+  iterates, or a secant step when only two are distinct; a step that
+  leaves the inner three quarters of the bracket, or that does not at
+  least halve the step taken two iterations earlier, is replaced by
+  bisection.
 
 Both keep the sign-change interval at every iteration and converge
 superlinearly on smooth simple roots.  Stateless and safe for concurrent

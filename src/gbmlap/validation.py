@@ -232,7 +232,7 @@ def check_jb_oracle(quick: bool) -> tuple[bool, str]:
         for z in np.linspace(-0.5, 2.0, n):
             d = abs(oracles.jb_variational(float(b), float(z)).value - ratefn.jb(float(b), float(z)))
             worst = max(worst, d)
-    return worst <= 1e-4, f"{n}x{n} grid, max |shooting - closed form| = {worst:.2e}"
+    return worst <= 1e-4, f"{n}x{n} grid, max |collocation - closed form| = {worst:.2e}"
 
 
 def check_ibs_zero_and_oracle(quick: bool) -> tuple[bool, str]:
@@ -253,7 +253,7 @@ def check_ibs_zero_and_oracle(quick: bool) -> tuple[bool, str]:
             d = abs(oracles.ibs_variational(x, z).value - asian.rate_ibs(x, z).value)
             worst = max(worst, d)
     ok = worst <= 1e-4
-    return ok, f"zero residual {worst_zero:.1e}; oracle grid max diff {worst:.2e}"
+    return ok, f"zero residual {worst_zero:.1e}; collocation oracle grid max diff {worst:.2e}"
 
 
 def check_ibs_branch_continuity(quick: bool) -> tuple[bool, str]:

@@ -45,8 +45,8 @@ _ENTRY_POINTS = {
     "bond_perpetual": (g.bond_perpetual, (0.05, 0.3, 0.01)),
     "sin_sinh_quadrature": (lambda *a: g.sin_sinh_quadrature(lambda z: np.exp(-z), *a), (1.0, 1e-9)),
     "mc_laplace": (lambda *a: g.mc_laplace(*a, 50, 8, 1), (0.1, 0.3, 0.05, 1.0)),
-    "jb_variational": (g.jb_variational, (0.5, 0.9, 1e-8)),
-    "ibs_variational": (g.ibs_variational, (1.2, 0.1, 1e-8)),
+    "jb_variational": (g.jb_variational, (0.5, 0.9)),
+    "ibs_variational": (g.ibs_variational, (1.2, 0.1)),
 }
 
 _CASES = [(name, i) for name, (_, args) in _ENTRY_POINTS.items() for i in range(len(args))]

@@ -11,7 +11,7 @@ import pytest
 import gbmlap
 from gbmlap.asian import AsianInputs, OptionKind, a_fwd
 from gbmlap.dothan import moment_m1, moment_m2
-from gbmlap.errors import DomainError
+from gbmlap.errors import DomainError, ShootingFailed
 from gbmlap.oracles import (
     _integrals,
     _keyed_normals,
@@ -186,37 +186,65 @@ def test_jb_variational_vs_closed_form():
         assert sh.bc_residual <= 1e-9
 
 
-def test_variational_shots(monkeypatch):
-    # every slope is integrated once, and shots counts those integrations;
-    # at I_BS (0.3, 0.0) the bracket search runs below zeta
-    slopes = []
-    shoot = gbmlap.oracles._shoot
-
-    def counting_shoot(kappa, zeta, slope, ode_tol):
-        slopes.append(slope)
-        return shoot(kappa, zeta, slope, ode_tol)
-
-    monkeypatch.setattr(gbmlap.oracles, "_shoot", counting_shoot)
-    for oracle, args, shots in [
-        (jb_variational, (0.7, 0.5), 6),
-        (jb_variational, (1.5, 2.0), 10),
-        (ibs_variational, (1.2, 0.5), 12),
-        (ibs_variational, (0.3, 0.0), 12),
-    ]:
-        slopes.clear()
-        res = oracle(*args)
-        assert len(set(slopes)) == len(slopes) == res.shots == shots, (oracle.__name__, args)
-        assert res.initial_slope in slopes
-    assert jb_variational(0.0, 0.5).shots == 0
+def _ibs(x, zeta):
+    return rate_ibs(x, zeta).value
 
 
 @pytest.mark.parametrize(
-    "b, zeta, steps",
-    [(0.3, 0.9, 30), (1.0, 0.0, 42), (2.0, -0.5, 54), (0.7, 0.5, 41), (1.5, 2.0, 69)],
+    "oracle, closed_form, p, zeta",
+    [(jb_variational, jb, 1.5, 2.0), (jb_variational, jb, 10.0, 1.0),
+     (jb_variational, jb, 10.0, -1.9), (ibs_variational, _ibs, 0.2, -0.6),
+     (ibs_variational, _ibs, 0.1, -0.4)],
 )
-def test_jb_variational_ode_steps_pinned(b, zeta, steps):
-    # points of the final shot, as scipy's solve_ivp(method="RK45") counts them
-    assert jb_variational(b, zeta).ode_steps == steps
+def test_variational_hard_points(oracle, closed_form, p, zeta):
+    # large b and zeta, where Newton from h = zeta*t takes the most steps, and
+    # small x, where Newton from h = zeta*t, mu = 0 takes 23-26 steps at x = 0.2
+    # and does not converge in 40 at x = 0.1
+    assert abs(oracle(p, zeta).value - closed_form(p, zeta)) <= 1e-9
+
+
+def test_variational_quote_sweep_domain():
+    # the ranges of the quotes that perfbench's quote_sweep checks against the
+    # oracles: bonds b in [6e-4, 7.6], zeta in [-1.8, 3]; I_BS and Asian strikes
+    # x in [0.5, 2], zeta in [-0.5, 1.5]
+    for b in np.geomspace(6e-4, 7.6, 6):
+        for z in np.linspace(-1.8, 3.0, 6):
+            assert abs(jb_variational(b, z).value - jb(b, z)) <= 1e-9, (b, z)
+    for x in np.linspace(0.5, 2.0, 6):
+        for z in np.linspace(-0.5, 1.5, 6):
+            assert abs(ibs_variational(x, z).value - _ibs(x, z)) <= 1e-9, (x, z)
+
+
+def test_variational_shots():
+    # a solved value comes from 65 nodes, and shots adds the Newton steps of the
+    # 65-node solve and of the 33-node check; a value known without solving has none
+    for oracle, args, shots in [
+        (jb_variational, (1.0, 0.5), 6),
+        (jb_variational, (0.7, 0.5), 6),
+        (jb_variational, (1.5, 2.0), 7),
+        (jb_variational, (10.0, 1.0), 10),
+        (ibs_variational, (1.2, 0.1), 4),
+        (ibs_variational, (1.2, 0.5), 4),
+        (ibs_variational, (0.3, 0.0), 6),
+        (ibs_variational, (0.2, -0.6), 6),
+    ]:
+        res = oracle(*args)
+        assert (res.ode_steps, res.shots) == (65, shots), (oracle.__name__, args)
+    for res in (jb_variational(0.0, 0.5), ibs_variational(math.expm1(0.5) / 0.5, 0.5)):
+        assert (res.ode_steps, res.shots) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "oracle, args, match",
+    [(jb_variational, (1e150, 0.0), "did not converge"),
+     (jb_variational, (1.0, 100.0), "does not lower"),
+     (ibs_variational, (1e-8, 0.0), "does not lower"),
+     (jb_variational, (30.0, 0.0), "disagree"),
+     (ibs_variational, (0.01, 0.0), "disagree")],
+)
+def test_variational_unconverged_raises(oracle, args, match):
+    with pytest.raises(ShootingFailed, match=match):
+        oracle(*args)
 
 
 def test_shooting_does_not_import_scipy_integrate():
@@ -230,12 +258,6 @@ def test_shooting_does_not_import_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "False"
-
-
-def test_jb_variational_ode_tolerance():
-    v1 = jb_variational(0.7, 0.5, ode_tol=1e-8).value
-    v2 = jb_variational(0.7, 0.5, ode_tol=5e-9).value
-    assert abs(v1 - v2) < 10.0 * 1e-8
 
 
 def test_ibs_variational_unconstrained_zero():
