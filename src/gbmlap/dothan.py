@@ -4,7 +4,7 @@ Five deterministic methods, each returning a BondQuote:
 
 * ``bond_asymptotic``   - exp(-r0*T*R(b, zeta)) from the rate function;
 * ``bond_exact_zero_drift`` - the exact a = 0 price as a single oscillatory
-  integral, summed lobe by lobe between the zeros of sin(2*sqrt(y)*sinh z);
+  integral, taken on a contour shifted off the real axis;
 * ``bond_small_rate``   - second-order expansion in r0 from the first two
   moments of the time integral;
 * ``bond_taylor_small_T`` - short-maturity Taylor expansion of the log price
@@ -18,25 +18,18 @@ of its erfc terms through the scaled function erfcx behind one shared
 factor e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2: one exp and two
 erfcx per node, so the amplitude decays like exp(-z^2/s) with no overflow
 (past s = 2,704, where erfcx(w - c) would overflow, a two-term form with
-erfc is used).  Quadrature subdivides at the sine's zeros
-z_k = asinh(k*pi/(2*sqrt(y))) with an adaptively refined Gauss-Kronrod
-G15/K31 panel per lobe.  Lobes are evaluated in blocks of 16, 32, 64, ...
-lobes: one call to the integrand, at 31 nodes per lobe, gives every lobe
-of a block its coarse (15-point Gauss) and fine (31-point Kronrod) sums,
-and only a lobe whose two sums disagree is refined further.  The exact
-bond's first block is shorter when it can be: past z = s/2,
-erfc(x) <= e^(-x^2) bounds the amplitude by 2*e^(-z^2/s - s/4), which
-fixes a lobe by which three lobes in a row are below quad_tol, so the
-block ends there (T = 1 at r0 = 0.05, sigma = 0.5 evaluates 5 lobes, not
-16) with the same lobe counts and integrand calls.  The
-alternating lobe partial sums are accelerated with Wynn's epsilon
-algorithm over a window of the last 24 sums; summation runs lobe by lobe
-over each block and stops when the extrapolated value has settled below
-quad_tol (after at least 6 lobes) or when three consecutive lobes each
-contribute less than quad_tol, whichever comes first.  A T = 200 bond
-(r0 = 0.05, sigma = 0.5) then needs 14 lobes instead of 13,465, in one
-integrand call.  A non-finite y or s, or a non-finite integrand value,
-raises DomainError.  Everything here is stateless.
+erfc is used).  The amplitude is entire, so by Cauchy the integral of
+sin(f*sinh z)*q(z) along the real axis equals one up the imaginary axis
+to a height h and then along Im z = h, where e^(i*f*sinh z) decays like
+e^(-f*sin(h)*cosh x) instead of oscillating (numerical steepest descent
+in its simplest form; Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
+2006).  Each leg is one Gauss-Kronrod G15/K31 panel; one call to the
+amplitude, at 62 complex nodes, gives both legs their coarse and fine
+sums, and only a panel whose two sums disagree is bisected.  The cost no
+longer grows with T, and small s = sigma^2*T/2, where q falls from 2 to
+0 within a few sqrt(s), is resolved.  A non-finite y or s, or a
+non-finite integrand value, raises DomainError.  Everything here is
+stateless.
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_finite
-from .errors import DomainError, QuadratureNotConverged
+from .errors import DomainError
 from .model import _scaled
 from .ratefn import rate_R
 
@@ -128,81 +121,71 @@ _K31_WEIGHTS = np.array([
     0.06200956780067064, 0.05348152469092809, 0.04458975132476488, 0.03534636079137585,
     0.02546084732671532, 0.015007947329316122, 0.005377479872923349,
 ])
-# A panel's 31 nodes as fractions of its width from its low edge, and the
-# weights per unit width of its coarse (G15, on the 15 Gauss nodes) and fine
+# A panel's 31 nodes as fractions of its length from its start, and the
+# weights per unit length of its coarse (G15, on the 15 Gauss nodes) and fine
 # (K31, on all 31) sums
 _PANEL_OFFSETS = 0.5 + 0.5 * _K31_NODES
 _PANEL_WEIGHTS = np.zeros((31, 2))
 _PANEL_WEIGHTS[1::2, 0] = 0.5 * _GL_WEIGHTS
 _PANEL_WEIGHTS[:, 1] = 0.5 * _K31_WEIGHTS
 _MAX_DEPTH = 12
-# Wynn epsilon table over the lobe partial sums: how many sums it spans, and
-# how many lobes must be summed before its value may end the summation
-_WYNN_WINDOW = 24
-_WYNN_MIN_LOBES = 6
-# Lobes in the first block; each later block doubles.  A block costs about
-# 20 us per integrand call plus 1-1.5 us per lobe, so a first block of 16
-# covers every sum that stops by lobe 16 in one call for little more than a
-# short block costs.  The exact bond sizes its first block from its
-# amplitude's Gaussian tail bound instead (``_tail_block``), at most 16
-_FIRST_BLOCK = 16
-_MAX_LOBES = 100_000
 # Largest c = sqrt(s)/2 at which the exact bond's amplitude uses the
 # one-exponent form: erfcx(w - c) reaches about 2*e^(c^2), which overflows
 # past c = 26.6
 _ONE_EXP_C_MAX = 26.0
+# Longest horizontal leg: sinh and cosh stay finite below x = 710
+_X_MAX_CAP = 700.0
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
     """Value of a sine-sinh integral with how it was obtained.
 
-    ``summation`` is "extrapolated" when the Wynn epsilon estimate ended the
-    lobe sum and "raw" when three small lobes did; ``n_panels`` counts the
-    G15/K31 panels of the summed lobes and ``depth_cap_hits`` those
-    panels that reached the refinement cap unconverged (their value is used
-    as is); ``n_calls`` counts calls to the amplitude, one per block of
-    lobes plus one per refinement of a panel; ``n_lobes_evaluated`` counts
-    the lobes of every block evaluated, up to the end of the last one.
+    The contour runs up the imaginary axis to ``height``, then ``x_max``
+    along Im z = height.  ``n_panels`` counts its G15/K31 panels,
+    ``depth_cap_hits`` those that reached the refinement cap unconverged
+    (their value is used as is), ``n_calls`` the calls to the amplitude.
+    ``n_lobes`` equals ``n_panels``, for perfbench's per-lobe metrics.
     """
 
     value: float
     error_estimate: float
     n_lobes: int
-    summation: str
     n_panels: int
     depth_cap_hits: int
     n_calls: int
-    n_lobes_evaluated: int
+    height: float
+    x_max: float
 
 
-def _panel_sums(g: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
+def _panel_sums(F: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                 counts: list[int]) -> list[list[float]]:
-    """[coarse, fine] Gauss-Kronrod sums of g over each panel [lo, hi].
+    """[coarse, fine] sums of Im integral F(z) dz along each segment lo -> hi.
 
-    The coarse sum is the 15-point Gauss-Legendre rule, the fine sum its
-    31-point Kronrod extension, which reuses the 15 Gauss nodes.  One call
-    to g covers every panel (31 nodes each); counts[2] is incremented per
-    call.  Raises DomainError if any value of g is not finite.
+    The coarse sum is the 15-point Gauss-Legendre rule in t, z = lo +
+    (hi - lo)*t, the fine sum its 31-point Kronrod extension, which reuses
+    the 15 Gauss nodes.  One call to F covers every panel (31 nodes each);
+    counts[2] is incremented per call.  Raises DomainError if any value of
+    F is not finite.
     """
-    width = hi - lo
-    z = width[:, None] * _PANEL_OFFSETS
+    length = hi - lo
+    z = length[:, None] * _PANEL_OFFSETS
     z += lo[:, None]
-    v = g(z.ravel())
+    v = F(z.ravel())
     counts[2] += 1
     if not np.isfinite(v).all():
-        raise DomainError(f"the integrand is not finite on z in [{lo[0]:g}, {hi[-1]:g}]")
+        raise DomainError(f"the integrand is not finite between z = {lo[0]:g} and {hi[-1]:g}")
     sums = v.reshape(-1, 31) @ _PANEL_WEIGHTS
-    sums *= width[:, None]
-    return sums.tolist()
+    sums *= length[:, None]
+    return sums.imag.tolist()
 
 
-def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
             coarse: float, fine: float, tol: float, depth: int, counts: list[int]) -> float:
-    """Integral of g over the panel [lo, hi] from its coarse and fine sums.
+    """Im integral F(z) dz along the panel lo -> hi from its coarse and fine sums.
 
     The fine (K31) sum is kept when it agrees with the coarse (G15) one;
-    otherwise both halves get their G15/K31 pair from one call to g (62
+    otherwise both halves get their G15/K31 pair from one call to F (62
     nodes) and are refined in turn.  counts[0] is incremented per panel,
     counts[1] per panel that stops at the depth cap without agreement.
     """
@@ -213,123 +196,62 @@ def _refine(g: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
         counts[1] += 1
         return fine
     mid = 0.5 * (lo + hi)
-    left, right = _panel_sums(g, np.array([lo, mid]), np.array([mid, hi]), counts)
-    return (_refine(g, lo, mid, *left, 0.5 * tol, depth + 1, counts)
-            + _refine(g, mid, hi, *right, 0.5 * tol, depth + 1, counts))
+    left, right = _panel_sums(F, np.array([lo, mid]), np.array([mid, hi]), counts)
+    return (_refine(F, lo, mid, *left, 0.5 * tol, depth + 1, counts)
+            + _refine(F, mid, hi, *right, 0.5 * tol, depth + 1, counts))
 
 
-def sin_sinh_quadrature(
-    amplitude: Callable[[np.ndarray], np.ndarray],
-    freq: float,
-    tol: float = 1e-9,
-    max_lobes: int = _MAX_LOBES,
-) -> QuadratureResult:
-    """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz by signed lobes.
+def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
+                 h: float, x_max: float) -> QuadratureResult:
+    """integral_0^inf sin(freq*sinh z)*amplitude(z) dz on the legs 0 -> ih -> ih + x_max.
 
-    Lobe k spans [asinh(k*pi/freq), asinh((k+1)*pi/freq)], one half-period
-    of the sine.  Lobes are evaluated in blocks of 16, 32, 64, ... lobes,
-    the last clipped to ``max_lobes``.  One call to the amplitude, at 31
-    nodes per lobe, gives the coarse (G15) and fine (K31) Gauss-Kronrod sums
-    of every lobe of a block; only a lobe whose two sums disagree is
-    refined adaptively.  The lobe partial sums feed a Wynn epsilon table
-    (the highest even column of each diagonal is the extrapolated value);
-    its error estimate is the distance from the latest value to the two
-    before it.  Summation runs lobe by lobe over
-    each block and stops at whichever comes first:
+    With F(z) = e^(i*freq*sinh z)*amplitude(z) entire and the amplitude
+    real on the real axis, Cauchy moves Im integral_0^inf F(x) dx to
 
-    * extrapolated: at least ``_WYNN_MIN_LOBES`` lobes are summed and the
-      epsilon error estimate is below ``tol``;
-    * raw: three consecutive lobes each contribute less than ``tol`` in
-      magnitude; the alternating tail is then bounded by the last lobe.
+        Re integral_0^h F(it) dt + Im integral_0^x_max F(x + ih) dx,
 
-    ``amplitude`` must be elementwise on a 1-D array of z.  It may be
-    evaluated on lobes past the one where the sum stops, up to the end of
-    the current block (up to lobe 16 even when the sum stops at lobe 3),
-    and must be finite there too.  Nothing here knows the amplitude, so
-    the first block is always 16 lobes; ``bond_exact_zero_drift``, which
-    knows its amplitude's Gaussian tail, sizes its own first block to the
-    lobe where the sum must stop.
+    where |e^(i*freq*sinh z)| is e^(-freq*sin t) on the first leg and
+    e^(-freq*sin(h)*cosh x) on the second.  Each leg is one G15/K31 panel,
+    both from one call to F; a panel whose sums differ by more than tol/4
+    is bisected.  The caller's x_max leaves a tail below tol/8.
+    """
+    def F(z: np.ndarray) -> np.ndarray:
+        return np.exp(1j * freq * np.sinh(z)) * amplitude(z)
 
-    The reported error estimate is at least ``tol``.  Raises DomainError
-    for a non-finite or non-positive ``freq``, a non-positive ``tol``, or
-    as soon as one call gives a non-finite integrand value; raises
-    QuadratureNotConverged past ``max_lobes`` lobes (extreme
-    freq/amplitude combinations).
+    counts = [0, 0, 0]
+    ends = [0j, 1j * h, x_max + 1j * h]
+    (v0, v1), (h0, h1) = _panel_sums(F, np.array(ends[:2]), np.array(ends[1:]), counts)
+    value = (_refine(F, ends[0], ends[1], v0, v1, 0.25 * tol, 0, counts)
+             + _refine(F, ends[1], ends[2], h0, h1, 0.25 * tol, 0, counts))
+    return QuadratureResult(value, tol, counts[0], counts[0], counts[1], counts[2], h, x_max)
+
+
+def sin_sinh_quadrature(amplitude: Callable[[np.ndarray], np.ndarray], freq: float,
+                        tol: float = 1e-9) -> QuadratureResult:
+    """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz on a shifted contour.
+
+    ``amplitude`` must be elementwise on a 1-D complex array of z, real on
+    the real axis, and analytic with |amplitude(z)| <= 1 on the strip
+    0 <= Im z <= pi/2 (e^(-z) is such an amplitude).  The contour has
+    height pi/2, where |e^(i*freq*sinh z)| = e^(-freq*cosh(Re z)), so past
+    x_max = max(asinh(1/freq), acosh(log(8/tol)/freq)) the integrand is
+    below tol/8 and falls with a logarithmic slope of at least 1: its tail
+    is below tol/8 too (see ``_contour_sum``).  The reported error
+    estimate is ``tol``.  Raises DomainError for a non-finite or
+    non-positive ``freq``, a non-positive ``tol``, a freq so small that
+    x_max passes 700 (where sinh overflows), or a non-finite integrand
+    value.
     """
     if not (0.0 < freq < math.inf):
         raise DomainError(f"freq must be finite and > 0, got {freq}")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
-    return _lobe_sum(amplitude, freq, tol, max_lobes, _FIRST_BLOCK)
-
-
-def _lobe_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
-              max_lobes: int, first_block: int) -> QuadratureResult:
-    """The lobe loop of ``sin_sinh_quadrature`` for a checked freq and tol.
-
-    The first block holds ``first_block`` lobes (at most ``_FIRST_BLOCK``);
-    each later block doubles.
-    """
-    def g(z: np.ndarray) -> np.ndarray:
-        return np.sin(freq * np.sinh(z)) * amplitude(z)
-
-    inf = math.inf
-    panel_tol = 0.01 * tol
-    counts = [0, 0, 0]
-    total = 0.0
-    streak = 0
-    last = inf
-    # diag is the ascending diagonal of Wynn's epsilon table after the latest
-    # partial sum: entry j+1 is eps_{j-1} + 1/(new eps_j - old eps_j) of the
-    # diagonal before, with eps_-1 = 0.  A zero or non-finite difference (equal
-    # sums, or a column already converged to rounding) is never divided by:
-    # the diagonal ends at that column and regrows from the columns below it.
-    # It keeps at most _WYNN_WINDOW entries, so it spans that many sums
-    diag: list[float] = []
-    prev1: float | None = None  # the two previous extrapolated values
-    prev2: float | None = None
-    k0, size = 0, first_block
-    while k0 < max_lobes:
-        k1 = min(k0 + size, max_lobes)
-        edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
-        sums = _panel_sums(g, edges[:-1], edges[1:], counts)
-        edges = edges.tolist()
-        for i, (coarse, fine) in enumerate(sums):
-            d = fine - coarse
-            if -panel_tol <= d <= panel_tol or abs(d) <= 1e-13 * abs(fine):
-                counts[0] += 1
-                lobe = fine
-            else:
-                lobe = _refine(g, edges[i], edges[i + 1], coarse, fine, panel_tol, 0, counts)
-            total += lobe
-            last = abs(lobe)
-            streak = streak + 1 if last < tol else 0
-            n = k0 + i + 1
-            if streak >= 3:
-                return QuadratureResult(total, max(last, tol), n, "raw", *counts, k1)
-            new = [total]
-            eps, below = total, 0.0
-            for old in diag[:_WYNN_WINDOW - 1]:
-                d = eps - old
-                if d == 0.0 or not -inf < d < inf:
-                    break
-                eps = below + 1.0 / d
-                if not -inf < eps < inf:
-                    break
-                new.append(eps)
-                below = old
-            diag = new
-            est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
-            if est is not None and prev1 is not None and prev2 is not None:
-                err = abs(est - prev1) + abs(est - prev2)
-                if err < tol and n >= _WYNN_MIN_LOBES:
-                    return QuadratureResult(est, max(err, tol), n, "extrapolated", *counts, k1)
-            prev1, prev2 = est, prev1
-        k0, size = k1, 2 * size
-    raise QuadratureNotConverged(
-        f"lobe contributions still {last:g} > {tol:g} and the extrapolated sum "
-        f"unsettled after {max_lobes} lobes"
-    )
+    level = math.log(8.0) - math.log(tol)
+    x_max = max(math.asinh(1.0 / freq), math.acosh(max(1.0, level / freq)))
+    if x_max > _X_MAX_CAP:
+        raise DomainError(f"freq = {freq:g} is too small for tol = {tol:g}: the contour "
+                          f"would run to Re z = {x_max:g}, past {_X_MAX_CAP:g}")
+    return _contour_sum(amplitude, freq, tol, 0.5 * math.pi, x_max)
 
 
 def _validate_bond_args(r0: float, sigma: float, a: float, T: float) -> None:
@@ -366,7 +288,7 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
 
 
 def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """q(z) of ``bond_exact_zero_drift``, elementwise, for s = sigma^2*T/2.
+    """q(z) of ``bond_exact_zero_drift``, elementwise on real or complex z, for s = sigma^2*T/2.
 
     With w = z/sqrt(s) and c = sqrt(s)/2, e^(-z)*erfc(w - c) and
     e^z*erfc(w + c) share the factor e^(-(w^2 + c^2)), so
@@ -376,7 +298,7 @@ def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
     one exp and two erfcx per node.  erfcx(w - c) reaches about 2*e^(c^2),
     so past c = _ONE_EXP_C_MAX (s above 2,704) the two-term form
     e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c), whose first term
-    stays below 2*e^(-z), is used instead.
+    stays below 2*|e^(-z)|, is used instead.
     """
     from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
 
@@ -395,37 +317,50 @@ def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
     return amplitude
 
 
-def _tail_block(s: float, freq: float, tol: float) -> int:
-    """Lobes in the exact bond's first block: up to its raw stop, at most 16.
+def _exact_cutoff(s: float, freq: float, h: float, tol: float) -> float:
+    """Length of the exact bond's horizontal leg at height h: its tail is below tol/8.
 
-    With w - c = (z - s/2)/sqrt(s) >= 0 for z >= s/2, erfc(x) <= e^(-x^2)
-    bounds both terms of the amplitude there by e^(-z^2/s - s/4), so
+    |erfcx(zeta)| <= 1 on Re zeta >= 0 (the Faddeeva function at i*zeta),
+    so there |erfc(zeta)| <= |e^(-zeta^2)|, and elsewhere |erfc(zeta)| <=
+    2 + |e^(-zeta^2)|.  At z = x + ih, Re((w -+ c)^2) = (x/sqrt(s) -+ c)^2
+    - h^2/s, and both terms of q give
 
-        q(z) <= 2*e^(-z^2/s - s/4),  z >= s/2,
+        |q(x + ih)| <= 2*e^(-x) + 2*e^((h^2 - x^2)/s - s/4) <= 2*(1 + e^(h^2/s))*e^(-x),
+        |q(x + ih)| <= 2*e^((h^2 - x^2)/s - s/4)  past x = s/2.
 
-    which falls with z.  A lobe is at most pi/freq wide (asinh has slope
-    <= 1) and its G15/K31 sums, refined or not, have positive weights, so
-    a lobe whose low edge asinh(k*pi/freq) is at least
-
-        z_c = max(s/2, sqrt(s*(log(8*pi/(freq*tol)) - s/4)))
-
-    sums to less than tol/4 in magnitude.  Lobes k0, k0 + 1 and k0 + 2,
-    k0 = ceil(freq*sinh(z_c)/pi), are three such lobes in a row, so the raw
-    stop comes by lobe k0 + 3 at the latest.  A z_c above 20 gives 16.
+    Times |e^(i*freq*sinh z)| = e^(-f*cosh x), f = freq*sin(h), the last
+    two bounds fall with a logarithmic slope of at least 1 (2x/s >= 1 past
+    s/2), and the bound drops at s/2, so the integral past any x is below
+    the bound at x.  The leg ends where that bound first falls below tol/8:
+    Newton's method on its convex exponent, from a point past there, stays
+    past there.  It is at most 700, where the bound is at most 2*(1 + e^(h^2/s))*e^-700.
     """
-    # log(8*pi/freq) - log(tol): freq*tol may underflow, 8*pi/freq cannot overflow
-    # (freq = 2*sqrt(y) >= 2*sqrt(5e-324))
-    log_ratio = math.log(8.0 * math.pi / freq) - math.log(tol)
-    z_c = max(0.5 * s, math.sqrt(s * max(log_ratio - 0.25 * s, 0.0)))
-    if z_c > 20.0:
-        return _FIRST_BLOCK
-    return min(math.ceil(freq * math.sinh(z_c) / math.pi) + 3, _FIRST_BLOCK)
+    f, g, half = freq * math.sin(h), h * h / s, 0.5 * s
+    level = math.log(16.0) - math.log(tol)
+    # before s/2: x + f*cosh(x) >= level + log(1 + e^g)
+    a, q, lvl = 1.0, 0.0, level + g + math.log1p(math.exp(-g))
+    x = min(half, lvl)
+    f_cosh_half = f * math.cosh(min(half, _X_MAX_CAP))
+    if half + f_cosh_half < lvl:
+        # past s/2: f*cosh(x) + x^2/s >= level + g - s/4
+        a, q, lvl = 0.0, 1.0 / s, level + g - 0.25 * s
+        if f_cosh_half + half * half / s >= lvl:
+            return half
+        x = math.sqrt(s * lvl)
+    elif f >= lvl:
+        return 0.0
+    x = min(x, math.acosh(max(1.0, lvl / f)) if f > 0.0 else x, _X_MAX_CAP)
+    for _ in range(50):
+        step = (a * x + q * x * x + f * math.cosh(x) - lvl) / (a + 2.0 * q * x + f * math.sinh(x))
+        if not step > 1e-6 * x:
+            break
+        x -= step
+    return x
 
 
-def bond_exact_zero_drift(
-    r0: float, sigma: float, T: float, quad_tol: float = 1e-9
-) -> BondQuote:
-    """Exact zero-drift price by oscillatory quadrature.
+def bond_exact_zero_drift(r0: float, sigma: float, T: float,
+                          quad_tol: float = 1e-9) -> BondQuote:
+    """Exact zero-drift price by quadrature on a shifted contour.
 
     B = 1 - sqrt(y) * integral_0^inf sin(2*sqrt(y)*sinh z) * q(z) dz with
     y = 2*r0/sigma^2, s = sigma^2*T/2 and the stabilized amplitude
@@ -433,14 +368,13 @@ def bond_exact_zero_drift(
         q(z) = e^(-z)*erfc(w - c) + e^z*erfc(w + c),  w = z/sqrt(s), c = sqrt(s)/2,
 
     algebraically equal to 2*e^(-z) + e^z*Erfc((s+2z)/(2 sqrt s))
-    - e^(-z)*Erfc((s-2z)/(2 sqrt s)) but free of cancellation.  It is
-    evaluated as e^(-(w^2 + c^2)) * (erfcx(w - c) + erfcx(w + c)), one exp
-    and two erfcx per node, and for s above 2,704, where erfcx(w - c)
-    would overflow, as e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c)
-    (see ``_exact_amplitude``).  The first block of lobes ends where the
-    tail bound q(z) <= 2*e^(-z^2/s - s/4) forces the raw stop, at most 16
-    lobes (see ``_tail_block``).  The price's absolute error estimate is
-    sqrt(y) times the quadrature's, which is quad_tol, and
+    - e^(-z)*Erfc((s-2z)/(2 sqrt s)) but free of cancellation (see
+    ``_exact_amplitude``).  q is entire, so the integral runs up the
+    imaginary axis to h = atan(sqrt(y)*s), near the saddle of
+    e^(2i*sqrt(y)*sinh z - z^2/s), but at most 20/sqrt(y), then along
+    Im z = h up to x_max, where a bound on the integrand drops below
+    quad_tol/8 (see ``_contour_sum`` and ``_exact_cutoff``).  The price's
+    absolute error estimate is sqrt(y) times quad_tol, and
     ``yield_error_estimate`` = error_estimate/(T*price) bounds the yield's
     error to first order.  Raises DomainError when y or s is zero or not
     finite in floating point, or quad_tol is not > 0.
@@ -459,9 +393,11 @@ def bond_exact_zero_drift(
                 f"needs it finite and > 0"
             )
     sqrt_y = math.sqrt(y)
-    freq = 2.0 * sqrt_y
-    quad = _lobe_sum(_exact_amplitude(s), freq, quad_tol, _MAX_LOBES,
-                     _tail_block(s, freq, quad_tol))
+    # at most 20/sqrt(y): e^(-2*sqrt(y)*sin t) falls by at most e^-40 up the first
+    # leg, and q, growing like e^(h^2/s) there, stays below e^min(r0*T, 400/(r0*T))
+    h = min(math.atan(sqrt_y * s), 20.0 / sqrt_y)
+    x_max = _exact_cutoff(s, 2.0 * sqrt_y, h, quad_tol)
+    quad = _contour_sum(_exact_amplitude(s), 2.0 * sqrt_y, quad_tol, h, x_max)
     price = 1.0 - sqrt_y * quad.value
     err = sqrt_y * quad.error_estimate
     if price <= err:
@@ -475,15 +411,9 @@ def bond_exact_zero_drift(
         method=BondMethod.EXACT_QUADRATURE,
         yield_equiv=-math.log(price) / T,
         diagnostics={
-            "y": y,
-            "s": s,
-            "n_lobes": quad.n_lobes,
-            "error_estimate": err,
-            "summation": quad.summation,
-            "n_panels": quad.n_panels,
-            "depth_cap_hits": quad.depth_cap_hits,
-            "n_calls": quad.n_calls,
-            "n_lobes_evaluated": quad.n_lobes_evaluated,
+            "y": y, "s": s, "n_lobes": quad.n_lobes, "error_estimate": err,
+            "n_panels": quad.n_panels, "depth_cap_hits": quad.depth_cap_hits,
+            "n_calls": quad.n_calls, "height": quad.height, "x_max": quad.x_max,
             "yield_error_estimate": err / (T * price),
         },
     )

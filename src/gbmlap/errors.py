@@ -28,9 +28,5 @@ class BranchError(DomainError):
     """Parameters fall outside the requested closed-form branch."""
 
 
-class QuadratureNotConverged(GbmlapError, RuntimeError):
-    """Oscillatory quadrature exhausted its lobe budget before converging."""
-
-
 class ShootingFailed(GbmlapError, RuntimeError):
     """A variational oracle's collocation solve did not converge or is not resolved."""

@@ -302,27 +302,37 @@ def check_bessel_recurrence(quick: bool) -> tuple[bool, str]:
 
 
 def check_small_rate_limit(quick: bool) -> tuple[bool, str]:
+    def two_sided(r0: float, sigma: float, T: float) -> tuple[float, float, float]:
+        # (exact price, lower, upper): 1 - r0*m1 + r0^2*m2/2 less the Jensen bound on
+        # the third moment, m3 <= T^2*(e^(3*(a+sigma^2)*T)-1)/(3*(a+sigma^2))
+        # (E[e^(3*sigma*W_s + 3*(a-sigma^2/2)*s)] = e^(3*(a+sigma^2)*s)), a = 0 here
+        m1 = dothan.moment_m1(0.0, sigma, T)
+        m2 = dothan.moment_m2(0.0, sigma, T)
+        bound3 = T * T * math.expm1(3.0 * sigma * sigma * T) / (3.0 * sigma * sigma)
+        b_exact = dothan.bond_exact_zero_drift(r0, sigma, T, quad_tol=1e-11).price
+        upper = 1.0 - r0 * m1 + 0.5 * r0 * r0 * m2
+        return b_exact, upper - (r0 ** 3 / 6.0) * bound3, upper
+
     sigma, T = 0.2, 1.0
     m1 = dothan.moment_m1(0.0, sigma, T)
-    m2 = dothan.moment_m2(0.0, sigma, T)
-    half_m2 = 0.5 * m2
+    half_m2 = 0.5 * dothan.moment_m2(0.0, sigma, T)
     gaps = []
-    # Jensen bound on the third moment: m3 <= T^2*(e^(3*(a+sigma^2)*T)-1)/(3*(a+sigma^2))
-    # (E[e^(3*sigma*W_s + 3*(a-sigma^2/2)*s)] = e^(3*(a+sigma^2)*s)), a = 0 here
-    bound3 = T * T * math.expm1(3.0 * sigma * sigma * T) / (3.0 * sigma * sigma)
     for r0 in (0.02, 0.01, 0.005):
-        b_exact = dothan.bond_exact_zero_drift(r0, sigma, T, quad_tol=1e-11).price
-        ratio = (b_exact - 1.0 + r0 * m1) / (r0 * r0)
-        gaps.append(abs(ratio - half_m2))
-        upper = 1.0 - r0 * m1 + r0 * r0 * half_m2
-        lower = upper - (r0 ** 3 / 6.0) * bound3
+        b_exact, lower, upper = two_sided(r0, sigma, T)
+        gaps.append(abs((b_exact - 1.0 + r0 * m1) / (r0 * r0) - half_m2))
         if not (lower <= b_exact <= upper):
             return False, f"two-sided bound violated at r0={r0}"
     if not (gaps[0] > gaps[1] > gaps[2]):
         return False, f"limit ratio not approaching m2/2 monotonically: {gaps}"
     if gaps[-1] >= 1e-2 * half_m2:
         return False, f"final gap {gaps[-1]:.2e} >= 1% of m2/2"
-    return True, f"ratio -> m2/2 monotonically (gaps {gaps[0]:.2e} > {gaps[1]:.2e} > {gaps[2]:.2e})"
+    # s = sigma^2*T/2 = 5.7e-9: the exact amplitude falls from 2 to 0 within a few sqrt(s)
+    b_exact, lower, upper = two_sided(1.23e-5, 0.00121, 0.00785)
+    if not (lower <= b_exact <= upper):
+        return False, (f"two-sided bound violated at s = 5.7e-9: {b_exact!r} not in "
+                       f"[{lower!r}, {upper!r}]")
+    return True, (f"ratio -> m2/2 monotonically (gaps {gaps[0]:.2e} > {gaps[1]:.2e} > "
+                  f"{gaps[2]:.2e}); small-s price within its two-sided bound")
 
 
 def check_perpetual_limit(quick: bool) -> tuple[bool, str]:

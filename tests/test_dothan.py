@@ -5,24 +5,17 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
 from gbmlap import reference
 from gbmlap.dothan import (
-    _FIRST_BLOCK,
     _GL_NODES,
     _GL_WEIGHTS,
     _K31_NODES,
     _K31_WEIGHTS,
-    _MAX_LOBES,
-    _WYNN_MIN_LOBES,
-    _WYNN_WINDOW,
     BondMethod,
     _exact_amplitude,
-    _lobe_sum,
+    _exact_cutoff,
     _panel_sums,
-    _refine,
-    _tail_block,
     bond_asymptotic,
     bond_exact_zero_drift,
     bond_perpetual,
@@ -32,7 +25,7 @@ from gbmlap.dothan import (
     moment_m2,
     sin_sinh_quadrature,
 )
-from gbmlap.errors import DomainError, QuadratureNotConverged
+from gbmlap.errors import DomainError
 from gbmlap.specfun import bessel_k
 
 
@@ -60,10 +53,10 @@ def test_kronrod_table():
 
 def test_panel_sums_are_g15_and_k31():
     # coarse = G15 and fine = K31 on each panel, for a polynomial of degree 46
-    # that G15 integrates wrongly and K31 exactly
+    # that G15 integrates wrongly and K31 exactly; the sums are of Im F dz
     lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([1.0, 0.0, 0.25])
     counts = [0, 0, 0]
-    sums = _panel_sums(lambda z: z ** 46, lo, hi, counts)
+    sums = _panel_sums(lambda z: 1j * z ** 46, lo, hi, counts)
     assert counts == [0, 0, 1]
     for (coarse, fine), a, b in zip(sums, lo, hi):
         exact = (b ** 47 - a ** 47) / 47.0
@@ -130,63 +123,14 @@ def test_exact_quadrature_stabilized_tail():
         assert abs(math.sqrt(y) * (val - ref)) < 1e-8
 
 
-def test_quadrature_lobe_cap():
-    # five lobes is below the extrapolator's minimum, and raw summation of
-    # this tail needs far more
-    with pytest.raises(QuadratureNotConverged):
-        sin_sinh_quadrature(lambda z: np.exp(-z), 5.0, tol=1e-12, max_lobes=5)
-
-
-def _recording(amplitude):
-    seen = [0.0]
-
-    def rec(z):
-        seen[0] = max(seen[0], float(z.max()))
-        return amplitude(z)
-
-    return rec, seen
-
-
-def test_quadrature_lobe_cap_when_extrapolation_never_settles():
-    # lobes of the same size with random weights: the partial sums wander,
-    # no epsilon diagonal settles and the raw sum must still hit the cap;
-    # the last block of lobes is clipped to the cap, so no node lies past it
-    freq = 3.0
-    weights = np.random.default_rng(0).uniform(1.0, 2.0, 200)
-
-    def amplitude(z):
-        lobe = np.floor(freq * np.sinh(z) / math.pi).astype(int)
-        return np.cosh(z) * weights[lobe]
-
-    for max_lobes in (1, 5, 7, 13, 200):
-        rec, seen = _recording(amplitude)
-        with pytest.raises(QuadratureNotConverged):
-            sin_sinh_quadrature(rec, freq, tol=1e-9, max_lobes=max_lobes)
-        assert 0.0 < seen[0] <= math.asinh(max_lobes * math.pi / freq)
-
-
 def test_quadrature_extrapolated_bessel_identity():
-    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a), at a tolerance the
-    # raw lobe sum cannot reach within its lobe budget
+    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a) on the contour of height pi/2
     for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
         q = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-12)
         assert abs(q.value - (1.0 / a - bessel_k(1.0, a))) < 1e-11, (a, q)
-        assert q.summation == "extrapolated"
         assert q.depth_cap_hits == 0
-        assert q.n_panels >= q.n_lobes
-
-
-def test_quadrature_compact_support_returns_raw_sum():
-    # the partial sums stop changing past z = 1; the epsilon table meets
-    # zero differences and the raw sum ends the loop
-    def amplitude(z):
-        return (1.0 - np.minimum(z, 1.0)) ** 4
-
-    q = sin_sinh_quadrature(amplitude, 5.0, tol=1e-9)
-    assert q.summation == "raw"
-    ref, _ = integrate.quad(lambda z: math.sin(5.0 * math.sinh(z)) * (1.0 - z) ** 4,
-                            0.0, 1.0, epsabs=1e-13)
-    assert abs(q.value - ref) < 1e-9
+        assert q.n_panels == q.n_lobes >= 2
+        assert q.height == 0.5 * math.pi
 
 
 def test_quadrature_validation():
@@ -197,6 +141,9 @@ def test_quadrature_validation():
     for freq in (math.inf, math.nan, -1.0):
         with pytest.raises(DomainError, match="freq must be finite"):
             sin_sinh_quadrature(lambda z: np.exp(-z), freq)
+    # the horizontal leg would run past Re z = 700, where sinh overflows
+    with pytest.raises(DomainError, match="too small"):
+        sin_sinh_quadrature(lambda z: np.exp(-z), 1e-305)
 
 
 @pytest.mark.parametrize("amplitude", [
@@ -204,15 +151,17 @@ def test_quadrature_validation():
     lambda z: np.where(z > 2.0, np.inf, np.exp(-z)),
 ], ids=["nan", "inf-past-z2"])
 def test_quadrature_non_finite_integrand_raises(amplitude):
-    # refining a NaN lobe would recurse to the depth cap on every lobe
+    # refining a NaN panel would recurse to the depth cap
     with pytest.raises(DomainError, match="integrand is not finite"):
         sin_sinh_quadrature(amplitude, 1.0)
 
 
 # (r0, sigma, T, n_lobes, n_panels, depth_cap_hits, summation, price) for the
 # table-1 rows, the long rungs r0 = 0.05, sigma = 0.5 and two short rungs
-# whose first lobe is refined, frozen from the lobe-by-lobe quadrature that
-# block evaluation replaced
+# whose first lobe was refined, as the lobe-by-lobe quadrature that the
+# contour replaced reported them at quad_tol 1e-9.  The contour has no lobes;
+# the rows stay as the record of that path, whose prices are up to 8.7e-12
+# from the reference prices below
 _FROZEN_EXACT = [
     (0.1, 0.1, 1.0, 4, 4, 0, 'raw', 0.9048525304910453),
     (0.1, 0.2, 1.0, 4, 4, 0, 'raw', 0.9048982515770948),
@@ -245,172 +194,136 @@ _FROZEN_EXACT = [
 ]
 
 
+# the same bonds' prices from a 30-digit mpmath integral on a contour of height
+# 0.8*atan(sqrt(y)*s) (not the height the library uses), rounded to double; the
+# lobe loop at quad_tol 1e-13 met them to 1.7e-15
+_EXACT_REFERENCE = {
+    (0.1, 0.1, 1.0): 0.9048525304910453,
+    (0.1, 0.2, 1.0): 0.9048982515770948,
+    (0.1, 0.3, 1.0): 0.9049757454015469,
+    (0.1, 0.4, 1.0): 0.9050869943844971,
+    (0.1, 0.5, 1.0): 0.9052348588627421,
+    (0.1, 0.1, 5.0): 0.6077986305533827,
+    (0.1, 0.2, 5.0): 0.6116495114295365,
+    (0.1, 0.3, 5.0): 0.6181825829118556,
+    (0.1, 0.4, 5.0): 0.6274311320462808,
+    (0.1, 0.5, 5.0): 0.6392300524530344,
+    (0.1, 0.1, 10.0): 0.37396788752498444,
+    (0.1, 0.2, 10.0): 0.39164582585574675,
+    (0.1, 0.3, 10.0): 0.41891971551085144,
+    (0.1, 0.4, 10.0): 0.45270794109576185,
+    (0.1, 0.5, 10.0): 0.4899610176531198,
+    (0.05, 0.5, 50.0): 0.5077828781115374,
+    (0.05, 0.5, 55.0): 0.5052838325791744,
+    (0.05, 0.5, 60.0): 0.5034227740659044,
+    (0.05, 0.5, 65.0): 0.502021036789242,
+    (0.05, 0.5, 70.0): 0.5009550109305402,
+    (0.05, 0.5, 80.0): 0.49950605785830465,
+    (0.05, 0.5, 90.0): 0.49863144632736095,
+    (0.05, 0.5, 100.0): 0.4980920167973617,
+    (0.05, 0.5, 125.0): 0.49746124327630475,
+    (0.05, 0.5, 150.0): 0.49725000015991316,
+    (0.05, 0.5, 200.0): 0.49714791566979094,
+    (0.027, 0.75, 0.41): 0.9889959813063216,
+    (0.118, 0.23, 0.44): 0.9494147977784213,
+}
+
+
 @pytest.mark.parametrize("r0, sigma, T, n_lobes, n_panels, cap_hits, summation, price",
                          _FROZEN_EXACT)
 def test_exact_quadrature_frozen_diagnostics(r0, sigma, T, n_lobes, n_panels, cap_hits,
                                              summation, price):
+    ref = _EXACT_REFERENCE[(r0, sigma, T)]
+    assert abs(price - ref) <= 1e-11  # the lobe loop's frozen price
     q = bond_exact_zero_drift(r0, sigma, T)
-    d = q.diagnostics
-    assert (d["n_lobes"], d["n_panels"], d["depth_cap_hits"], d["summation"]) == (
-        n_lobes, n_panels, cap_hits, summation)
-    assert abs(q.price - price) <= 1e-14 * price
+    assert abs(q.price - ref) <= q.diagnostics["error_estimate"]
+    assert q.diagnostics["depth_cap_hits"] == cap_hits == 0
+    assert abs(bond_exact_zero_drift(r0, sigma, T, quad_tol=1e-11).price - ref) <= 1e-12
 
 
-@pytest.mark.parametrize("r0, sigma, T", [row[:3] for row in _FROZEN_EXACT if row[3] == row[4]])
+@pytest.mark.parametrize("r0, sigma, T", [row[:3] for row in _FROZEN_EXACT])
 def test_exact_quadrature_unrefined_sum_takes_one_call(r0, sigma, T):
-    # no lobe is refined and the sum stops inside the first block of 16
-    assert bond_exact_zero_drift(r0, sigma, T).diagnostics["n_calls"] == 1
-
-
-def _reference_wynn_diagonal(prev, s):
-    """Wynn diagonal update as a function (the lobe loop now inlines it)."""
-    new = [s]
-    for j in range(min(len(prev), _WYNN_WINDOW - 1)):
-        d = new[j] - prev[j]
-        if d == 0.0 or not math.isfinite(d):
-            break
-        e = (prev[j - 1] if j else 0.0) + 1.0 / d
-        if not math.isfinite(e):
-            break
-        new.append(e)
-    return new
-
-
-def _reference_quadrature(amplitude, freq, tol, max_lobes):
-    """The lobe loop before it inlined the agreement test and the Wynn update:
-    (value, n_lobes, n_panels, depth_cap_hits, summation).
-
-    It keeps the current block schedule: the BLAS product in ``_panel_sums``
-    may round a lobe's sums differently by one ulp when the lobe sits at
-    another row of a differently sized block, so only the same schedule
-    gives the same bits for every amplitude.
-    """
-    def g(z):
-        return np.sin(freq * np.sinh(z)) * amplitude(z)
-
-    counts = [0, 0, 0]
-    total, streak, last = 0.0, 0, math.inf
-    diag, prev1, prev2 = [], None, None
-    k0, size = 0, _FIRST_BLOCK
-    while k0 < max_lobes:
-        k1 = min(k0 + size, max_lobes)
-        edges = np.arcsinh(np.arange(k0, k1 + 1) * math.pi / freq)
-        sums = _panel_sums(g, edges[:-1], edges[1:], counts)
-        edges = edges.tolist()
-        for i in range(k1 - k0):
-            k = k0 + i
-            lobe = _refine(g, edges[i], edges[i + 1], *sums[i], 0.01 * tol, 0, counts)
-            total += lobe
-            last = abs(lobe)
-            streak = streak + 1 if last < tol else 0
-            if streak >= 3:
-                return total, k + 1, counts[0], counts[1], "raw"
-            diag = _reference_wynn_diagonal(diag, total)
-            est = diag[(len(diag) - 1) & ~1] if len(diag) >= 3 else None
-            if est is not None and prev1 is not None and prev2 is not None:
-                err = abs(est - prev1) + abs(est - prev2)
-                if err < tol and k + 1 >= _WYNN_MIN_LOBES:
-                    return est, k + 1, counts[0], counts[1], "extrapolated"
-            prev1, prev2 = est, prev1
-        k0, size = k1, 2 * size
-    return "not converged"
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    freq=st.floats(0.3, 10.0),
-    ratio=st.floats(0.05, 1.0),
-    noise=st.floats(0.0, 1.0),
-    kink=st.floats(0.0, 3.0),
-    tol_exp=st.integers(4, 13),
-    max_lobes=st.integers(1, 120),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_quadrature_matches_reference_lobe_loop(freq, ratio, noise, kink, tol_exp, max_lobes,
-                                                seed):
-    # lobe k contributes (-1)^k * 2*w_k/freq from the cosh(z) factor: w_k = ratio^k
-    # gives an alternating geometric sum, noise > 0 random weights; the kink at
-    # z = kink makes the lobe holding it refine
-    w = ratio ** np.arange(max_lobes + 1) * (
-        1.0 + noise * np.random.default_rng(seed).uniform(-1.0, 1.0, max_lobes + 1))
-
-    def amplitude(z):
-        k = np.minimum(np.floor(freq * np.sinh(z) / math.pi).astype(int), max_lobes)
-        return np.cosh(z) * w[k] * (1.0 + np.abs(z - kink))
-
-    tol = 10.0 ** -tol_exp
-    ref = _reference_quadrature(amplitude, freq, tol, max_lobes)
-    try:
-        q = sin_sinh_quadrature(amplitude, freq, tol=tol, max_lobes=max_lobes)
-    except QuadratureNotConverged:
-        assert ref == "not converged"
-        return
-    assert (q.value, q.n_lobes, q.n_panels, q.depth_cap_hits, q.summation) == ref
-
-
-def test_quadrature_raw_stop_inside_first_block():
-    # lobes 3 and 4 end the sum although the first block evaluates 16
-    rec, seen = _recording(lambda z: 1e-12 * np.exp(-z))
-    q = sin_sinh_quadrature(rec, 2.0, tol=1e-9)
-    assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 3, 3, 1)
-    assert seen[0] <= math.asinh(16 * math.pi / 2.0)
-    z1 = math.asinh(math.pi / 2.0)  # only the first lobe is nonzero
-    q = sin_sinh_quadrature(lambda z: (1.0 - np.minimum(z / z1, 1.0)) ** 4, 2.0, tol=1e-9)
-    assert (q.summation, q.n_lobes, q.n_panels, q.n_calls) == ("raw", 4, 4, 1)
-    assert abs(q.value - 0.09218727715968919) <= 1e-15
+    # neither leg's panel is refined: one call of 62 nodes
+    d = bond_exact_zero_drift(r0, sigma, T).diagnostics
+    assert (d["n_calls"], d["n_panels"], d["n_lobes"]) == (1, 2, 2)
 
 
 @settings(max_examples=300, deadline=None)
-@given(s=st.one_of(st.floats(1e-4, 2704.0), st.floats(2704.0, 4000.0)),
-       dz=st.floats(0.0, 1.0))
-def test_exact_amplitude_below_gaussian_tail_bound(s, dz):
-    # erfc(x) <= e^(-x^2) for x >= 0 bounds both forms of q past z = s/2
-    z = 0.5 * s + dz * (40.0 * math.sqrt(s) + 40.0)
-    q = float(_exact_amplitude(s)(np.array([z]))[0])
-    assert q <= 2.0 * math.exp(-z * z / s - 0.25 * s) * (1.0 + 1e-12)
+@given(s=st.one_of(st.floats(1e-9, 2704.0), st.floats(2704.0, 4000.0)),
+       h_frac=st.floats(0.0, 1.0), dx=st.floats(0.0, 1.0))
+def test_exact_amplitude_below_gaussian_tail_bound(s, h_frac, dx):
+    # the bound that ends the horizontal leg at height h (see _exact_cutoff):
+    # |q(x + ih)| <= 2*e^(-x) + 2*e^((h^2 - x^2)/s - s/4) before x = s/2 and
+    # 2*e^((h^2 - x^2)/s - s/4) past it, at h = 0 the real-axis Gaussian tail
+    # bound; h stays where e^(h^2/s) <= e^50 is finite.  Far out the computed q
+    # passes through subnormal floats, hence the absolute slack
+    h = h_frac * min(0.5 * math.pi, math.sqrt(50.0 * s))
+    x = dx * (s + 40.0 * math.sqrt(s) + 40.0)
+    q = abs(complex(_exact_amplitude(s)(np.array([complex(x, h)]))[0]))
+    bound = 2.0 * math.exp((h * h - x * x) / s - 0.25 * s)
+    if x < 0.5 * s:
+        bound += 2.0 * math.exp(-x)
+    assert q <= bound * (1.0 + 1e-12) + 1e-150
 
 
-def _ladder_rungs():
-    # exact_ladder's short rungs (r0, sigma, T) in [0.01, 0.2] x [0.1, 0.8] x
-    # [0.25, 10], the frozen rows, and a rung whose lobes are refined
-    u = np.random.default_rng(20261019).uniform(size=(60, 3))
-    short = [(0.01 + 0.19 * a, 0.1 + 0.7 * b, 0.25 + 9.75 * c) for a, b, c in u]
-    return short + [row[:3] for row in _FROZEN_EXACT] + [(0.001, 1e-4, 0.001)]
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(1e-9, 4000.0), freq=st.floats(1e-3, 50.0), h_frac=st.floats(0.0, 1.0),
+       tol_exp=st.integers(4, 15))
+def test_exact_cutoff_is_first_x_below_the_bound(s, freq, h_frac, tol_exp):
+    # x_max is where the integrand's bound first drops below tol/8 (within the
+    # Newton stop of 1e-6 relative)
+    h = h_frac * math.atan(0.5 * freq * s)
+    tol = 10.0 ** -tol_exp
 
+    def log_bound(x):
+        gauss = (h * h - x * x) / s - 0.25 * s
+        if x < 0.5 * s:
+            gauss = math.log1p(math.exp(h * h / s)) - x
+        return math.log(2.0) + gauss - freq * math.sin(h) * math.cosh(x)
 
-@pytest.mark.parametrize("quad_tol", [1e-9, 1e-11])
-def test_exact_tail_block_matches_a_first_block_of_16(quad_tol):
-    sized = 0
-    for r0, sigma, T in _ladder_rungs():
-        q = bond_exact_zero_drift(r0, sigma, T, quad_tol)
-        d = q.diagnostics
-        freq = 2.0 * math.sqrt(d["y"])
-        block = _tail_block(d["s"], freq, quad_tol)
-        ref = _lobe_sum(_exact_amplitude(d["s"]), freq, quad_tol, _MAX_LOBES, _FIRST_BLOCK)
-        # a BLAS product's rounding of a row may depend on the rows in the call,
-        # so the sums may differ in the last bits (1.5 ulp of 1 at most when
-        # every panel sum is moved by up to 2 ulp); the counts may not
-        assert abs(q.price - (1.0 - math.sqrt(d["y"]) * ref.value)) <= 8 * math.ulp(1.0)
-        assert (d["n_lobes"], d["n_panels"], d["summation"], d["depth_cap_hits"],
-                d["n_calls"]) == (ref.n_lobes, ref.n_panels, ref.summation,
-                                  ref.depth_cap_hits, ref.n_calls), (r0, sigma, T)
-        if block < _FIRST_BLOCK:
-            # the raw stop comes inside the sized block
-            assert d["n_lobes"] <= block == d["n_lobes_evaluated"]
-            sized += 1
-        else:
-            assert block == _FIRST_BLOCK
-            assert d["n_lobes_evaluated"] == ref.n_lobes_evaluated
-    assert sized >= 20
+    x_max = _exact_cutoff(s, freq, h, tol)
+    assert log_bound(x_max) <= math.log(tol / 8.0) + 1e-9
+    if x_max > 0.0:
+        assert log_bound(x_max * (1.0 - 1e-5)) > math.log(tol / 8.0)
 
 
 def test_exact_short_rung_evaluates_few_lobes():
+    # both legs, one panel each, in one call; n_lobes counts the panels
     d = bond_exact_zero_drift(0.05, 0.5, 1.0).diagnostics
-    assert (d["n_lobes"], d["n_calls"]) == (4, 1)
-    assert d["n_lobes_evaluated"] <= 8
-    # the public quadrature, which does not know the amplitude, evaluates 16
-    q = sin_sinh_quadrature(_exact_amplitude(d["s"]), 2.0 * math.sqrt(d["y"]))
-    assert (q.n_lobes, q.n_lobes_evaluated) == (4, _FIRST_BLOCK)
+    assert (d["n_lobes"], d["n_panels"], d["n_calls"], d["depth_cap_hits"]) == (2, 2, 1, 0)
+    assert 0.0 < d["height"] < 0.5 * math.pi and d["x_max"] > 0.0
+
+
+def _third_order_bound(r0, sigma, T):
+    """r0^3/6 times the Jensen bound on the third moment at a = 0: at most what the
+    small-rate price, an upper bound on the true one, omits."""
+    return r0 ** 3 / 6.0 * T * T * math.expm1(3.0 * sigma * sigma * T) / (3.0 * sigma * sigma)
+
+
+def _small_s_points(n):
+    """(r0, sigma, T) with s = sigma^2*T/2 in [1e-9, 1e-6], drawn log-uniformly from
+    r0 in [1e-6, 0.1], sigma in [1e-3, 0.1] and T in [1e-3, 1], where the third-order
+    bound is below a tenth of the exact price's error estimate at quad_tol 1e-9."""
+    rng = np.random.default_rng(8)
+    points = []
+    while len(points) < n:
+        r0, sigma, T = 10.0 ** rng.uniform((-6.0, -3.0, -3.0), (-1.0, -1.0, 0.0))
+        if (1e-9 <= 0.5 * sigma * sigma * T <= 1e-6
+                and _third_order_bound(r0, sigma, T) < 0.1e-9 * math.sqrt(2.0 * r0) / sigma):
+            points.append((r0, sigma, T))
+    return points
+
+
+@pytest.mark.parametrize("r0, sigma, T", [(1.23e-5, 0.00121, 0.00785)] + _small_s_points(40))
+def test_exact_quadrature_small_s_meets_small_rate(r0, sigma, T):
+    # below s = 1e-6 the amplitude falls from 2 to 0 within a few sqrt(s) of
+    # z = 0; the lobe loop's nodes missed it (it priced the first point at
+    # 0.9999999999999999, 1 - B wrong by 100%)
+    q = bond_exact_zero_drift(r0, sigma, T)
+    err = q.diagnostics["error_estimate"]
+    small = bond_small_rate(r0, sigma, 0.0, T).price
+    assert small - _third_order_bound(r0, sigma, T) - err <= q.price <= small + err
+    assert q.diagnostics["n_calls"] == 1
 
 
 def test_exact_yield_error_estimate():
@@ -445,19 +358,31 @@ def test_exact_quadrature_rejects_degenerate_scaling(r0, sigma, T, name):
 def test_exact_quadrature_long_maturity_extrapolated():
     q = bond_exact_zero_drift(0.05, 0.5, 200.0)
     assert q.diagnostics["n_lobes"] <= 64
-    assert q.diagnostics["summation"] == "extrapolated"
     assert q.diagnostics["depth_cap_hits"] == 0
     assert q.diagnostics["n_panels"] >= q.diagnostics["n_lobes"]
-    # one integrand call per block of lobes: the first block of 16 covers the 14
+    # both legs in one integrand call
     assert q.diagnostics["n_calls"] == 1 < q.diagnostics["n_lobes"]
     tight = bond_exact_zero_drift(0.05, 0.5, 200.0, quad_tol=1e-11)
     assert abs(tight.price - q.price) <= 1e-9
 
 
 def test_exact_price_below_quadrature_resolution():
-    # the true price is about e^-150, far below the absolute error estimate
-    with pytest.raises(DomainError, match="absolute resolution"):
-        bond_exact_zero_drift(5.0, 0.2, 30.0)
+    # the true price is about e^-150 or far less, below the absolute error
+    # estimate; at the last three, atan(sqrt(y)*s) would put the contour so high
+    # that e^(-2*sqrt(y)*sin t) falls between the first leg's nodes, or q(ih)
+    # overflows, and the price came out near 1
+    for r0, sigma, T in [(5.0, 0.2, 30.0), (50.0, 0.001, 30000.0), (1e6, 0.001, 1.0),
+                         (1.0, 1e-8, 30000.0)]:
+        with pytest.raises(DomainError, match="absolute resolution"):
+            bond_exact_zero_drift(r0, sigma, T)
+
+
+def test_exact_quadrature_height_capped_at_large_y():
+    # y = 2,500: atan(sqrt(y)*s) = 0.42 is above 20/sqrt(y) = 0.4; the price
+    # meets the lobe loop's at quad_tol 1e-13 within its error estimate
+    q = bond_exact_zero_drift(0.5, 0.02, 45.0, quad_tol=1e-13)
+    assert q.diagnostics["height"] == 0.4
+    assert abs(q.price - 6.338312097398102e-10) <= q.diagnostics["error_estimate"]
 
 
 def test_exact_price_in_unit_interval_and_decreasing():
