@@ -12,23 +12,25 @@ Five deterministic methods, each returning a BondQuote:
 * ``bond_perpetual``    - the T -> infinity limit (finite for a < sigma^2/2),
   an inverse-gamma Laplace transform in terms of Bessel K.
 
-The exact integrand is stabilized by absorbing the 2*e^(-z) tail of the
-amplitude (whose closed-form integral is 1/a - K_1(a)) and by writing both
-of its erfc terms through the scaled function erfcx behind one shared
-factor e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2: one exp and two
-erfcx per node, so the amplitude decays like exp(-z^2/s) with no overflow
-(past s = 2,704, where erfcx(w - c) would overflow, a two-term form with
-erfc is used).  The amplitude is entire, so by Cauchy the integral of
+The exact integrand is stabilized by writing both erfc terms of its
+amplitude q through the scaled function erfcx behind one shared factor
+e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2: one exp and two erfcx per
+node, so the amplitude decays like exp(-z^2/s) with no overflow (past
+s = 2,704, where erfcx(w - c) would overflow, a two-term form with erfc
+is used).  The amplitude is entire, so by Cauchy the integral of
 sin(f*sinh z)*q(z) along the real axis equals one up the imaginary axis
 to a height h and then along Im z = h, where e^(i*f*sinh z) decays like
 e^(-f*sin(h)*cosh x) instead of oscillating (numerical steepest descent
 in its simplest form; Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
-2006).  Each leg is one Gauss-Kronrod G15/K31 panel; one call to the
-amplitude, at 62 complex nodes, gives both legs their coarse and fine
-sums, and only a panel whose two sums disagree is bisected.  The cost no
-longer grows with T, and small s = sigma^2*T/2, where q falls from 2 to
-0 within a few sqrt(s), is resolved.  A non-finite y or s, or a
-non-finite integrand value, raises DomainError.  Everything here is
+2006).  The imaginary leg has a closed form: q(z) = 2*e^(-z) + g(z) with
+g(z) = e^z*erfc(w + c) - e^(-z)*erfc(c - w) odd and real on the real
+axis, so g(it) is imaginary, Re q(it) = 2*cos(t), and the leg gives
+2*(1 - e^(-f*sin h))/f.  The horizontal leg is one Gauss-Kronrod G15/K31
+panel: one call to the amplitude, at 31 complex nodes, gives its coarse
+and fine sums, and only a panel whose two sums disagree is bisected.
+The cost does not grow with T, and small s = sigma^2*T/2, where q falls
+from 2 to 0 within a few sqrt(s), is resolved.  A non-finite y or s, or
+a non-finite integrand value, raises DomainError.  Everything here is
 stateless.
 """
 
@@ -141,11 +143,12 @@ _X_MAX_CAP = 700.0
 class QuadratureResult:
     """Value of a sine-sinh integral with how it was obtained.
 
-    The contour runs up the imaginary axis to ``height``, then ``x_max``
-    along Im z = height.  ``n_panels`` counts its G15/K31 panels,
-    ``depth_cap_hits`` those that reached the refinement cap unconverged
-    (their value is used as is), ``n_calls`` the calls to the amplitude.
-    ``n_lobes`` equals ``n_panels``, for perfbench's per-lobe metrics.
+    The contour ends at x_max + i*height.  ``n_panels`` counts the G15/K31
+    panels that were integrated numerically (a leg taken in closed form
+    has none), ``depth_cap_hits`` those that reached the refinement cap
+    unconverged (their value is used as is), ``n_calls`` the calls to the
+    amplitude.  ``n_lobes`` equals ``n_panels``, for perfbench's per-lobe
+    metrics.
     """
 
     value: float
@@ -202,28 +205,31 @@ def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
 
 
 def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
-                 h: float, x_max: float) -> QuadratureResult:
-    """integral_0^inf sin(freq*sinh z)*amplitude(z) dz on the legs 0 -> ih -> ih + x_max.
+                 ends: list[complex]) -> QuadratureResult:
+    """Im integral F(z) dz, F = e^(i*freq*sinh z)*amplitude(z), along the polyline ``ends``.
 
-    With F(z) = e^(i*freq*sinh z)*amplitude(z) entire and the amplitude
-    real on the real axis, Cauchy moves Im integral_0^inf F(x) dx to
+    With F entire and the amplitude real on the real axis, Cauchy moves
+    Im integral_0^inf F(x) dx = integral_0^inf sin(freq*sinh x)*amplitude(x) dx
+    to the legs 0 -> ih -> ih + x_max:
 
         Re integral_0^h F(it) dt + Im integral_0^x_max F(x + ih) dx,
 
     where |e^(i*freq*sinh z)| is e^(-freq*sin t) on the first leg and
-    e^(-freq*sin(h)*cosh x) on the second.  Each leg is one G15/K31 panel,
-    both from one call to F; a panel whose sums differ by more than tol/4
-    is bisected.  The caller's x_max leaves a tail below tol/8.
+    e^(-freq*sin(h)*cosh x) on the second.  A caller passes those legs, or
+    only the ones it has no closed form for.  Each segment is one G15/K31
+    panel, all from one call to F; a panel whose sums differ by more than
+    tol/4 is bisected.  The caller's x_max leaves a tail below tol/8.
     """
     def F(z: np.ndarray) -> np.ndarray:
         return np.exp(1j * freq * np.sinh(z)) * amplitude(z)
 
     counts = [0, 0, 0]
-    ends = [0j, 1j * h, x_max + 1j * h]
-    (v0, v1), (h0, h1) = _panel_sums(F, np.array(ends[:2]), np.array(ends[1:]), counts)
-    value = (_refine(F, ends[0], ends[1], v0, v1, 0.25 * tol, 0, counts)
-             + _refine(F, ends[1], ends[2], h0, h1, 0.25 * tol, 0, counts))
-    return QuadratureResult(value, tol, counts[0], counts[0], counts[1], counts[2], h, x_max)
+    sums = _panel_sums(F, np.array(ends[:-1]), np.array(ends[1:]), counts)
+    value = sum(_refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
+                for lo, hi, (coarse, fine) in zip(ends, ends[1:], sums))
+    end = ends[-1]
+    return QuadratureResult(value, tol, counts[0], counts[0], counts[1], counts[2],
+                            end.imag, end.real)
 
 
 def sin_sinh_quadrature(amplitude: Callable[[np.ndarray], np.ndarray], freq: float,
@@ -251,7 +257,8 @@ def sin_sinh_quadrature(amplitude: Callable[[np.ndarray], np.ndarray], freq: flo
     if x_max > _X_MAX_CAP:
         raise DomainError(f"freq = {freq:g} is too small for tol = {tol:g}: the contour "
                           f"would run to Re z = {x_max:g}, past {_X_MAX_CAP:g}")
-    return _contour_sum(amplitude, freq, tol, 0.5 * math.pi, x_max)
+    h = 0.5 * math.pi
+    return _contour_sum(amplitude, freq, tol, [0j, 1j * h, x_max + 1j * h])
 
 
 def _validate_bond_args(r0: float, sigma: float, a: float, T: float) -> None:
@@ -287,6 +294,11 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     )
 
 
+def _amplitude_form(s: float) -> str:
+    """Which form ``_exact_amplitude`` takes at s: "one_exp", or "two_term" past s = 2,704."""
+    return "one_exp" if 0.5 * math.sqrt(s) <= _ONE_EXP_C_MAX else "two_term"
+
+
 def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
     """q(z) of ``bond_exact_zero_drift``, elementwise on real or complex z, for s = sigma^2*T/2.
 
@@ -305,7 +317,7 @@ def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
     sqrt_s = math.sqrt(s)
     c = 0.5 * sqrt_s
     c2 = c * c
-    if c <= _ONE_EXP_C_MAX:
+    if _amplitude_form(s) == "one_exp":
         def amplitude(z: np.ndarray) -> np.ndarray:
             w = z / sqrt_s
             return np.exp(-c2 - w * w) * (_sp.erfcx(w - c) + _sp.erfcx(w + c))
@@ -358,6 +370,11 @@ def _exact_cutoff(s: float, freq: float, h: float, tol: float) -> float:
     return x
 
 
+def _imaginary_leg(freq: float, h: float) -> float:
+    """Re integral_0^h e^(-freq*sin t)*q(it) dt, as Re q(it) = 2*cos(t) (module docstring)."""
+    return -2.0 * math.expm1(-freq * math.sin(h)) / freq
+
+
 def bond_exact_zero_drift(r0: float, sigma: float, T: float,
                           quad_tol: float = 1e-9) -> BondQuote:
     """Exact zero-drift price by quadrature on a shifted contour.
@@ -373,11 +390,16 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     imaginary axis to h = atan(sqrt(y)*s), near the saddle of
     e^(2i*sqrt(y)*sinh z - z^2/s), but at most 20/sqrt(y), then along
     Im z = h up to x_max, where a bound on the integrand drops below
-    quad_tol/8 (see ``_contour_sum`` and ``_exact_cutoff``).  The price's
-    absolute error estimate is sqrt(y) times quad_tol, and
-    ``yield_error_estimate`` = error_estimate/(T*price) bounds the yield's
-    error to first order.  Raises DomainError when y or s is zero or not
-    finite in floating point, or quad_tol is not > 0.
+    quad_tol/8 (see ``_contour_sum`` and ``_exact_cutoff``).  With
+    f = 2*sqrt(y), the first leg is exactly 2*(1 - e^(-f*sin h))/f (see
+    ``_imaginary_leg``); only the second is integrated numerically, and
+    the diagnostics count its panels and calls.
+    ``diagnostics["amplitude"]`` names the form of q used ("one_exp", or
+    "two_term" past s = 2,704).  The price's absolute error estimate is
+    sqrt(y) times quad_tol, and ``yield_error_estimate`` =
+    error_estimate/(T*price) bounds the yield's error to first order.
+    Raises DomainError when y or s is zero or not finite in floating
+    point, or quad_tol is not > 0.
     """
     _validate_bond_args(r0, sigma, 0.0, T)
     if r0 == 0.0:
@@ -393,12 +415,13 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
                 f"needs it finite and > 0"
             )
     sqrt_y = math.sqrt(y)
-    # at most 20/sqrt(y): e^(-2*sqrt(y)*sin t) falls by at most e^-40 up the first
-    # leg, and q, growing like e^(h^2/s) there, stays below e^min(r0*T, 400/(r0*T))
+    f = 2.0 * sqrt_y
+    # at most 20/sqrt(y): q grows like e^(h^2/s) up the imaginary axis, so at the
+    # start of the horizontal leg it is below e^min(r0*T, 400/(r0*T))
     h = min(math.atan(sqrt_y * s), 20.0 / sqrt_y)
-    x_max = _exact_cutoff(s, 2.0 * sqrt_y, h, quad_tol)
-    quad = _contour_sum(_exact_amplitude(s), 2.0 * sqrt_y, quad_tol, h, x_max)
-    price = 1.0 - sqrt_y * quad.value
+    x_max = _exact_cutoff(s, f, h, quad_tol)
+    quad = _contour_sum(_exact_amplitude(s), f, quad_tol, [1j * h, x_max + 1j * h])
+    price = 1.0 - sqrt_y * (_imaginary_leg(f, h) + quad.value)
     err = sqrt_y * quad.error_estimate
     if price <= err:
         raise DomainError(
@@ -411,7 +434,8 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
         method=BondMethod.EXACT_QUADRATURE,
         yield_equiv=-math.log(price) / T,
         diagnostics={
-            "y": y, "s": s, "n_lobes": quad.n_lobes, "error_estimate": err,
+            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": quad.n_lobes,
+            "error_estimate": err,
             "n_panels": quad.n_panels, "depth_cap_hits": quad.depth_cap_hits,
             "n_calls": quad.n_calls, "height": quad.height, "x_max": quad.x_max,
             "yield_error_estimate": err / (T * price),

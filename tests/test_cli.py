@@ -147,8 +147,8 @@ def test_bond_exact_diagnostics(capsys):
                         "--T", "1")
     assert code == 0
     d = json.loads(out)["diagnostics"]
-    assert set(d) == {"y", "s", "n_lobes", "error_estimate", "n_panels", "depth_cap_hits",
-                      "n_calls", "height", "x_max", "yield_error_estimate"}
+    assert set(d) == {"y", "s", "amplitude", "n_lobes", "error_estimate", "n_panels",
+                      "depth_cap_hits", "n_calls", "height", "x_max", "yield_error_estimate"}
 
 
 def test_bond_perpetual_without_T(capsys):

@@ -15,7 +15,9 @@ from gbmlap.dothan import (
     BondMethod,
     _exact_amplitude,
     _exact_cutoff,
+    _imaginary_leg,
     _panel_sums,
+    _refine,
     bond_asymptotic,
     bond_exact_zero_drift,
     bond_perpetual,
@@ -93,6 +95,73 @@ def test_exact_quadrature_past_the_amplitude_switch_is_perpetual():
     q = bond_exact_zero_drift(0.05, 0.5, 30000.0)
     assert q.diagnostics["s"] == 3750.0
     assert abs(q.price - bond_perpetual(0.05, 0.5, 0.0).price) <= 1e-9
+
+
+def test_exact_quadrature_reports_amplitude_form():
+    # s = 3,750 is past the switch at s = 2,704, s = 2,600 before it
+    assert bond_exact_zero_drift(0.05, 0.5, 30000.0).diagnostics["amplitude"] == "two_term"
+    q = bond_exact_zero_drift(0.05, 0.5, 20800.0)
+    assert (q.diagnostics["s"], q.diagnostics["amplitude"]) == (2600.0, "one_exp")
+
+
+def _imaginary_axis_rounding(s, t):
+    """Bound on |Re q(it) - 2*cos(t)| for the computed q at s = sigma^2*T/2.
+
+    With tau = t/sqrt(s) and c = sqrt(s)/2 the one-exponent form is
+    e^(tau^2 - c^2)*(erfcx(-c + i*tau) + erfcx(c + i*tau)), and
+    erfcx(-c + i*tau) = 2*e^((c - i*tau)^2) - erfcx(c - i*tau), so
+    q(it) = 2*e^(-it) + e^(tau^2 - c^2)*(erfcx(c + i*tau) - erfcx(c - i*tau))
+    with |erfcx| <= 1 on Re >= 0: terms of size at most 2 + E and E,
+    E = e^(tau^2 - c^2).  Each carries the rounding of an exponential whose
+    argument has size up to c^2 + tau^2, a few ulps of that size, so the
+    bound is 8u*(1 + c^2 + tau^2)*(2 + 2E) with u = 2^-53 (a sweep of over a
+    million (s, t) points met it with 2.5u in place of 8u).  The two-term
+    form's terms are at most 2 and E.
+    """
+    c2, tau2 = 0.25 * s, t * t / s
+    return 8.0 * 2.0 ** -53 * (1.0 + c2 + tau2) * (2.0 + 2.0 * math.exp(tau2 - c2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(s=st.one_of(st.floats(1e-9, 2704.0), st.floats(2704.0, 4000.0)),
+       t_frac=st.floats(0.0, 1.0))
+def test_exact_amplitude_real_part_on_imaginary_axis(s, t_frac):
+    # q(z) = 2*e^(-z) + g(z) with g odd and real on the real axis, so g(it) is
+    # imaginary and Re q(it) = 2*cos(t), the identity behind _imaginary_leg.
+    # t stays where e^(t^2/s - s/4) <= e^50 is finite; the bond's height keeps
+    # t^2/s below min(r0*T, 400/(r0*T)) <= 20
+    t = t_frac * min(0.5 * math.pi, math.sqrt(s * (50.0 + 0.25 * s)))
+    q = complex(_exact_amplitude(s)(np.array([1j * t]))[0])
+    assert abs(q.real - 2.0 * math.cos(t)) <= _imaginary_axis_rounding(s, t)
+
+
+def _leg_points(n):
+    """(y, s) drawn log-uniformly from y in [1e-8, 1e5] and s in [1e-9, 4000], after
+    three fixed points: the height at its 20/sqrt(y) cap, the cap with the two-term
+    amplitude, and the two-term amplitude of (r0, sigma, T) = (0.05, 0.5, 30000)."""
+    rng = np.random.default_rng(18)
+    draws = 10.0 ** rng.uniform((-8.0, -9.0), (5.0, math.log10(4000.0)), (n, 2))
+    return [(800.0, 0.0375), (1000.0, 3000.0), (0.4, 3750.0)] + [tuple(p) for p in draws]
+
+
+@pytest.mark.parametrize("y, s", _leg_points(60))
+def test_imaginary_leg_matches_numeric_leg(y, s):
+    # the closed-form first leg against the G15/K31 panel that integrated it,
+    # refined to tol 1e-14, at the bond's height h; they differ by at most that
+    # tol plus h times the rounding of Re q(it) (|e^(-f*sin t)| <= 1 on the leg)
+    f = 2.0 * math.sqrt(y)
+    h = min(math.atan(math.sqrt(y) * s), 20.0 / math.sqrt(y))
+    amplitude = _exact_amplitude(s)
+
+    def F(z):
+        return np.exp(1j * f * np.sinh(z)) * amplitude(z)
+
+    counts = [0, 0, 0]
+    (coarse, fine), = _panel_sums(F, np.array([0j]), np.array([1j * h]), counts)
+    numeric = _refine(F, 0j, 1j * h, coarse, fine, 1e-14, 0, counts)
+    assert counts[1] == 0
+    bound = 1e-14 + h * _imaginary_axis_rounding(s, h)
+    assert abs(_imaginary_leg(f, h) - numeric) <= bound
 
 
 def test_import_leaves_numpy_polynomial_unloaded():
@@ -243,9 +312,10 @@ def test_exact_quadrature_frozen_diagnostics(r0, sigma, T, n_lobes, n_panels, ca
 
 @pytest.mark.parametrize("r0, sigma, T", [row[:3] for row in _FROZEN_EXACT])
 def test_exact_quadrature_unrefined_sum_takes_one_call(r0, sigma, T):
-    # neither leg's panel is refined: one call of 62 nodes
+    # the horizontal leg's panel is not refined: one call of 31 nodes (the
+    # imaginary leg is in closed form)
     d = bond_exact_zero_drift(r0, sigma, T).diagnostics
-    assert (d["n_calls"], d["n_panels"], d["n_lobes"]) == (1, 2, 2)
+    assert (d["n_calls"], d["n_panels"], d["n_lobes"]) == (1, 1, 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -288,9 +358,9 @@ def test_exact_cutoff_is_first_x_below_the_bound(s, freq, h_frac, tol_exp):
 
 
 def test_exact_short_rung_evaluates_few_lobes():
-    # both legs, one panel each, in one call; n_lobes counts the panels
+    # the horizontal leg's one panel in one call; n_lobes counts the panels
     d = bond_exact_zero_drift(0.05, 0.5, 1.0).diagnostics
-    assert (d["n_lobes"], d["n_panels"], d["n_calls"], d["depth_cap_hits"]) == (2, 2, 1, 0)
+    assert (d["n_lobes"], d["n_panels"], d["n_calls"], d["depth_cap_hits"]) == (1, 1, 1, 0)
     assert 0.0 < d["height"] < 0.5 * math.pi and d["x_max"] > 0.0
 
 
@@ -360,8 +430,8 @@ def test_exact_quadrature_long_maturity_extrapolated():
     assert q.diagnostics["n_lobes"] <= 64
     assert q.diagnostics["depth_cap_hits"] == 0
     assert q.diagnostics["n_panels"] >= q.diagnostics["n_lobes"]
-    # both legs in one integrand call
-    assert q.diagnostics["n_calls"] == 1 < q.diagnostics["n_lobes"]
+    # the horizontal leg's one panel in one integrand call
+    assert q.diagnostics["n_calls"] == q.diagnostics["n_panels"] == 1
     tight = bond_exact_zero_drift(0.05, 0.5, 200.0, quad_tol=1e-11)
     assert abs(tight.price - q.price) <= 1e-9
 
