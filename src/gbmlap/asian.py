@@ -14,11 +14,11 @@ proxy's log-price exponent match the asymptotic one (the ATM limit is
 the classical sigma/sqrt(3)).
 
 Closed forms come in two branches joined continuously at x = 1 + zeta/2:
-hyperbolic (root delta >= 0) for x above, trigonometric (root xi in
-(0, pi/2)) below.  As for R, they are one root equation in
-u = delta^2 = -4*xi^2 and one value formula (``_ibs_solve_u``,
-``_ibs_value``), and the branch is the sign of the root u.  All functions
-are pure.
+hyperbolic (root delta >= 0) for x above, trigonometric (root xi > 0,
+past pi/2 only for x <= 2*zeta/pi^2) below.  As for R, they are one root
+equation in u = delta^2 = -4*xi^2 and one value formula
+(``_ibs_solve_u``, ``_ibs_value``), and the branch is the sign of the
+root u.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 
 from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
-from .ratefn import RateEval, _rate_eval, _root_result
+from .ratefn import RateEval, _rate_eval, _root_result, _xi_bound
 from .rootfind import RootResult, solve_newton
 from .specfun import norm_cdf
 
@@ -110,9 +110,11 @@ def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float,
     scale.  Hyperbolic side: the upper end of the bracket is found by
     quadrupling u from 1, its lower end is the last probe below the root
     (or 0), the solver reuses both probes' values, and the count includes
-    every probe.  Trigonometric side: [-pi^2, 0], xi in [0, pi/2], where
-    the left side is at most 0 < x wherever P <= 0.  Returns u, the
-    residual S*P - x, the evaluations, the final bracket and its factor 1.
+    every probe.  Trigonometric side: [-4*xi_b^2, 0], xi in [0, xi_b],
+    with xi_b = pi/2 where the left side there, 2*zeta/pi^2, is below x,
+    and else ``_xi_bound(zeta)``, where P <= 0 and the left side is at
+    most 0 < x.  Returns u, the residual S*P - x, the
+    evaluations, the final bracket and its factor 1.
     """
     a = 1.0 + 0.5 * zeta
     k = 1.0 / x
@@ -141,12 +143,13 @@ def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float,
         if f_lo is not None:
             known[lo] = f_lo
     else:
-        lo, hi = -math.pi * math.pi, 0.0
+        xi_b = 0.5 * math.pi if x * math.pi ** 2 > 2.0 * zeta else _xi_bound(zeta)
+        lo, hi = -4.0 * xi_b * xi_b, 0.0
     try:
         res = solve_newton(fdf, lo, hi, tol=1e-15)
     except NoSignChange:  # the probed hyperbolic bracket always changes sign
         raise NoRootInInterval(
-            f"x={x} is below the reachable range of the trigonometric branch for zeta={zeta}"
+            f"the trigonometric bracket's sign change is lost to rounding at x={x}, zeta={zeta}"
         ) from None
     return res.root, res.residual * x, calls, res.bracket, 1.0
 
@@ -165,13 +168,17 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
 
 
 def ibs_solve_xi(x: float, zeta: float) -> RootResult:
-    """Root xi in [0, pi/2] of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x.
+    """Root xi >= 0 of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x, below P's first zero.
 
     Requires 0 < x <= 1 + zeta/2.  Solved in the pole-free form
-    sinc(2*xi) + zeta*sinc(xi)^2/2 = x, for u = -4*xi^2 on xi in [0, pi/2]
-    (``_ibs_solve_u``); every root has a positive log argument in the
-    closed form.  At the pivot x = 1 + zeta/2 the root is 0; x below the
-    left side's infimum 2*zeta/pi^2 raises NoRootInInterval.
+    sinc(2*xi) + zeta*sinc(xi)^2/2 = x, for u = -4*xi^2 (``_ibs_solve_u``).
+    The left side falls from 1 + zeta/2 at xi = 0 to 0 at the first zero
+    of P = cos(xi) + zeta*sin(xi)/(2*xi), so every x in the domain has a
+    root xi in [0, that zero), with a positive log argument P in the closed
+    form: xi <= pi/2 for x > 2*zeta/pi^2 (the left side at pi/2), and past
+    pi/2 below that when zeta > 0.  At the pivot x = 1 + zeta/2 the root
+    is 0.  NoRootInInterval is raised where the bracket's sign change is
+    lost to rounding (x below about 1e-20).
     """
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
@@ -186,8 +193,8 @@ def _ibs_value(x: float, zeta: float, u: float) -> float:
 
     S and P as in ``_ibs_solve_u``.  Raises DomainError where P is not
     positive, where S*P misses x by more than 1e-8 relative (P is lost to
-    rounding: x near 0 with zeta near -2, or zeta << 0 on the hyperbolic
-    side), or where the value is not finite.
+    rounding: x near 0, where the root nears P's zero, or zeta << 0 on the
+    hyperbolic side), or where the value is not finite.
     """
     _, s, d = cosh_sinhc(0.25 * u)
     p = (1.0 + 0.5 * zeta) * s + 0.5 * u * d

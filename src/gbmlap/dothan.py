@@ -147,13 +147,11 @@ class QuadratureResult:
     panels that were integrated numerically (a leg taken in closed form
     has none), ``depth_cap_hits`` those that reached the refinement cap
     unconverged (their value is used as is), ``n_calls`` the calls to the
-    amplitude.  ``n_lobes`` equals ``n_panels``, for perfbench's per-lobe
-    metrics.
+    amplitude.
     """
 
     value: float
     error_estimate: float
-    n_lobes: int
     n_panels: int
     depth_cap_hits: int
     n_calls: int
@@ -228,7 +226,7 @@ def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol
     value = sum(_refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
                 for lo, hi, (coarse, fine) in zip(ends, ends[1:], sums))
     end = ends[-1]
-    return QuadratureResult(value, tol, counts[0], counts[0], counts[1], counts[2],
+    return QuadratureResult(value, tol, counts[0], counts[1], counts[2],
                             end.imag, end.real)
 
 
@@ -434,7 +432,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
         method=BondMethod.EXACT_QUADRATURE,
         yield_equiv=-math.log(price) / T,
         diagnostics={
-            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": quad.n_lobes,
+            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": quad.n_panels,
             "error_estimate": err,
             "n_panels": quad.n_panels, "depth_cap_hits": quad.depth_cap_hits,
             "n_calls": quad.n_calls, "height": quad.height, "x_max": quad.x_max,

@@ -94,6 +94,15 @@ def _rate_eval(value: float, u: float, residual: float, evals: int) -> RateEval:
     return RateEval(value, Branch.BOUNDARY, 0.0, residual, evals)
 
 
+def _xi_bound(zeta: float) -> float:
+    """A bound above the first zero of P = cos(xi) + zeta*sin(xi)/(2*xi) on xi > 0.
+
+    P > 0 below that zero, and P < 0 from it up to xi = pi; the bound is
+    the least of pi/2 + atan(zeta/pi) and pi*sqrt(1 + zeta/2).
+    """
+    return min(0.5 * math.pi + math.atan(zeta / math.pi), math.pi * math.sqrt(1.0 + 0.5 * zeta))
+
+
 def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int, tuple, float]:
     """Root u = delta^2 = -4*xi^2 of sqrt(zeta^2 - u) = 2*b*P on one side of the locus.
 
@@ -102,13 +111,13 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     equation is analytic in u across the locus, where u = 0 is a simple
     root.  Hyperbolic side: squared, zeta^2 - u = 4*b^2*P^2 on [0, zeta^2],
     as small b puts the root at u = zeta^2.  Trigonometric side: P falls
-    from 1 + zeta/2 at u = 0 to a first zero below pi/2 + atan(zeta/pi) and
-    pi*sqrt(1 + zeta/2), and stays negative up to xi = pi, so a root has
-    2*b*P <= b*(2 + zeta) and xi below sqrt((b*(2 + zeta))^2 - zeta^2)/2;
-    the least of these bounds is xi_max.  Each side is solved for w in
-    [-1, 1], u/zeta^2 or u/(4*xi_max^2), with a unit right side, so the
-    solver's tolerances are relative.  Returns u, the relative residual
-    1 - 4*b^2*P^2/(zeta^2 - u), the evaluations, the final w bracket and u/w.
+    from 1 + zeta/2 at u = 0 to a first zero below ``_xi_bound`` and stays
+    negative up to xi = pi, so a root has 2*b*P <= b*(2 + zeta) and xi
+    below sqrt((b*(2 + zeta))^2 - zeta^2)/2; the least of these bounds is
+    xi_max.  Each side is solved for w in [-1, 1], u/zeta^2 or
+    u/(4*xi_max^2), with a unit right side, so the solver's tolerances are
+    relative.  Returns u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u),
+    the evaluations, the final w bracket and u/w.
     """
     z2 = zeta * zeta
     a = 1.0 + 0.5 * zeta
@@ -125,8 +134,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
             return 1.0 - w - q * p * p, -1.0 - b2 * p * (s + zeta * d)
     else:
         az = abs(zeta)
-        xi_max = min(0.5 * math.sqrt((reach - az) * (reach + az)),
-                     0.5 * math.pi + math.atan(zeta / math.pi), math.pi * math.sqrt(a))
+        xi_max = min(0.5 * math.sqrt((reach - az) * (reach + az)), _xi_bound(zeta))
         scale, lo, hi = xi_max * xi_max, -1.0, 0.0
         k, m = 1.0 / reach, 2.0 / a
         h1, h2 = 2.0 * scale * k, 0.25 * scale * m

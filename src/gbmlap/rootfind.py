@@ -1,28 +1,26 @@
 """Bracketed scalar root solving.
 
-Two solvers share one contract: the same argument checks, an endpoint
-with |f| <= tol returned as the root after the two endpoint evaluations,
-``NoSignChange`` and ``MaxIterations``, the width rule tol*max(1, |x|),
-and ``iterations`` counting calls of the function.
+One algorithm, the safeguarded Newton method ``rtsafe`` (Press et al.,
+*Numerical Recipes*, 3rd ed., section 9.4), behind two entry points:
 
 * ``solve_newton`` backs the closed-form roots and the convergence-radius
   constant, whose equations have cheap analytic slopes.  One evaluation
-  is one call returning the value and the slope.  It is the safeguarded
-  Newton method ``rtsafe`` (Press et al., *Numerical Recipes*, 3rd ed.,
-  section 9.4): a Newton step is taken only when it lands inside the
-  sign-change interval and at least halves the step before last, and
-  bisection is taken otherwise, so a wrong slope can slow a solve but
-  never lead it out of the bracket.
+  is one call returning the value and the slope.
 * ``solve_bracketed`` is for callers' equations with no slope; no library
-  module calls it.  It is Brent's method (Brent, *Algorithms for
-  Minimization without Derivatives*, 1973, the ``zeroin`` procedure).
-  Each step tries inverse quadratic interpolation through the last three
-  iterates, or a secant step when only two are distinct; a step that
-  leaves the inner three quarters of the bracket, or that does not at
-  least halve the step taken two iterations earlier, is replaced by
-  bisection.
+  module calls it.  It hands ``solve_newton`` the chord slope through the
+  last two points evaluated (0 at the first point, which makes it bisect),
+  so its Newton steps are secant steps under the same safeguards:
+  Dekker's safeguarded secant method (Dekker, "Finding a zero by means of
+  successive linear interpolation", 1969).
 
-Both keep the sign-change interval at every iteration and converge
+A Newton step is taken only when it lands inside the sign-change interval
+and at least halves the step before last, and bisection is taken
+otherwise, so a wrong slope can slow a solve but never lead it out of the
+bracket.  Both entry points share one contract: the same argument checks,
+an endpoint with |f| <= tol returned as the root after the two endpoint
+evaluations, ``NoSignChange`` and ``MaxIterations``, the width rule
+tol*max(1, |x|), and ``iterations`` counting calls of the function.  They
+keep the sign-change interval at every iteration and converge
 superlinearly on smooth simple roots.  Stateless and safe for concurrent
 use.
 """
@@ -52,35 +50,6 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-def _start(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> RootResult | tuple[float, float]:
-    """Shared prologue: check the arguments and evaluate both ends.
-
-    Returns the endpoint root (``lo`` first) if an end has |f| <= tol, else
-    the two endpoint values.  Raises DomainError on a bad tol or bracket and
-    NoSignChange when the ends have the same sign.
-    """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
-        raise DomainError(f"invalid bracket [{lo}, {hi}]")
-    fa, fb = f(lo), f(hi)
-    if abs(fa) <= tol:
-        return RootResult(lo, fa, 2, (lo, hi))
-    if abs(fb) <= tol:
-        return RootResult(hi, fb, 2, (lo, hi))
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChange(f"f({lo})={fa:g} and f({hi})={fb:g} have the same sign")
-    return fa, fb
-
-
-def _max_iterations(max_iter: int, a: float, b: float, fx: float) -> MaxIterations:
-    return MaxIterations(
-        f"no convergence in {max_iter} evaluations; bracket [{min(a, b)}, {max(a, b)}], f={fx:g}"
-    )
-
-
 def solve_bracketed(
     f: Callable[[float], float],
     lo: float,
@@ -88,65 +57,27 @@ def solve_bracketed(
     tol: float = 1e-14,
     max_iter: int = 200,
 ) -> RootResult:
-    """Find a root of ``f`` on ``[lo, hi]`` by Brent's method.
+    """Find a root of ``f`` on ``[lo, hi]`` by safeguarded secant steps.
 
-    Terminates when |f(x)| <= tol, at an endpoint too (``lo`` first), or
-    when the bracket width falls below tol*max(1, |x|); no step is shorter
-    than half that width.  ``iterations`` counts evaluations of ``f``.
+    ``solve_newton`` with the chord slope through the last two points
+    evaluated in place of f', so the same stopping rules and contract: an
+    endpoint with |f| <= tol is the root (``lo`` first), and otherwise the
+    solve ends when |f(x)| <= tol or the bracket is narrower than
+    tol*max(1, |x|).  ``iterations`` counts evaluations of ``f``.
 
     Raises:
         NoSignChange: neither endpoint is a root and both have the same sign.
         MaxIterations: no convergence within ``max_iter`` evaluations.
     """
-    start = _start(f, lo, hi, tol)
-    if isinstance(start, RootResult):
-        return start
-    a, b = lo, hi
-    fa, fb = start
-    evals = 2
+    last = []  # the last point evaluated and its value
 
-    # b is the best iterate, c the other end of the sign-change interval and
-    # a the previous b; d is the last step and e the one before it
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        half_tol = 0.5 * tol * max(1.0, abs(b))
-        m = 0.5 * (c - b)
-        if abs(fb) <= tol or abs(m) <= half_tol:
-            return RootResult(b, fb, evals, (b, c) if b <= c else (c, b))
-        if evals >= max_iter:
-            raise _max_iterations(max_iter, b, c, fb)
+    def fdf(x: float) -> tuple[float, float]:
+        fx = f(x)
+        slope = (fx - last[1]) / (x - last[0]) if last and x != last[0] else 0.0
+        last[:] = x, fx
+        return fx, slope
 
-        if abs(e) < half_tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:  # secant
-                p = 2.0 * m * s
-                q = 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(half_tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-
-        a, fa = b, fb
-        b += d if abs(d) > half_tol else math.copysign(half_tol, m)
-        fb = f(b)
-        evals += 1
+    return solve_newton(fdf, lo, hi, tol, max_iter)
 
 
 def solve_newton(
@@ -158,24 +89,33 @@ def solve_newton(
 ) -> RootResult:
     """Find a root of f on ``[lo, hi]`` by Newton steps kept inside the bracket.
 
-    ``fdf(x)`` returns ``(f(x), f'(x))``.  The first iterate is the secant
-    point of the two endpoint values.  After each evaluation the solve
-    ends when |f(x)| <= tol, or when the sign-change interval is narrower
-    than tol*max(1, |x|), returning the last point evaluated.  It also
-    ends there when a Newton step is shorter than half that width and the
-    Newton step before it was at least twice as long, so an overstated
-    slope cannot stop it early; otherwise a short step is lengthened to
-    half the width.  ``iterations`` counts calls of ``fdf``.
+    ``fdf(x)`` returns ``(f(x), f'(x))``.  Both ends are evaluated first
+    (``lo`` first), and an end with |f| <= tol is the root.  The first
+    iterate is the secant point of the two endpoint values.  After each
+    evaluation the solve ends when |f(x)| <= tol, or when the sign-change
+    interval is narrower than tol*max(1, |x|), returning the last point
+    evaluated.  It also ends there when a Newton step is shorter than half
+    that width and the Newton step before it was at least twice as long,
+    so an overstated slope cannot stop it early; otherwise a short step is
+    lengthened to half the width.  ``iterations`` counts calls of ``fdf``.
 
     Raises:
+        DomainError: tol is not positive, or the bracket is not finite and ordered.
         NoSignChange: neither endpoint is a root and both have the same sign.
         MaxIterations: no convergence within ``max_iter`` evaluations.
     """
-    start = _start(lambda x: fdf(x)[0], lo, hi, tol)
-    if isinstance(start, RootResult):
-        return start
-    fa, fb = start
+    if not (tol > 0.0):
+        raise DomainError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
+        raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    fa, fb = fdf(lo)[0], fdf(hi)[0]
     evals = 2
+    if abs(fa) <= tol:
+        return RootResult(lo, fa, evals, (lo, hi))
+    if abs(fb) <= tol:
+        return RootResult(hi, fb, evals, (lo, hi))
+    if (fa > 0.0) == (fb > 0.0):
+        raise NoSignChange(f"f({lo})={fa:g} and f({hi})={fb:g} have the same sign")
     x, fx = (lo, fa) if abs(fa) < abs(fb) else (hi, fb)
     if hi - lo <= tol * max(1.0, abs(x)):
         return RootResult(x, fx, evals, (lo, hi))
@@ -192,7 +132,8 @@ def solve_newton(
     newton = False
     while True:
         if evals >= max_iter:
-            raise _max_iterations(max_iter, neg, pos, fx)
+            raise MaxIterations(f"no convergence in {max_iter} evaluations; bracket "
+                                f"[{min(neg, pos)}, {max(neg, pos)}], f={fx:g}")
         fx, dfx = fdf(x)
         evals += 1
         # x is now one end of the interval, and gap leads from it to the other

@@ -84,24 +84,47 @@ def test_ibs_xi_boundary_and_oracle():
     t = res.root
     lhs = math.sin(2.0 * t) / (2.0 * t) * (1.0 + 0.1 * math.tan(t) / t)
     assert abs(lhs - 0.9) <= 1e-12
-    # x below the reachable infimum 2*zeta/pi^2
+    # x below the left side's value 2*zeta/pi^2 at pi/2: the root is past pi/2,
+    # still below P's first zero
+    res = ibs_solve_xi(0.1, 1.0)
+    assert abs(res.root - 1.69349829785) < 1e-10 and res.root > 0.5 * math.pi
+    # at x = 1e-21 the bracket's end value S*P/x - 1 is lost to rounding
     with pytest.raises(NoRootInInterval):
-        ibs_solve_xi(0.1, 1.0)
+        ibs_solve_xi(1e-21, 1e-21)
     with pytest.raises(BranchError):
         ibs_solve_xi(2.0, 0.0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(zeta=st.floats(-1.99, 3.0), v=st.floats(1e-6, 1.0 - 1e-6))
-def test_ibs_xi_root_below_sine_zero(zeta, v):
-    # x across the trigonometric branch's reachable range (2*zeta/pi^2, 1 + zeta/2)
+@given(zeta=st.floats(-1.99, 3.0), v=st.floats(1e-6, 1.0 - 1e-6), below=st.booleans())
+def test_ibs_xi_root_below_sine_zero(zeta, v, below):
+    # x across (2*zeta/pi^2, 1 + zeta/2), where the root is at most pi/2, or,
+    # for zeta >= 0.01, across (0, 2*zeta/pi^2], where it is past pi/2
     lo = max(0.0, 2.0 * zeta / math.pi ** 2)
-    x = lo + (1.0 + 0.5 * zeta - lo) * v
+    if below and zeta >= 0.01:
+        x = lo * v
+    else:
+        x = lo + (1.0 + 0.5 * zeta - lo) * v
     res = ibs_solve_xi(x, zeta)
     t = res.root
-    assert 0.0 < t <= 0.5 * math.pi
+    assert 0.0 < t <= 0.5 * math.pi or (x <= lo and t < math.pi)
     assert 2.0 * t * math.cos(t) + zeta * math.sin(t) > 0.0
     assert abs(res.residual) <= 1e-12
+
+
+@pytest.mark.parametrize("x, zeta, value", [
+    (0.1, 1.0, 19.7183002126), (0.1, 5.0, 43.7118377724), (0.5, 5.0, 15.8607500092),
+    (3.0, 20.0, 147.809323872), (0.1, 20.0, 254.606670473),
+])
+def test_rate_ibs_root_past_half_pi(x, zeta, value):
+    # x <= 2*zeta/pi^2 puts the root past pi/2; the closed form meets the
+    # collocation oracle and its frozen value
+    from gbmlap.oracles import ibs_variational
+
+    ev = rate_ibs(x, zeta)
+    assert ev.branch is Branch.TRIGONOMETRIC and ev.root > 0.5 * math.pi
+    assert abs(ev.value - ibs_variational(x, zeta).value) <= 1e-9 * value
+    assert abs(ev.value - value) <= 1e-9 * value
 
 
 def test_rate_ibs_zero_locus():

@@ -198,7 +198,7 @@ def test_quadrature_extrapolated_bessel_identity():
         q = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-12)
         assert abs(q.value - (1.0 / a - bessel_k(1.0, a))) < 1e-11, (a, q)
         assert q.depth_cap_hits == 0
-        assert q.n_panels == q.n_lobes >= 2
+        assert q.n_panels >= 2
         assert q.height == 0.5 * math.pi
 
 

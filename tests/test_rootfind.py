@@ -8,7 +8,7 @@ from gbmlap.errors import MaxIterations, NoSignChange
 from gbmlap.rootfind import solve_bracketed, solve_newton
 
 
-def _brent(f, df, *args, **kw):
+def _secant(f, df, *args, **kw):
     return solve_bracketed(f, *args, **kw)
 
 
@@ -16,8 +16,9 @@ def _newton(f, df, *args, **kw):
     return solve_newton(lambda x: (f(x), df(x)), *args, **kw)
 
 
-# both solvers, called as solve(f, f', lo, hi, ...); Brent ignores the slope
-SOLVERS = (_brent, _newton)
+# both entry points, called as solve(f, f', lo, hi, ...); the secant one
+# ignores the slope
+SOLVERS = (_secant, _newton)
 
 
 def test_quadratic_exact_root():
@@ -44,11 +45,51 @@ def test_transcendental_residual():
 
 def test_superlinear_convergence():
     # bisection alone needs about 50 evaluations to reach 1e-15 on [0, pi/2]
-    for solve, most in ((_brent, 10), (_newton, 7)):
+    for solve, most in ((_secant, 10), (_newton, 7)):
         res = solve(lambda x: x - math.cos(x), lambda x: 1.0 + math.sin(x), 0.0, math.pi / 2,
                     tol=1e-15)
         assert abs(res.root - 0.7390851332151607) < 1e-15
         assert res.iterations <= most
+
+
+def _bisect(f, lo, hi, n=200):
+    # independent plain bisection on the sign of f, the reference for the roots
+    flo = f(lo)
+    for _ in range(n):
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == (flo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# (f, lo, hi, simple root): multiple and flat roots, steep and curved equations
+BATTERY = {
+    "x^3": (lambda x: x ** 3, -1.0, 2.0, False),
+    "x^9": (lambda x: x ** 9, -1.0, 2.0, False),
+    "expm1(20x)": (lambda x: math.expm1(20.0 * x), -1.0, 2.0, True),
+    "atan(x-1)": (lambda x: math.atan(x - 1.0), -5.0, 20.0, True),
+    "tanh(1e3(x-0.1))": (lambda x: math.tanh(1e3 * (x - 0.1)), -1.0, 1.0, True),
+    "log": (math.log, 0.01, 50.0, True),
+    "sqrt-1/2": (lambda x: math.sqrt(x) - 0.5, 0.0, 4.0, True),
+    "x-cos(x)": (lambda x: x - math.cos(x), 0.0, math.pi / 2, True),
+    "exp(-x)-x": (lambda x: math.exp(-x) - x, -1.0, 3.0, True),
+    "1/x-3": (lambda x: 1.0 / x - 3.0, 0.05, 10.0, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATTERY))
+def test_secant_battery(name):
+    # the bisection root lies in the final sign-change interval, and a simple
+    # root meets it to 1e-12; a multiple root stops by its residual first
+    f, lo, hi, simple = BATTERY[name]
+    res = solve_bracketed(f, lo, hi, tol=1e-15)
+    ref = _bisect(f, lo, hi)
+    assert res.bracket[0] - 1e-12 <= ref <= res.bracket[1] + 1e-12
+    if simple:
+        assert abs(res.root - ref) <= 1e-12 * max(1.0, abs(ref))
+    assert res.iterations <= 60
 
 
 def test_newton_vanishing_slope():
@@ -98,6 +139,10 @@ def test_max_iterations_raises():
     for solve in SOLVERS:
         with pytest.raises(MaxIterations):
             solve(step, lambda x: 0.0, -1.0, 2.0, tol=1e-15, max_iter=10)
+        # below an ulp of the root the width never meets tol, and points repeat:
+        # the chord slope through a repeated point is 0, not a division by zero
+        with pytest.raises(MaxIterations):
+            solve(step, lambda x: 0.0, -1.0, 2.0, tol=1e-17)
 
 
 def test_invalid_args():
@@ -167,15 +212,15 @@ def _closed_form_cases(kind, zeta, u):
     zeta=st.floats(-1.99, 3.0),
     log_u=st.floats(-9.0, 0.0),
 )
-def test_newton_roots_agree_with_brent(kind, zeta, log_u):
+def test_newton_roots_agree_with_bisection(kind, zeta, log_u):
     # every closed-form root, at least 1e-9 (relative) from its branch locus,
-    # against Brent on the documented equation over the same bracket; b stays
+    # against bisection on the documented equation over the same bracket; b stays
     # above 0.01, below which the zeta/b^2 cancellation of the hyperbolic R
     # value (ROADMAP item 1) exceeds the bound whatever the root
     assume(kind != "R_hyperbolic" or abs(zeta) >= 0.05)
     u = 10.0 ** log_u
     root, f, (lo, hi), value = _closed_form_cases(kind, zeta, u)
-    ref = solve_bracketed(f, lo, hi, tol=1e-15).root
+    ref = _bisect(f, lo, hi)
     assert lo <= root <= hi
     v, v_ref = value(root), value(ref)
     assert abs(v - v_ref) <= 1e-11 * max(1.0, abs(v_ref))
