@@ -2,8 +2,8 @@
 
 ``cosh_sinhc`` gives cosh(x), sinh(x)/x and a slope as functions of
 v = x^2, the variable of both rate functions' root equations; its slope
-is a Taylor series near v = 0, so no 0/0 is formed.  The (e^x - 1)/x
-family raises DomainError, naming x, where its value overflows.
+is a Taylor series near v = 0, so no 0/0 is formed.  (e^x - 1)/x and its
+first derivative raise DomainError, naming x, where their value overflows.
 """
 
 import functools
@@ -78,25 +78,6 @@ def expm1_over_x_d1(x: float) -> float:
             xp *= x
             fact *= k + 1
     return ((x - 1.0) * math.exp(x) + 1.0) / (x * x)
-
-
-@_overflow_is_domain_error
-def expm1_over_x_d2(x: float) -> float:
-    """Second derivative of (e^x - 1)/x, i.e. ((x^2-2x+2)e^x - 2)/x^3."""
-    if abs(x) < 0.5:
-        total = 0.0
-        fact = 6.0  # (k+1)! for k = 2 -> 3!
-        xp = 1.0  # x^(k-2)
-        k = 2
-        while True:
-            term = k * (k - 1) * xp / fact
-            total += term
-            if abs(term) < 1e-19:
-                return total
-            k += 1
-            xp *= x
-            fact *= k + 1
-    return ((x * x - 2.0 * x + 2.0) * math.exp(x) - 2.0) / (x * x * x)
 
 
 def require_finite(**values: float) -> None:

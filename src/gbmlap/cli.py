@@ -48,7 +48,7 @@ def _mc_diagnostics(est: oracles.MCEstimate) -> dict:
     return {k: v for k, v in asdict(est).items() if k != "mean"}
 
 
-def _cmd_rate(args) -> int:
+def _cmd_rate(args, parser) -> int:
     ev = ratefn.rate_R(args.b, args.zeta)
     _emit_json(
         {
@@ -93,8 +93,7 @@ def _cmd_bond(args, parser) -> int:
             yield_equiv=-math.log(est.mean) / args.T,
             diagnostics=_mc_diagnostics(est),
         )
-    _emit_json({"price": q.price, "method": q.method.value, "yield_equiv": q.yield_equiv,
-                "diagnostics": q.diagnostics})
+    _emit_json(asdict(q))  # BondMethod is a str enum, so it prints as its value
     return 0
 
 
@@ -125,11 +124,11 @@ def _cmd_asian(args, parser) -> int:
                 "branch": ev.branch.value,
             },
         )
-    _emit_json({"price": quote.price, "method": quote.method, "diagnostics": quote.diagnostics})
+    _emit_json(asdict(quote))
     return 0
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args, parser) -> int:
     est = oracles.mc_laplace(
         args.theta, args.sigma, args.a, args.T, args.paths, args.steps, args.seed
     )
@@ -182,7 +181,7 @@ def _cmd_reproduce(args, parser) -> int:
     return 0
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, parser) -> int:
     results = run_checks(quick=args.quick)
     n_pass = sum(r.passed for r in results)
     if args.json:
@@ -206,6 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rate = sub.add_parser("rate", help="evaluate the rate function R and J_B at (b, zeta)")
     p_rate.add_argument("--b", type=float, required=True)
     p_rate.add_argument("--zeta", type=float, required=True)
+    p_rate.set_defaults(run=_cmd_rate)
 
     p_bond = sub.add_parser("bond", help="price a zero-coupon bond")
     p_bond.add_argument("--r0", type=float, required=True)
@@ -221,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bond.add_argument("--paths", type=int, default=100_000)
     p_bond.add_argument("--steps", type=int, default=256)
     p_bond.add_argument("--seed", type=int, default=None)
+    p_bond.set_defaults(run=_cmd_bond)
 
     p_asian = sub.add_parser("asian", help="price an arithmetic-average Asian option")
     p_asian.add_argument("--s0", type=float, required=True)
@@ -234,6 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asian.add_argument("--paths", type=int, default=100_000)
     p_asian.add_argument("--steps", type=int, default=256)
     p_asian.add_argument("--seed", type=int, default=None)
+    p_asian.set_defaults(run=_cmd_asian)
 
     p_mc = sub.add_parser("mc", help="Monte Carlo estimate of E[exp(-theta*X_T)]")
     p_mc.add_argument("--theta", type=float, required=True)
@@ -243,15 +245,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--paths", type=int, default=100_000)
     p_mc.add_argument("--steps", type=int, default=256)
     p_mc.add_argument("--seed", type=int, required=True)
+    p_mc.set_defaults(run=_cmd_mc)
 
     p_rep = sub.add_parser("reproduce", help="emit benchmark tables / figure data as CSV")
     p_rep.add_argument("target", choices=["table1", "table3", "figure1"])
     p_rep.add_argument("--out", default=None, help="output file (default: stdout)")
+    p_rep.set_defaults(run=_cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="run the deterministic invariant suite")
     p_val.add_argument("--quick", action="store_true", help="coarse grids, no slow sweeps")
     p_val.add_argument("--json", action="store_true",
                        help="print one JSON list of {name, passed, detail, seconds}")
+    p_val.set_defaults(run=_cmd_validate)
     return parser
 
 
@@ -262,18 +267,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         finally:
             sys.stdout.flush()  # --help and --version print, then exit inside parse_args
-        if args.command == "rate":
-            code = _cmd_rate(args)
-        elif args.command == "bond":
-            code = _cmd_bond(args, parser)
-        elif args.command == "asian":
-            code = _cmd_asian(args, parser)
-        elif args.command == "mc":
-            code = _cmd_mc(args)
-        elif args.command == "reproduce":
-            code = _cmd_reproduce(args, parser)
-        else:
-            code = _cmd_validate(args)
+        code = args.run(args, parser)
         sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
         return code
     except BrokenPipeError:

@@ -43,9 +43,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import expm1_over_x, expm1_over_x_d1, expm1_over_x_d2, require_finite
+from ._mathutil import expm1_over_x, expm1_over_x_d1, require_finite
 from .errors import DomainError
-from .model import _scaled
+from .model import _check_params, _scaled
 from .ratefn import rate_R
 
 __all__ = [
@@ -259,19 +259,9 @@ def sin_sinh_quadrature(amplitude: Callable[[np.ndarray], np.ndarray], freq: flo
     return _contour_sum(amplitude, freq, tol, [0j, 1j * h, x_max + 1j * h])
 
 
-def _validate_bond_args(r0: float, sigma: float, a: float, T: float) -> None:
-    require_finite(r0=r0, sigma=sigma, a=a, T=T)
-    if r0 < 0.0:
-        raise DomainError(f"r0 must be >= 0, got {r0}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if T <= 0.0:
-        raise DomainError(f"T must be > 0, got {T}")
-
-
 def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     """Price exp(-r0*T*R(b, zeta)) with (b, zeta) as ``model.scale`` forms them."""
-    _validate_bond_args(r0, sigma, a, T)
+    _check_params("r0", r0, sigma, a, T)
     if r0 == 0.0:
         return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": a * T})
     b, zeta = _scaled(sigma, a, T, r0)
@@ -399,7 +389,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     Raises DomainError when y or s is zero or not finite in floating
     point, or quad_tol is not > 0.
     """
-    _validate_bond_args(r0, sigma, 0.0, T)
+    _check_params("r0", r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
     if not (quad_tol > 0.0):
@@ -455,16 +445,16 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
     m2 = 2/(a+sigma^2) * ((e^((2a+sigma^2)T) - 1)/(2a+sigma^2)
          - (e^(aT) - 1)/a), with every removable singularity (a -> 0,
     2a+sigma^2 -> 0, a+sigma^2 -> 0) handled by series.  Writing
-    f(u) = T*(e^(uT) - 1)/(uT), this is the difference quotient
-    2*(f(a+c) - f(a))/c at c = a+sigma^2, which degenerates to 2*f'(a)
-    as c -> 0.
+    f(u) = T*(e^(uT) - 1)/(uT), this is the divided difference
+    2*(f(a+c) - f(a))/c at c = a+sigma^2; for |c*T| < 1e-6 it is taken at
+    its midpoint, 2*f'(a + c/2), with a relative error O((c*T)^2).
     """
     require_finite(a=a, sigma=sigma, T=T)
     if T <= 0.0:
         raise DomainError(f"T must be > 0, got {T}")
     c = a + sigma * sigma
     if abs(c * T) < 1e-6:
-        return 2.0 * (T * T * expm1_over_x_d1(a * T) + 0.5 * c * T * T * T * expm1_over_x_d2(a * T))
+        return 2.0 * T * T * expm1_over_x_d1((a + 0.5 * c) * T)
     return 2.0 * (T * expm1_over_x((a + c) * T) - T * expm1_over_x(a * T)) / c
 
 
@@ -476,7 +466,7 @@ def bond_small_rate(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     DomainError where the second-order term exceeds the first-order one,
     so that the truncated series says nothing about the price.
     """
-    _validate_bond_args(r0, sigma, a, T)
+    _check_params("r0", r0, sigma, a, T)
     m1 = moment_m1(a, sigma, T)
     m2 = moment_m2(a, sigma, T)
     first = r0 * m1
@@ -506,7 +496,7 @@ def bond_taylor_small_T(r0: float, sigma: float, T: float) -> BondQuote:
     Raises DomainError once the truncated ratio is not positive, where
     sigma^2*r0*T^2 is too large for the expansion (it would price above 1).
     """
-    _validate_bond_args(r0, sigma, 0.0, T)
+    _check_params("r0", r0, sigma, 0.0, T)
     s2 = sigma * sigma
     t2 = s2 * r0 * T * T / 6.0
     t3 = s2 * s2 * r0 * T * T * T / 24.0

@@ -42,13 +42,20 @@ class ModelParams:
     theta: float
 
     def __post_init__(self):
-        require_finite(sigma=self.sigma, a=self.a, T=self.T, theta=self.theta)
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if self.T <= 0.0:
-            raise DomainError(f"T must be > 0, got {self.T}")
-        if self.theta < 0.0:
-            raise DomainError(f"theta must be >= 0, got {self.theta}")
+        _check_params("theta", self.theta, self.sigma, self.a, self.T)
+
+
+def _check_params(name: str, theta: float, sigma: float, a: float, T: float) -> None:
+    """Raise DomainError unless all are finite, theta >= 0, sigma > 0, T > 0 (theta as ``name``)."""
+    if (0.0 <= theta < math.inf and 0.0 < sigma < math.inf and 0.0 < T < math.inf
+            and -math.inf < a < math.inf):
+        return
+    require_finite(**{name: theta}, sigma=sigma, a=a, T=T)
+    if theta < 0.0:
+        raise DomainError(f"{name} must be >= 0, got {theta}")
+    if sigma <= 0.0:
+        raise DomainError(f"sigma must be > 0, got {sigma}")
+    raise DomainError(f"T must be > 0, got {T}")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ convergence radius of the series.  All functions are pure and stateless.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -87,11 +88,8 @@ def _root_result(u: float, residual: float, evals: int, bracket: tuple, to_u: fl
 
 def _rate_eval(value: float, u: float, residual: float, evals: int) -> RateEval:
     """R or I_BS at a solved u: the branch is the sign of u, BOUNDARY where u is 0."""
-    if u < 0.0:
-        return RateEval(value, Branch.TRIGONOMETRIC, 0.5 * math.sqrt(-u), residual, evals)
-    if u > 0.0:
-        return RateEval(value, Branch.HYPERBOLIC, math.sqrt(u), residual, evals)
-    return RateEval(value, Branch.BOUNDARY, 0.0, residual, evals)
+    branch = Branch.TRIGONOMETRIC if u < 0.0 else Branch.HYPERBOLIC if u > 0.0 else Branch.BOUNDARY
+    return RateEval(value, branch, _root_of(u), residual, evals)
 
 
 def _xi_bound(zeta: float) -> float:
@@ -116,12 +114,15 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     below sqrt((b*(2 + zeta))^2 - zeta^2)/2; the least of these bounds is
     xi_max.  Each side is solved for w in [-1, 1], u/zeta^2 or
     u/(4*xi_max^2), with a unit right side, so the solver's tolerances are
-    relative.  Returns u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u),
-    the evaluations, the final w bracket and u/w.
+    relative; below b or |zeta| of about 1.5e-154, where zeta^2/4 or
+    xi_max^2 is below the smallest normal float and the sign change is lost
+    to rounding, DomainError is raised (not on the locus, where xi_max = 0).
+    Returns u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u), the
+    evaluations, the final w bracket and u/w.
     """
     z2 = zeta * zeta
     a = 1.0 + 0.5 * zeta
-    reach = b * (2.0 + zeta)
+    reach, az = b * (2.0 + zeta), abs(zeta)
     if hyperbolic:
         scale, lo, hi = 0.25 * z2, 0.0, 1.0
         b2 = b * b
@@ -133,7 +134,6 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
             p = a * s + 2.0 * v * d
             return 1.0 - w - q * p * p, -1.0 - b2 * p * (s + zeta * d)
     else:
-        az = abs(zeta)
         xi_max = min(0.5 * math.sqrt((reach - az) * (reach + az)), _xi_bound(zeta))
         scale, lo, hi = xi_max * xi_max, -1.0, 0.0
         k, m = 1.0 / reach, 2.0 / a
@@ -146,6 +146,9 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
             r = math.sqrt(z2 - 4.0 * v)
             return r * k - s - m * v * d, -(h1 / r if r > 0.0 else math.inf) - h2 * (s + zeta * d)
 
+    if scale < sys.float_info.min and reach != az:  # on the locus, xi_max = 0 is exact
+        raise DomainError(f"the root's bracket underflows at b={b}, zeta={zeta}: its scale "
+                          f"{scale:g} (zeta^2/4 or xi_max^2) is below the smallest normal float")
     res = solve_newton(fdf, lo, hi, tol=1e-15)
     w, f, to_u = res.root, res.residual, 4.0 * scale
     u = w * to_u
@@ -248,8 +251,8 @@ def rate_R(b: float, zeta: float) -> RateEval:
 
     b = 0 returns the b -> 0 limit (e^zeta - 1)/zeta (J_B is 0 there
     regardless); zeta = 0 is the trigonometric branch.  zeta must be > -2.
-    Raises DomainError on overflow, on a trigonometric root with a relative
-    residual above 2e-8, and on a value that is not positive and finite.
+    Raises DomainError on overflow, an underflowed bracket (``_solve_u``), a trigonometric
+    root with a relative residual above 2e-8, or a value that is not positive and finite.
     """
     require_finite(b=b, zeta=zeta)
     if b < 0.0:

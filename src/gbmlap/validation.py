@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import asian, dothan, oracles, ratefn, reference
-from .model import ModelParams, scale, t_max
+from .model import t_max
 from .specfun import bessel_k
 
 __all__ = ["CheckResult", "Table1Row", "Table3Row", "run_checks", "table1_row", "table3_row"]
@@ -68,10 +68,8 @@ def table1_row(T: float, sigma: float) -> Table1Row:
 def table3_row(T: float) -> Table3Row:
     """Table 3 at maturity T (drifted scenario)."""
     sc = reference.TABLE3_SCENARIO
-    s = scale(ModelParams(sigma=sc["sigma"], a=sc["a"], T=T, theta=sc["r0"]))
-    ev = ratefn.rate_R(s.b, s.zeta)
-    nlb = sc["r0"] * ev.value
-    return Table3Row(ev.root, nlb, math.exp(-nlb * T))
+    q = dothan.bond_asymptotic(sc["r0"], sc["sigma"], sc["a"], T)
+    return Table3Row(q.diagnostics["root"], q.yield_equiv, q.price)
 
 
 def check_table1_bond_prices(quick: bool) -> tuple[bool, str]:
@@ -238,7 +236,7 @@ def check_jb_oracle(quick: bool) -> tuple[bool, str]:
 def check_ibs_zero_and_oracle(quick: bool) -> tuple[bool, str]:
     worst_zero = 0.0
     for z in (0.0, 0.25, 0.5, 1.0):
-        xstar = math.expm1(z) / z if z else 1.0
+        xstar = asian.a_fwd(1.0, z, 1.0)
         worst_zero = max(worst_zero, abs(asian.rate_ibs(xstar, z).value))
         if not (asian.rate_ibs(xstar * 1.1, z).value > 0.0
                 and asian.rate_ibs(xstar * 0.9, z).value > 0.0):
@@ -302,25 +300,21 @@ def check_bessel_recurrence(quick: bool) -> tuple[bool, str]:
 
 
 def check_small_rate_limit(quick: bool) -> tuple[bool, str]:
-    def two_sided(r0: float, sigma: float, T: float) -> tuple[float, float, float]:
-        # (exact price, lower, upper): 1 - r0*m1 + r0^2*m2/2 less the Jensen bound on
-        # the third moment, m3 <= T^2*(e^(3*(a+sigma^2)*T)-1)/(3*(a+sigma^2))
+    def two_sided(r0: float, sigma: float, T: float) -> tuple[float, float, dothan.BondQuote]:
+        # (exact price, lower, upper): the small-rate quote 1 - r0*m1 + r0^2*m2/2 less the
+        # Jensen bound on the third moment, m3 <= T^2*(e^(3*(a+sigma^2)*T)-1)/(3*(a+sigma^2))
         # (E[e^(3*sigma*W_s + 3*(a-sigma^2/2)*s)] = e^(3*(a+sigma^2)*s)), a = 0 here
-        m1 = dothan.moment_m1(0.0, sigma, T)
-        m2 = dothan.moment_m2(0.0, sigma, T)
+        upper = dothan.bond_small_rate(r0, sigma, 0.0, T)
         bound3 = T * T * math.expm1(3.0 * sigma * sigma * T) / (3.0 * sigma * sigma)
         b_exact = dothan.bond_exact_zero_drift(r0, sigma, T, quad_tol=1e-11).price
-        upper = 1.0 - r0 * m1 + 0.5 * r0 * r0 * m2
-        return b_exact, upper - (r0 ** 3 / 6.0) * bound3, upper
+        return b_exact, upper.price - (r0 ** 3 / 6.0) * bound3, upper
 
-    sigma, T = 0.2, 1.0
-    m1 = dothan.moment_m1(0.0, sigma, T)
-    half_m2 = 0.5 * dothan.moment_m2(0.0, sigma, T)
     gaps = []
     for r0 in (0.02, 0.01, 0.005):
-        b_exact, lower, upper = two_sided(r0, sigma, T)
-        gaps.append(abs((b_exact - 1.0 + r0 * m1) / (r0 * r0) - half_m2))
-        if not (lower <= b_exact <= upper):
+        b_exact, lower, upper = two_sided(r0, 0.2, 1.0)
+        half_m2 = 0.5 * upper.diagnostics["m2"]
+        gaps.append(abs((b_exact - 1.0 + r0 * upper.diagnostics["m1"]) / (r0 * r0) - half_m2))
+        if not (lower <= b_exact <= upper.price):
             return False, f"two-sided bound violated at r0={r0}"
     if not (gaps[0] > gaps[1] > gaps[2]):
         return False, f"limit ratio not approaching m2/2 monotonically: {gaps}"
@@ -328,9 +322,9 @@ def check_small_rate_limit(quick: bool) -> tuple[bool, str]:
         return False, f"final gap {gaps[-1]:.2e} >= 1% of m2/2"
     # s = sigma^2*T/2 = 5.7e-9: the exact amplitude falls from 2 to 0 within a few sqrt(s)
     b_exact, lower, upper = two_sided(1.23e-5, 0.00121, 0.00785)
-    if not (lower <= b_exact <= upper):
+    if not (lower <= b_exact <= upper.price):
         return False, (f"two-sided bound violated at s = 5.7e-9: {b_exact!r} not in "
-                       f"[{lower!r}, {upper!r}]")
+                       f"[{lower!r}, {upper.price!r}]")
     return True, (f"ratio -> m2/2 monotonically (gaps {gaps[0]:.2e} > {gaps[1]:.2e} > "
                   f"{gaps[2]:.2e}); small-s price within its two-sided bound")
 
@@ -352,8 +346,7 @@ def check_perpetual_limit(quick: bool) -> tuple[bool, str]:
     target = 2.0 * math.sqrt(2.0 * r0 / (sigma * sigma))
     worst = 0.0
     for T in (50.0, 100.0, 500.0, 1000.0, 5000.0):
-        sc = scale(ModelParams(sigma=sigma, a=0.0, T=T, theta=r0))
-        worst = max(worst, abs(r0 * T * ratefn.rate_R_zero_drift(sc.b).value - target))
+        worst = max(worst, abs(dothan.bond_asymptotic(r0, sigma, 0.0, T).yield_equiv * T - target))
     ok = worst <= 0.5
     return ok, f"|B(200)-B(inf)|={gap200:.1e}; exponent defect bounded by {worst:.3f} on T<=5000"
 

@@ -29,6 +29,7 @@ from gbmlap.dothan import (
 )
 from gbmlap.errors import DomainError
 from gbmlap.specfun import bessel_k
+from gbmlap.validation import Table3Row, table3_row
 
 
 def test_gauss_legendre_table_is_leggauss():
@@ -496,6 +497,73 @@ def test_moment_m2_closed_form_and_guard():
         moment_m2(0.0, 0.3, 1e4)
 
 
+# (a, sigma, T, m2) with |c*T| in {0, 1e-12, 1e-9, 1e-7, 9e-7}, c = a + sigma^2, both signs,
+# and a*T from -50 to -1e-3 (a*T < c*T, as sigma^2 > 0): m2 from its divided difference
+# 2*(f(a+c) - f(a))/c, f(u) = T*(e^(uT) - 1)/(uT), in 50-digit arithmetic (mpmath)
+_M2_NEAR_C0 = [
+    (-0.5000000000000001, 0.7071067811865476, 100.0, 7.9999999999999957646),
+    (-0.5, 0.7071067811865546, 100.0, 8.000000000000159359),
+    (-0.5, 0.7071067811865405, 100.0, 7.9999999999998403162),
+    (-0.5, 0.7071067811936186, 100.0, 8.0000000001599997956),
+    (-0.5, 0.7071067811794765, 100.0, 7.9999999998399998796),
+    (-0.5, 0.7071067818936543, 100.0, 8.0000000159999994442),
+    (-0.5, 0.7071067804794408, 100.0, 7.999999984000000311),
+    (-0.5, 0.7071067875505086, 100.0, 8.0000001440000042012),
+    (-0.5, 0.7071067748225864, 100.0, 7.999999856000001954),
+    (-5.000000000000001, 2.23606797749979, 4.0, 0.079999996537261879444),
+    (-5.0, 2.2360679774998453, 4.0, 0.07999999653726589413),
+    (-5.0, 2.236067977499734, 4.0, 0.079999996537257918248),
+    (-5.0, 2.2360679775556913, 4.0, 0.079999996541261906389),
+    (-5.0, 2.236067977443888, 4.0, 0.079999996533261905989),
+    (-5.0, 2.23606798308996, 4.0, 0.07999999693726175388),
+    (-5.0, 2.2360679719096197, 4.0, 0.079999996137262095274),
+    (-5.0, 2.2360680278113185, 4.0, 0.080000000137260429424),
+    (-5.0, 2.2360679271882598, 4.0, 0.079999992937263724399),
+    (-2.5000000000000004, 1.5811388300841898, 2.0, 0.3070631417617557877),
+    (-2.5, 1.5811388300843479, 2.0, 0.30706314176181195282),
+    (-2.5, 1.5811388300840314, 2.0, 0.30706314176169984245),
+    (-2.5, 1.5811388302423035, 2.0, 0.3070631418177781586),
+    (-2.5, 1.5811388299260758, 2.0, 0.3070631417057336367),
+    (-2.5, 1.581138845895578, 2.0, 0.30706314736398309819),
+    (-2.5, 1.5811388142728013, 2.0, 0.30706313615952894126),
+    (-2.5, 1.581138972386678, 2.0, 0.30706319218180721139),
+    (-2.5, 1.5811386877816886, 2.0, 0.3070630913417198777),
+    (-1.0, 1.0, 1.0, 0.52848223531423071362),
+    (-1.0, 1.0000000000005, 1.0, 0.52848223531439133069),
+    (-1.0, 0.9999999999995, 1.0, 0.52848223531407009655),
+    (-1.0, 1.0000000005, 1.0, 0.52848223547483352113),
+    (-1.0, 0.9999999995, 1.0, 0.52848223515362790626),
+    (-1.0, 1.0000000499999988, 1.0, 0.52848225137451052627),
+    (-1.0, 0.9999999499999987, 1.0, 0.52848221925395167896),
+    (-1.0, 1.000000449999899, 1.0, 0.52848237985677625091),
+    (-1.0, 0.9999995499998988, 1.0, 0.52848209077174676777),
+    (-0.6000000000000001, 0.7745966692414834, 0.5, 0.20520173952092651538),
+    (-0.6, 0.7745966692427744, 0.5, 0.20520173952099318236),
+    (-0.6, 0.7745966692401924, 0.5, 0.2052017395208598706),
+    (-0.6, 0.7745966705324778, 0.5, 0.20520173958758380636),
+    (-0.6, 0.7745966679504889, 0.5, 0.205201739454269241),
+    (-0.6, 0.7745967983409174, 0.5, 0.20520174618665480309),
+    (-0.6, 0.7745965401420277, 0.5, 0.20520173285519857117),
+    (-0.6, 0.7745978311356159, 0.5, 0.20520179951249286955),
+    (-0.6, 0.774595507345608, 0.5, 0.20520167952938675953),
+    (-0.0001, 0.01, 10.0, 99.933358326668055314),
+    (-0.0001, 0.010000000005, 10.0, 99.93335832670136366),
+    (-0.0001, 0.009999999995, 10.0, 99.933358326634746968),
+    (-0.0001, 0.01000000499999875, 10.0, 99.933358359976398654),
+    (-0.0001, 0.00999999499999875, 10.0, 99.933358293359711993),
+    (-0.0001, 0.010000499987500626, 10.0, 99.933361657502471641),
+    (-0.0001, 0.009999499987499374, 10.0, 99.933354995833805519),
+    (-0.0001, 0.010004498987955369, 10.0, 99.933388304183797418),
+    (-0.0001, 0.009995498987044119, 10.0, 99.933328349165802413),
+]
+
+
+@pytest.mark.parametrize("a, sigma, T, ref", _M2_NEAR_C0)
+def test_moment_m2_near_zero_c(a, sigma, T, ref):
+    assert abs((a + sigma * sigma) * T) < 1e-6
+    assert abs(moment_m2(a, sigma, T) - ref) <= 1e-13 * ref
+
+
 def test_small_rate_quote():
     assert bond_small_rate(0.0, 0.2, 0.0, 1.0).price == 1.0
     q2 = bond_small_rate(0.01, 0.2, 0.0, 1.0)
@@ -611,6 +679,13 @@ def test_asymptotic_error_regime():
         ye = bond_exact_zero_drift(r0, 0.5, 10.0).yield_equiv
         errs.append(abs(ya - ye) / r0)
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_table3_row_is_the_asymptotic_quote():
+    sc = reference.TABLE3_SCENARIO
+    for T, *_ in reference.TABLE3_ROWS:
+        q = bond_asymptotic(sc["r0"], sc["sigma"], sc["a"], T)
+        assert table3_row(T) == Table3Row(q.diagnostics["root"], q.yield_equiv, q.price)
 
 
 def test_validation_errors():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gbmlap as g
-from gbmlap.errors import GbmlapError
+from gbmlap.errors import DomainError, GbmlapError
 
 _CALL = g.OptionKind.CALL
 
@@ -58,3 +58,39 @@ def test_nan_argument_is_a_library_error(name, i):
     fn(*args)  # the unchanged point is accepted
     with pytest.raises(GbmlapError):
         fn(*args[:i], math.nan, *args[i + 1:])
+
+
+
+# the bond prices and ModelParams share one set of input rules, with one text per broken rule
+_BOND_RULES = {
+    "ModelParams": (lambda r0, sigma, a, T: g.ModelParams(sigma, a, T, r0), "theta"),
+    "bond_asymptotic": (g.bond_asymptotic, "r0"),
+    "bond_small_rate": (g.bond_small_rate, "r0"),
+    "bond_taylor_small_T": (lambda r0, sigma, a, T: g.bond_taylor_small_T(r0, sigma, T), "r0"),
+    "bond_exact_zero_drift": (lambda r0, sigma, a, T: g.bond_exact_zero_drift(r0, sigma, T), "r0"),
+}
+# (argument, bad value, message), "{}" standing for the rate's name
+_BAD_INPUTS = [
+    ("r0", -0.01, "{} must be >= 0, got -0.01"),
+    ("sigma", 0.0, "sigma must be > 0, got 0.0"),
+    ("sigma", -0.3, "sigma must be > 0, got -0.3"),
+    ("T", 0.0, "T must be > 0, got 0.0"),
+    ("T", -1.0, "T must be > 0, got -1.0"),
+    ("r0", math.nan, "{} must be finite, got nan"),
+    ("sigma", math.nan, "sigma must be finite, got nan"),
+    ("a", math.nan, "a must be finite, got nan"),
+    ("T", math.nan, "T must be finite, got nan"),
+]
+_RULE_CASES = [(name, *bad) for name in _BOND_RULES for bad in _BAD_INPUTS
+               if bad[0] != "a" or name in ("ModelParams", "bond_asymptotic", "bond_small_rate")]
+
+
+@pytest.mark.parametrize("name, arg, value, text", _RULE_CASES,
+                         ids=[f"{c[0]}-{c[1]}={c[2]}" for c in _RULE_CASES])
+def test_bond_input_rules_share_one_text(name, arg, value, text):
+    fn, rate = _BOND_RULES[name]
+    point = {"r0": 0.01, "sigma": 0.3, "a": 0.0, "T": 1.0}
+    fn(**point)  # the unchanged point is accepted
+    with pytest.raises(DomainError) as exc:
+        fn(**{**point, arg: value})
+    assert str(exc.value) == text.format(rate)

@@ -333,3 +333,17 @@ def test_negative_zeta_branch_routing():
     assert abs(ev.value - 0.78513305851) < 1e-9
     ev = rate_R(0.5, -0.5)
     assert ev.branch is Branch.TRIGONOMETRIC
+
+
+@pytest.mark.parametrize("fn, b, zeta", [
+    (rate_R, 1e-160, 0.0), (rate_R, 1e-170, 0.0), (rate_R, 1e-200, 1e-200), (solve_xi, 1e-170, 0.0),
+])
+def test_underflowed_bracket_is_a_domain_error(fn, b, zeta):
+    # xi_max^2 or zeta^2/4 below the smallest normal float: the bracket's sign change
+    # is lost, which was reported as NoSignChange between f(-1) and f(0)
+    with pytest.raises(DomainError, match=f"bracket underflows at b={b}, zeta={zeta}"):
+        fn(b, zeta)
+
+
+def test_smallest_resolved_b_keeps_its_value():
+    assert rate_R(1e-150, 0.0).value == 1.0
