@@ -32,7 +32,6 @@ from .dothan import (
     bond_taylor_small_T,
     moment_m1,
     moment_m2,
-    sin_sinh_quadrature,
 )
 from .model import ModelParams, ScaledParams, scale, t_max
 from .oracles import (
@@ -79,7 +78,7 @@ __all__ = [
     # dothan
     "BondMethod", "BondQuote", "bond_asymptotic", "bond_exact_zero_drift",
     "moment_m1", "moment_m2", "bond_small_rate", "bond_taylor_small_T",
-    "bond_perpetual", "sin_sinh_quadrature",
+    "bond_perpetual",
     # oracles
     "MCEstimate", "ShootingResult", "mc_laplace", "mc_asian_price",
     "jb_variational", "ibs_variational",

@@ -178,7 +178,8 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     form: xi <= pi/2 for x > 2*zeta/pi^2 (the left side at pi/2), and past
     pi/2 below that when zeta > 0.  At the pivot x = 1 + zeta/2 the root
     is 0.  NoRootInInterval is raised where the bracket's sign change is
-    lost to rounding (x below about 1e-20).
+    lost to rounding: x and zeta both tiny, as at (1e-21, 1e-21).  Small x
+    alone resolves: at zeta = 0.1 the root is found down to x = 1e-300.
     """
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
@@ -191,29 +192,42 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
 def _ibs_value(x: float, zeta: float, u: float) -> float:
     """I_BS = (u - zeta^2)*(1 - S/P)/2 - 2*zeta*log(P) + zeta^2 at a solved root u.
 
-    S and P as in ``_ibs_solve_u``.  Raises DomainError where P is not
-    positive, where S*P misses x by more than 1e-8 relative (P is lost to
-    rounding: x near 0, where the root nears P's zero, or zeta << 0 on the
-    hyperbolic side), or where the value is not finite.
+    S as in ``_ibs_solve_u``, and the log argument P = C + zeta*S/2 taken
+    from the root equation S*P = x, P = x/S, which does not cancel near P's
+    zero, where the root sits as x -> 0.  Raises DomainError where P is not
+    positive or the value is not finite.
     """
-    _, s, d = cosh_sinhc(0.25 * u)
-    p = (1.0 + 0.5 * zeta) * s + 0.5 * u * d
-    if p > 0.0 and abs(s * p - x) <= 1e-8 * x:
+    s = cosh_sinhc(0.25 * u)[1]
+    p = x / s
+    if p > 0.0:
         value = 0.5 * (u - zeta * zeta) * (1.0 - s / p) - 2.0 * zeta * math.log(p) + zeta * zeta
         if math.isfinite(value):
             return value
     raise DomainError(
         f"I_BS is not resolved in double precision at x={x}, zeta={zeta} "
-        f"(root u = {u!r}, log argument P = {p!r}, where S*P should equal x)"
+        f"(root u = {u!r}, log argument P = x/S = {p!r})"
     )
 
 
 def rate_ibs(x: float, zeta: float) -> RateEval:
-    """Rate function I_BS(x) >= 0; zero exactly at x = (e^zeta - 1)/zeta."""
+    """Rate function I_BS(x) >= 0; zero exactly at x = (e^zeta - 1)/zeta.
+
+    Raises DomainError where the value is not finite, and on the hyperbolic
+    side where the root misses S*P = x by more than 1e-8 relative (zeta << 0
+    next to P's zero, or x near 0 at zeta = -2): there the value's slope in
+    u, about S^2/(2x), turns the root's rounding into an error as large as
+    the value.  The trigonometric value is not that sensitive to u, so its
+    root resolves I_BS down to x = 1e-300 although S*P then misses x.
+    """
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"rate_ibs requires x > 0, got {x}")
     u, residual, evals, _, _ = _ibs_solve_u(x, zeta, x > 1.0 + 0.5 * zeta)
+    if u > 0.0 and not abs(residual) <= 1e-8 * x:
+        raise DomainError(
+            f"I_BS is not resolved in double precision at x={x}, zeta={zeta} "
+            f"(the hyperbolic root u = {u!r} misses S*P = x by {residual:.1e})"
+        )
     value = _ibs_value(x, zeta, u)
     if -1e-9 < value < 0.0:  # roundoff at the rate function's zero
         value = 0.0

@@ -58,8 +58,6 @@ __all__ = [
     "bond_small_rate",
     "bond_taylor_small_T",
     "bond_perpetual",
-    "QuadratureResult",
-    "sin_sinh_quadrature",
 ]
 
 
@@ -139,26 +137,6 @@ _ONE_EXP_C_MAX = 26.0
 _X_MAX_CAP = 700.0
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value of a sine-sinh integral with how it was obtained.
-
-    The contour ends at x_max + i*height.  ``n_panels`` counts the G15/K31
-    panels that were integrated numerically (a leg taken in closed form
-    has none), ``depth_cap_hits`` those that reached the refinement cap
-    unconverged (their value is used as is), ``n_calls`` the calls to the
-    amplitude.
-    """
-
-    value: float
-    error_estimate: float
-    n_panels: int
-    depth_cap_hits: int
-    n_calls: int
-    height: float
-    x_max: float
-
-
 def _panel_sums(F: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
                 counts: list[int]) -> list[list[float]]:
     """[coarse, fine] sums of Im integral F(z) dz along each segment lo -> hi.
@@ -203,8 +181,8 @@ def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
 
 
 def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
-                 ends: list[complex]) -> QuadratureResult:
-    """Im integral F(z) dz, F = e^(i*freq*sinh z)*amplitude(z), along the polyline ``ends``.
+                 lo: complex, hi: complex) -> tuple[float, int, int, int]:
+    """Im integral F(z) dz, F = e^(i*freq*sinh z)*amplitude(z), along the segment lo -> hi.
 
     With F entire and the amplitude real on the real axis, Cauchy moves
     Im integral_0^inf F(x) dx = integral_0^inf sin(freq*sinh x)*amplitude(x) dx
@@ -213,50 +191,21 @@ def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol
         Re integral_0^h F(it) dt + Im integral_0^x_max F(x + ih) dx,
 
     where |e^(i*freq*sinh z)| is e^(-freq*sin t) on the first leg and
-    e^(-freq*sin(h)*cosh x) on the second.  A caller passes those legs, or
-    only the ones it has no closed form for.  Each segment is one G15/K31
-    panel, all from one call to F; a panel whose sums differ by more than
-    tol/4 is bisected.  The caller's x_max leaves a tail below tol/8.
+    e^(-freq*sin(h)*cosh x) on the second.  The first leg has a closed form
+    for the caller's amplitude; the caller passes the second, lo = ih and
+    hi = x_max + ih, with an x_max that leaves a tail below tol/8.  It is
+    one G15/K31 panel from one call to F, bisected while its two sums differ
+    by more than tol/4.  Returns the value, the panels integrated, those
+    that stopped at the refinement cap unconverged (their value is used as
+    is) and the calls to F.
     """
     def F(z: np.ndarray) -> np.ndarray:
         return np.exp(1j * freq * np.sinh(z)) * amplitude(z)
 
     counts = [0, 0, 0]
-    sums = _panel_sums(F, np.array(ends[:-1]), np.array(ends[1:]), counts)
-    value = sum(_refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
-                for lo, hi, (coarse, fine) in zip(ends, ends[1:], sums))
-    end = ends[-1]
-    return QuadratureResult(value, tol, counts[0], counts[1], counts[2],
-                            end.imag, end.real)
-
-
-def sin_sinh_quadrature(amplitude: Callable[[np.ndarray], np.ndarray], freq: float,
-                        tol: float = 1e-9) -> QuadratureResult:
-    """integral_0^inf sin(freq*sinh(z)) * amplitude(z) dz on a shifted contour.
-
-    ``amplitude`` must be elementwise on a 1-D complex array of z, real on
-    the real axis, and analytic with |amplitude(z)| <= 1 on the strip
-    0 <= Im z <= pi/2 (e^(-z) is such an amplitude).  The contour has
-    height pi/2, where |e^(i*freq*sinh z)| = e^(-freq*cosh(Re z)), so past
-    x_max = max(asinh(1/freq), acosh(log(8/tol)/freq)) the integrand is
-    below tol/8 and falls with a logarithmic slope of at least 1: its tail
-    is below tol/8 too (see ``_contour_sum``).  The reported error
-    estimate is ``tol``.  Raises DomainError for a non-finite or
-    non-positive ``freq``, a non-positive ``tol``, a freq so small that
-    x_max passes 700 (where sinh overflows), or a non-finite integrand
-    value.
-    """
-    if not (0.0 < freq < math.inf):
-        raise DomainError(f"freq must be finite and > 0, got {freq}")
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
-    level = math.log(8.0) - math.log(tol)
-    x_max = max(math.asinh(1.0 / freq), math.acosh(max(1.0, level / freq)))
-    if x_max > _X_MAX_CAP:
-        raise DomainError(f"freq = {freq:g} is too small for tol = {tol:g}: the contour "
-                          f"would run to Re z = {x_max:g}, past {_X_MAX_CAP:g}")
-    h = 0.5 * math.pi
-    return _contour_sum(amplitude, freq, tol, [0j, 1j * h, x_max + 1j * h])
+    (coarse, fine), = _panel_sums(F, np.array([lo]), np.array([hi]), counts)
+    value = _refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
+    return value, counts[0], counts[1], counts[2]
 
 
 def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
@@ -408,9 +357,10 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     # start of the horizontal leg it is below e^min(r0*T, 400/(r0*T))
     h = min(math.atan(sqrt_y * s), 20.0 / sqrt_y)
     x_max = _exact_cutoff(s, f, h, quad_tol)
-    quad = _contour_sum(_exact_amplitude(s), f, quad_tol, [1j * h, x_max + 1j * h])
-    price = 1.0 - sqrt_y * (_imaginary_leg(f, h) + quad.value)
-    err = sqrt_y * quad.error_estimate
+    value, n_panels, depth_cap_hits, n_calls = _contour_sum(
+        _exact_amplitude(s), f, quad_tol, 1j * h, x_max + 1j * h)
+    price = 1.0 - sqrt_y * (_imaginary_leg(f, h) + value)
+    err = sqrt_y * quad_tol
     if price <= err:
         raise DomainError(
             f"exact price is below the quadrature's absolute resolution: computed "
@@ -422,10 +372,10 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
         method=BondMethod.EXACT_QUADRATURE,
         yield_equiv=-math.log(price) / T,
         diagnostics={
-            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": quad.n_panels,
+            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": n_panels,
             "error_estimate": err,
-            "n_panels": quad.n_panels, "depth_cap_hits": quad.depth_cap_hits,
-            "n_calls": quad.n_calls, "height": quad.height, "x_max": quad.x_max,
+            "n_panels": n_panels, "depth_cap_hits": depth_cap_hits,
+            "n_calls": n_calls, "height": h, "x_max": x_max,
             "yield_error_estimate": err / (T * price),
         },
     )

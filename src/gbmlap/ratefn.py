@@ -116,13 +116,16 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     u/(4*xi_max^2), with a unit right side, so the solver's tolerances are
     relative; below b or |zeta| of about 1.5e-154, where zeta^2/4 or
     xi_max^2 is below the smallest normal float and the sign change is lost
-    to rounding, DomainError is raised (not on the locus, where xi_max = 0).
-    Returns u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u), the
-    evaluations, the final w bracket and u/w.
+    to rounding, DomainError is raised.  Exactly on the locus, b*(2 + zeta)
+    = |zeta|, u = 0 is returned with no evaluation, at any scale.  Returns
+    u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u), the evaluations,
+    the final w bracket and u/w.
     """
+    reach, az = b * (2.0 + zeta), abs(zeta)
+    if reach == az:
+        return 0.0, 0.0, 0, (0.0, 0.0), 1.0
     z2 = zeta * zeta
     a = 1.0 + 0.5 * zeta
-    reach, az = b * (2.0 + zeta), abs(zeta)
     if hyperbolic:
         scale, lo, hi = 0.25 * z2, 0.0, 1.0
         b2 = b * b
@@ -146,7 +149,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
             r = math.sqrt(z2 - 4.0 * v)
             return r * k - s - m * v * d, -(h1 / r if r > 0.0 else math.inf) - h2 * (s + zeta * d)
 
-    if scale < sys.float_info.min and reach != az:  # on the locus, xi_max = 0 is exact
+    if scale < sys.float_info.min:
         raise DomainError(f"the root's bracket underflows at b={b}, zeta={zeta}: its scale "
                           f"{scale:g} (zeta^2/4 or xi_max^2) is below the smallest normal float")
     res = solve_newton(fdf, lo, hi, tol=1e-15)
@@ -210,14 +213,19 @@ def solve_lambda(b: float) -> RootResult:
 def _value(b: float, zeta: float, u: float) -> float:
     """R at a solved root u = delta^2 = -4*xi^2 of either branch (positive-rate normalization).
 
-    Raises DomainError where the log argument P = C + zeta*S/2 or the
-    value is not a positive finite number.
+    R = P*(2*S - P) - (zeta/b^2)*log(P) + zeta^2/(2*b^2), with S from
+    ``cosh_sinhc(u/4)`` and the log argument P = C + zeta*S/2 taken from
+    the root equation on the trigonometric side, P = sqrt(zeta^2 - u)/(2*b),
+    whose sum does not cancel (C + zeta*S/2 does near P's zero, where the
+    root sits at large b).  The hyperbolic side forms P as
+    (1 + zeta/2)*S + (u/2)*dS/dv, since sqrt(zeta^2 - u) cancels as u ->
+    zeta^2 at small b.  Raises DomainError where P or the value is not a
+    positive finite number.
     """
-    c, s, d = cosh_sinhc(0.25 * u)
-    p = (1.0 + 0.5 * zeta) * s + 0.5 * u * d
+    _, s, d = cosh_sinhc(0.25 * u)
+    p = math.sqrt(zeta * zeta - u) / (2.0 * b) if u < 0.0 else (1.0 + 0.5 * zeta) * s + 0.5 * u * d
     if p > 0.0:
-        value = -(1.0 + (0.25 * u + 0.25 * zeta * (zeta - 4.0)) * s * s - (2.0 - zeta) * s * c
-                  + (zeta / (b * b)) * math.log(p) - zeta * zeta / (2.0 * b * b))
+        value = p * (2.0 * s - p) - (zeta / (b * b)) * math.log(p) + zeta * zeta / (2.0 * b * b)
         if 0.0 < value < math.inf:
             return value
     raise DomainError(
@@ -251,8 +259,8 @@ def rate_R(b: float, zeta: float) -> RateEval:
 
     b = 0 returns the b -> 0 limit (e^zeta - 1)/zeta (J_B is 0 there
     regardless); zeta = 0 is the trigonometric branch.  zeta must be > -2.
-    Raises DomainError on overflow, an underflowed bracket (``_solve_u``), a trigonometric
-    root with a relative residual above 2e-8, or a value that is not positive and finite.
+    Raises DomainError on overflow, an underflowed bracket (``_solve_u``) or a
+    value that is not positive and finite.
     """
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
@@ -269,12 +277,6 @@ def rate_R(b: float, zeta: float) -> RateEval:
             f"rate_R overflows double precision at b={b}, zeta={zeta} "
             "(cosh/sinh of the hyperbolic root, or zeta/b^2, exceed 1.8e308)"
         ) from None
-    # sqrt(zeta^2 - u) >= |zeta| does not cancel for u < 0: P is lost to rounding
-    if u < 0.0 and not -2e-8 <= residual <= 2e-8:
-        raise DomainError(
-            f"rate_R is not resolved in double precision at b={b}, zeta={zeta} "
-            f"(relative residual {residual:.1e} at the root u = {u!r})"
-        )
     return _rate_eval(value, u, residual, evals)
 
 

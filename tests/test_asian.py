@@ -160,13 +160,42 @@ def test_rate_ibs_domain():
         rate_ibs(-1.0, 0.0)
 
 
-@pytest.mark.parametrize("x, zeta", [(1e-300, -2.0), (1e-300, -1.999999999), (1e-11, -30.0)])
+@pytest.mark.parametrize("x, zeta", [(1e-300, -2.0), (1e-11, -30.0)])
 def test_rate_ibs_unresolved_log_argument_is_domain_error(x, zeta):
-    # P = C + zeta*S/2 cancels far below x/S, which the root equation sets
-    # it to; these raised ZeroDivisionError or a bare "math domain error"
+    # hyperbolic roots that miss S*P = x: the value's slope in u, about
+    # S^2/(2x), turns their rounding into an error as large as the value (at
+    # (1e-11, -30) it would be 6e-5 relative); these raised ZeroDivisionError
+    # or a bare "math domain error"
     with pytest.raises(DomainError) as exc:
         rate_ibs(x, zeta)
     assert f"x={x}, zeta={zeta}" in str(exc.value)
+
+
+# I_BS(x, zeta) at small x from mpmath at 2*log10(1/x) + 80 digits, on the
+# value formula with P = C + zeta*S/2 summed, whose cancellation near P's zero
+# (where the root sits as x -> 0) those digits absorb
+_SMALL_X = [
+    (1e-06, 0.1, 1999997.7409693564), (1e-08, 0.1, 199999998.6619983),
+    (1e-10, 0.1, 19999999999.58303), (1e-20, 0.1, 2e+20), (1e-50, 0.1, 2e+50),
+    (1e-100, 0.1, 2e+100), (1e-200, 0.1, 2e+200), (1e-300, 0.1, 1.9999999999999998e+300),
+    (1e-06, 1.0, 2000022.0975227328), (1e-08, 1.0, 200000031.30785593),
+    (1e-10, 1.0, 20000000040.518196), (1e-20, 1.0, 2e+20), (1e-50, 1.0, 2e+50),
+    (1e-100, 1.0, 2e+100), (1e-200, 1.0, 2e+200), (1e-300, 1.0, 1.9999999999999998e+300),
+    (1e-06, 5.0, 2000136.930166907), (1e-08, 5.0, 200000182.98184517),
+    (1e-10, 5.0, 20000000229.033546), (1e-20, 5.0, 2e+20), (1e-50, 5.0, 2e+50),
+    (1e-100, 5.0, 2e+100), (1e-200, 5.0, 2e+200), (1e-300, 5.0, 1.9999999999999998e+300),
+    (1e-06, -0.5, 1999981.774690986), (1e-08, -0.5, 199999977.16951683),
+    (1e-10, -0.5, 19999999972.564346), (1e-20, -0.5, 2e+20), (1e-50, -0.5, 2e+50),
+    (1e-100, -0.5, 2e+100), (1e-200, -0.5, 2e+200), (1e-300, -0.5, 1.9999999999999998e+300),
+    (1e-300, -1.999999999, 1.9999999999999998e+300),
+]
+
+
+@pytest.mark.parametrize("x, zeta, ref", _SMALL_X, ids=[f"{x!r}-{z!r}" for x, z, _ in _SMALL_X])
+def test_rate_ibs_small_x_matches_mpmath(x, zeta, ref):
+    # P = x/S does not cancel; C + zeta*S/2 lost 2-11e-11 at x = 1e-6, and an
+    # S*P gate raised below x = 1e-8
+    assert abs(rate_ibs(x, zeta).value - ref) <= 2e-15 * ref
 
 
 def test_sigma_ln_unresolved_rate_is_domain_error():

@@ -13,6 +13,7 @@ from gbmlap.dothan import (
     _K31_NODES,
     _K31_WEIGHTS,
     BondMethod,
+    _contour_sum,
     _exact_amplitude,
     _exact_cutoff,
     _imaginary_leg,
@@ -25,11 +26,10 @@ from gbmlap.dothan import (
     bond_taylor_small_T,
     moment_m1,
     moment_m2,
-    sin_sinh_quadrature,
 )
 from gbmlap.errors import DomainError
 from gbmlap.specfun import bessel_k
-from gbmlap.validation import Table3Row, table3_row
+from gbmlap.validation import Table3Row, _sine_sinh_integral, table3_row
 
 
 def test_gauss_legendre_table_is_leggauss():
@@ -183,37 +183,13 @@ def test_exact_quadrature_reproduces_published_prices():
         assert abs(q.yield_equiv + math.log(q.price) / T) < 1e-15
 
 
-def test_exact_quadrature_stabilized_tail():
-    # with the amplitude replaced by the stabilizing e^(-z) term alone, the
-    # quadrature reproduces sqrt(y)*(1/(2 sqrt y) - K_1(2 sqrt y))
-    for y in (0.25, 1.0, 4.0, 20.0):
-        a = 2.0 * math.sqrt(y)
-        val = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-10).value
-        ref = 1.0 / a - bessel_k(1.0, a)
-        assert abs(math.sqrt(y) * (val - ref)) < 1e-8
-
-
-def test_quadrature_extrapolated_bessel_identity():
-    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a) on the contour of height pi/2
-    for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        q = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-12)
-        assert abs(q.value - (1.0 / a - bessel_k(1.0, a))) < 1e-11, (a, q)
-        assert q.depth_cap_hits == 0
-        assert q.n_panels >= 2
-        assert q.height == 0.5 * math.pi
-
-
-def test_quadrature_validation():
-    with pytest.raises(DomainError):
-        sin_sinh_quadrature(lambda z: np.exp(-z), 0.0)
-    with pytest.raises(DomainError):
-        sin_sinh_quadrature(lambda z: np.exp(-z), 1.0, tol=-1.0)
-    for freq in (math.inf, math.nan, -1.0):
-        with pytest.raises(DomainError, match="freq must be finite"):
-            sin_sinh_quadrature(lambda z: np.exp(-z), freq)
-    # the horizontal leg would run past Re z = 700, where sinh overflows
-    with pytest.raises(DomainError, match="too small"):
-        sin_sinh_quadrature(lambda z: np.exp(-z), 1e-305)
+@pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 2.0 * math.sqrt(20.0)])
+def test_sine_sinh_bessel_identity(a):
+    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a) on the exact bond's
+    # contour, with the horizontal leg integrated and the imaginary one closed
+    val, depth_cap_hits = _sine_sinh_integral(a, 1e-12)
+    assert abs(val - (1.0 / a - bessel_k(1.0, a))) < 1e-11
+    assert depth_cap_hits == 0
 
 
 @pytest.mark.parametrize("amplitude", [
@@ -222,8 +198,9 @@ def test_quadrature_validation():
 ], ids=["nan", "inf-past-z2"])
 def test_quadrature_non_finite_integrand_raises(amplitude):
     # refining a NaN panel would recurse to the depth cap
+    h = 0.5 * math.pi
     with pytest.raises(DomainError, match="integrand is not finite"):
-        sin_sinh_quadrature(amplitude, 1.0)
+        _contour_sum(amplitude, 1.0, 1e-9, 1j * h, 4.0 + 1j * h)
 
 
 # (r0, sigma, T, n_lobes, n_panels, depth_cap_hits, summation, price) for the

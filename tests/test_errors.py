@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 
 import gbmlap as g
@@ -43,7 +42,6 @@ _ENTRY_POINTS = {
     "bond_small_rate": (g.bond_small_rate, (0.01, 0.3, 0.02, 1.0)),
     "bond_taylor_small_T": (g.bond_taylor_small_T, (0.05, 0.3, 0.1)),
     "bond_perpetual": (g.bond_perpetual, (0.05, 0.3, 0.01)),
-    "sin_sinh_quadrature": (lambda *a: g.sin_sinh_quadrature(lambda z: np.exp(-z), *a), (1.0, 1e-9)),
     "mc_laplace": (lambda *a: g.mc_laplace(*a, 50, 8, 1), (0.1, 0.3, 0.05, 1.0)),
     "jb_variational": (g.jb_variational, (0.5, 0.9)),
     "ibs_variational": (g.ibs_variational, (1.2, 0.1)),

@@ -219,23 +219,23 @@ def test_rate_R_zero_b_is_the_small_b_limit(zeta):
     assert abs(rate_R(0.0, zeta).value - rate_R(1e-4, zeta).value) < 1e-7
 
 
-@pytest.mark.parametrize("b, zeta", [(1e20, 0.0), (1e18, 0.5), (1e-300, 0.5), (1e-20, 1e-9), (1e20, 10.0)])
+@pytest.mark.parametrize("b, zeta", [(1e-300, 0.5), (1e-20, 1e-9)])
 def test_rate_R_unresolved_is_domain_error(b, zeta):
-    # no double-precision answer: a trigonometric root lost to rounding, a log
-    # argument at or below 0, zeta/b^2 overflowing, or a value cancelled to
-    # below 0; these raised bare ValueError or ZeroDivisionError, or returned
-    # -4.1e14 at (1e-20, 1e-9)
+    # no double-precision answer: zeta/b^2 overflowing, or a value cancelled
+    # to below 0; these raised a bare ZeroDivisionError, or returned -4.1e14
+    # at (1e-20, 1e-9)
     with pytest.raises(DomainError) as exc:
         rate_R(b, zeta)
     assert f"b={b}, zeta={zeta}" in str(exc.value)
 
 
 def test_rate_R_boundary_dispatch():
-    z = 1.0
-    ev = rate_R(1.0 / 3.0, z)
-    # u = 0 is an ordinary root: the solver returns it after its two endpoint evaluations
-    assert ev.branch is Branch.BOUNDARY and ev.evals == 2
-    assert abs(ev.value - boundary_value(z)) == 0.0
+    # exactly on the locus u = 0 is the root, taken with no evaluation; at
+    # (5e-201, 1e-200) zeta^2 underflows, which raised NoSignChange
+    for b, z in ((1.0 / 3.0, 1.0), (5e-201, 1e-200)):
+        ev = rate_R(b, z)
+        assert ev.branch is Branch.BOUNDARY and ev.evals == 0
+        assert abs(ev.value - boundary_value(z)) == 0.0
 
 
 def test_boundary_values_frozen():
@@ -347,3 +347,31 @@ def test_underflowed_bracket_is_a_domain_error(fn, b, zeta):
 
 def test_smallest_resolved_b_keeps_its_value():
     assert rate_R(1e-150, 0.0).value == 1.0
+
+
+# R(b, zeta) at large b from mpmath at 2*log10(b) + 80 digits, on the value
+# formula with P = C + zeta*S/2 summed, whose cancellation near P's zero (where
+# the root sits at large b) those digits absorb
+_LARGE_B = [
+    (10000.0, 0.0, 0.00019997532845615168), (1000000.0, 0.0, 1.999997532601367e-06),
+    (100000000.0, 0.0, 1.9999999753259892e-08), (1000000000000.0, 0.0, 1.9999999999975326e-12),
+    (1e+16, 0.0, 1.9999999999999997e-16), (1e+18, 0.0, 2e-18), (1e+20, 0.0, 2e-20),
+    (1e+50, 0.0, 1.9999999999999998e-50), (1e+100, 0.0, 2e-100), (1e+200, 0.0, 2e-200),
+    (1e+300, 0.0, 2e-300), (10000.0, 0.5, 0.00020001949891607226),
+    (1000000.0, 0.5, 2.000004252185374e-06), (100000000.0, 0.5, 2.0000000655476754e-08),
+    (1000000000000.0, 0.5, 2.00000000001116e-12), (1e+16, 0.5, 2.0000000000000017e-16),
+    (1e+18, 0.5, 2e-18), (1e+20, 0.5, 2e-20), (1e+50, 0.5, 1.9999999999999998e-50),
+    (1e+100, 0.5, 2e-100), (1e+200, 0.5, 2e-200), (1e+300, 0.5, 2e-300),
+    (10000.0, -1.0, 0.00019988918923838486), (1000000.0, -1.0, 1.9999843136191773e-06),
+    (100000000.0, -1.0, 1.9999997970844765e-08), (1000000000000.0, -1.0, 1.999999999970498e-12),
+    (1e+16, -1.0, 1.999999999999996e-16), (1e+18, -1.0, 2e-18), (1e+20, -1.0, 2e-20),
+    (1e+50, -1.0, 1.9999999999999998e-50), (1e+100, -1.0, 2e-100), (1e+200, -1.0, 2e-200),
+    (1e+300, -1.0, 2e-300), (1e+20, 10.0, 2e-20),
+]
+
+
+@pytest.mark.parametrize("b, zeta, ref", _LARGE_B, ids=[f"{b!r}-{z!r}" for b, z, _ in _LARGE_B])
+def test_rate_R_large_b_matches_mpmath(b, zeta, ref):
+    # P = sqrt(zeta^2 - u)/(2*b) does not cancel; C + zeta*S/2 lost 4.7e-5 at
+    # (1e12, 0.5), and a residual gate raised at (1e12, 0) and (1e20, 0)
+    assert abs(rate_R(b, zeta).value - ref) <= 2e-15 * ref

@@ -2,12 +2,10 @@ import math
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from scipy import integrate
 
 from gbmlap._mathutil import _CUTOFF, cosh_sinhc
-from gbmlap.dothan import sin_sinh_quadrature
 from gbmlap.errors import DomainError
 from gbmlap.specfun import bessel_k, norm_cdf
 
@@ -47,13 +45,6 @@ def test_bessel_domain_errors():
         bessel_k(1.0, -2.0)
     with pytest.raises(DomainError):
         bessel_k(-0.5, 1.0)
-
-
-def test_sine_sinh_bessel_identity():
-    # int_0^inf e^(-z) sin(a sinh z) dz = 1/a - K_1(a)
-    for a in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0):
-        val = sin_sinh_quadrature(lambda z: np.exp(-z), a, tol=1e-9).value
-        assert abs(val - (1.0 / a - bessel_k(1.0, a))) < 1e-8
 
 
 def test_norm_cdf():
