@@ -57,7 +57,7 @@ def _cmd_rate(args, parser) -> int:
             "branch": ev.branch.value,
             "root": ev.root,
             "R": ev.value,
-            "J_B": 2.0 * args.b * args.b * ev.value,
+            "J_B": 2.0 * args.b * (args.b * ev.value),
             "residual": ev.residual,
             "evals": ev.evals,
         }

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import expm1_over_x, expm1_over_x_d1, require_finite
+from ._mathutil import exp, expm1_over_x, expm1_over_x_d1, expm1_over_x_dd, require_finite
 from .errors import DomainError
 from .model import _check_params, _scaled
 from .ratefn import rate_R
@@ -394,18 +394,34 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
 
     m2 = 2/(a+sigma^2) * ((e^((2a+sigma^2)T) - 1)/(2a+sigma^2)
          - (e^(aT) - 1)/a), with every removable singularity (a -> 0,
-    2a+sigma^2 -> 0, a+sigma^2 -> 0) handled by series.  Writing
-    f(u) = T*(e^(uT) - 1)/(uT), this is the divided difference
-    2*(f(a+c) - f(a))/c at c = a+sigma^2; for |c*T| < 1e-6 it is taken at
-    its midpoint, 2*f'(a + c/2), with a relative error O((c*T)^2).
+    2a+sigma^2 -> 0, a+sigma^2 -> 0) handled by series.  With E(x) =
+    (e^x - 1)/x, q = a*T and d = c*T, c = a+sigma^2, this is 2*T^2 times
+    the divided difference (E(q + d) - E(q))/d, taken in the form that
+    does not cancel:
+
+    * |d| < 1e-6: at its midpoint, E'(q + d/2), with a relative error O(d^2);
+    * |q| < 1 and |d| < 1: by E's power series (``expm1_over_x_dd``);
+    * |q| >= 1 and |q + d| > |d|: as (e^q*E(d) - E(q))/(q + d);
+    * elsewhere |d| >= 1/2, and the difference itself does not cancel.
+
+    Raises DomainError where e^q, E or m2 overflows.
     """
     require_finite(a=a, sigma=sigma, T=T)
     if T <= 0.0:
         raise DomainError(f"T must be > 0, got {T}")
     c = a + sigma * sigma
-    if abs(c * T) < 1e-6:
-        return 2.0 * T * T * expm1_over_x_d1((a + 0.5 * c) * T)
-    return 2.0 * (T * expm1_over_x((a + c) * T) - T * expm1_over_x(a * T)) / c
+    q, d = a * T, c * T
+    if abs(d) < 1e-6:
+        m2 = 2.0 * T * T * expm1_over_x_d1((a + 0.5 * c) * T)
+    elif abs(q) < 1.0 and abs(d) < 1.0:
+        m2 = 2.0 * T * T * expm1_over_x_dd(q, q + d)
+    elif abs(q) >= 1.0 and abs(q + d) > abs(d):
+        m2 = 2.0 * T * T * (exp(q) * expm1_over_x(d) - expm1_over_x(q)) / (q + d)
+    else:
+        m2 = 2.0 * (T * expm1_over_x((a + c) * T) - T * expm1_over_x(a * T)) / c
+    if not math.isfinite(m2):
+        raise DomainError(f"moment_m2 overflows double precision at a={a}, sigma={sigma}, T={T}")
+    return m2
 
 
 def bond_small_rate(r0: float, sigma: float, a: float, T: float) -> BondQuote:

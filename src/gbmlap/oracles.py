@@ -94,17 +94,24 @@ def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
     Each path draws from its own Philox substream keyed (seed, path), so a
     path's draws depend on neither the block size nor the other paths.
     """
-    # a uint64 array keeps every key exact; a list above 2^63 would pass through float64
-    bg = np.random.Philox(key=np.array([seed & _U64, 0], dtype=np.uint64))
-    gen = np.random.Generator(bg)
-    state = bg.state
-    for i in range(z.shape[0]):
-        state["state"]["key"][1] = (start + i) & _U64
-        state["state"]["counter"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
+    # the state setter converts Python ints to uint64 exactly, also above 2^63,
+    # and reads them faster than numpy arrays; counter 0 and an empty buffer
+    # start each path at the head of its substream
+    key = [seed & _U64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    bg = np.random.Philox()  # its state is replaced before each path's draws
+    normals = np.random.Generator(bg).standard_normal
+    for i, row in enumerate(z):
+        key[1] = (start + i) & _U64
         bg.state = state
-        gen.standard_normal(out=z[i])
+        normals(out=row)
     return z
 
 

@@ -118,8 +118,10 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     xi_max^2 is below the smallest normal float and the sign change is lost
     to rounding, DomainError is raised.  Exactly on the locus, b*(2 + zeta)
     = |zeta|, u = 0 is returned with no evaluation, at any scale.  Returns
-    u, the relative residual 1 - 4*b^2*P^2/(zeta^2 - u), the evaluations,
-    the final w bracket and u/w.
+    u, the relative residual, the evaluations, the final w bracket and u/w.
+    The residual is 1 - 4*b^2*P^2/(zeta^2 - u) on the hyperbolic side and
+    the solver's own (sqrt(zeta^2 - u) - 2*b*P)/(b*(2 + zeta)) on the
+    trigonometric side, which stays finite at any b.
     """
     reach, az = b * (2.0 + zeta), abs(zeta)
     if reach == az:
@@ -155,13 +157,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     res = solve_newton(fdf, lo, hi, tol=1e-15)
     w, f, to_u = res.root, res.residual, 4.0 * scale
     u = w * to_u
-    if hyperbolic:
-        residual = f / (1.0 - w) if w < 1.0 else f
-    else:
-        # 2*b*P = r - reach*f at the root
-        r = math.sqrt(z2 - u)
-        t = reach * f / r if r > 0.0 else f
-        residual = t * (2.0 - t)
+    residual = f / (1.0 - w) if hyperbolic and w < 1.0 else f
     return u, residual, res.iterations, res.bracket, to_u
 
 
@@ -191,8 +187,9 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     drops the double zero at xi = 0 and the roots where the log argument
     2*xi*cos(xi) + zeta*sin(xi) of the closed form is not positive.  xi = 0
     is returned on the branch boundary; NoRootInInterval is raised when b
-    is on its hyperbolic side or zeta <= -2.  The residual is relative:
-    1 - b^2*(2*cos(xi) + zeta*sinc(xi))^2/(4*xi^2 + zeta^2).
+    is on its hyperbolic side or zeta <= -2.  The residual is relative to
+    the equation's reach b*(2 + zeta): (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi)
+    + zeta*sinc(xi)))/(b*(2 + zeta)).
     """
     require_finite(b=b, zeta=zeta)
     if b <= 0.0:
@@ -317,10 +314,14 @@ def rate_R_largeb(b: float) -> float:
 
 
 def jb(b: float, zeta: float) -> float:
-    """Variational rate J_B(b, zeta) = 2*b^2*R(b, zeta) >= 0."""
+    """Variational rate J_B(b, zeta) = 2*b^2*R(b, zeta) >= 0.
+
+    Taken as 2*b*(b*R): b^2 overflows past b = 1.3e154, while b*R stays
+    near 2 at large b.
+    """
     if b == 0.0:
         return 0.0
-    return 2.0 * b * b * rate_R(b, zeta).value
+    return 2.0 * b * (b * rate_R(b, zeta).value)
 
 
 @lru_cache(maxsize=1)

@@ -26,6 +26,15 @@ def test_rate_json(capsys):
     assert abs(payload["J_B"] - 2.0 * 0.27 * payload["R"]) < 1e-12
 
 
+def test_rate_json_at_large_b(capsys):
+    # the trigonometric residual read -inf here, and 2*b^2*R overflowed
+    code, out, _ = _run(capsys, "rate", "--b", "1e300", "--zeta", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["residual"]) <= 1e-15
+    assert abs(payload["J_B"] - 4e300) <= 1e-15 * 4e300
+
+
 def test_rate_numerical_error_exit_code(capsys):
     code, _, err = _run(capsys, "rate", "--b", "1.0", "--zeta", "-3.0")
     assert code == 1

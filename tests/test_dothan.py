@@ -472,6 +472,11 @@ def test_moment_m2_closed_form_and_guard():
     # e^((a + sigma^2)*T) = e^900 overflows double precision
     with pytest.raises(DomainError, match="x = 900.0"):
         moment_m2(0.0, 0.3, 1e4)
+    # the (e^q*E(d) - E(q))/(q + d) form: E(q) at q = 800, and e^q*E(d) at q = d = 700;
+    # and m2 itself, 2*T^2 at T = 1e200 (it returned inf)
+    for a, sigma, T in [(8.0, 0.3, 100.0), (7.0, 0.0, 100.0), (0.0, 0.0, 1e200)]:
+        with pytest.raises(DomainError):
+            moment_m2(a, sigma, T)
 
 
 # (a, sigma, T, m2) with |c*T| in {0, 1e-12, 1e-9, 1e-7, 9e-7}, c = a + sigma^2, both signs,
@@ -539,6 +544,34 @@ _M2_NEAR_C0 = [
 def test_moment_m2_near_zero_c(a, sigma, T, ref):
     assert abs((a + sigma * sigma) * T) < 1e-6
     assert abs(moment_m2(a, sigma, T) - ref) <= 1e-13 * ref
+
+
+# (a, sigma, T, m2) with |c*T| >= 1e-6, c = a + sigma^2, in each form of the divided
+# difference: q = a*T large with d = c*T small (both signs), E's power series at
+# |q| < 1 and |d| < 1, (e^q*E(d) - E(q))/(q + d) at |q| >= 1, and the plain difference
+# at |q + d| <= |d|; m2 = 2*T^2*(E(q + d) - E(q))/d in 50-digit arithmetic (mpmath)
+_M2_AWAY_FROM_C0 = [
+    (-8.999999985, 3.0, 100.0, 0.024691358148148144223),
+    (-8.9999999, 3.0, 100.0, 0.024691358847736641851),
+    (-9.00000002, 3.0, 100.0, 0.024691357860082306381),
+    (-0.75, 0.9486832980505138, 2.0, 1.7179981379231503043),
+    (-4.0, 2.0976176963403033, 1.5, 0.13571430002275982292),
+    (-2.0, 1.5, 0.5, 0.13729138901258801742),
+    (2.0, 0.5, 3.0, 71884.075284005571515),
+    (0.1, 0.2, 1.0, 1.1213658892768090596),
+    (-0.3, 0.5, 2.0, 2.6253403826718488134),
+    (-0.2499, 0.5, 1.0, 0.84805168339686353466),
+    (-0.249997, 0.5, 1.0, 0.84797116719229385603),
+    (-0.250003, 0.5, 1.0, 0.84796618710392065029),
+    (0.9, 0.001, 1.0, 2.6301754558396555037),
+    (-1.0, 1.224744871391589, 1.0, 0.61927248698470184318),
+]
+
+
+@pytest.mark.parametrize("a, sigma, T, ref", _M2_AWAY_FROM_C0)
+def test_moment_m2_away_from_zero_c(a, sigma, T, ref):
+    assert abs((a + sigma * sigma) * T) >= 1e-6
+    assert abs(moment_m2(a, sigma, T) - ref) <= 1e-14 * ref
 
 
 def test_small_rate_quote():

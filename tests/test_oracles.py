@@ -24,21 +24,33 @@ from gbmlap.asian import rate_ibs
 from gbmlap.ratefn import jb
 
 
-def _rng(seed, i=0):
-    return np.random.Generator(np.random.Philox(key=[seed, i]))
-
-
 def _sample_integrals(sigma, a, T, n_steps, seed, n_paths=1):
     """Trapezoid samples of X_T of paths 0..n_paths-1 of ``seed``, one sign each."""
     z = _keyed_normals(seed, 0, np.empty((n_paths, n_steps)))
     return _integrals(z, sigma, a, T)[0]
 
 
+def _rng(seed, path):
+    # a uint64 array keeps keys above 2^63 exact
+    key = np.array([seed % 2**64, path % 2**64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def test_keyed_normals_are_per_path_substreams():
-    # row i of a block starting at path s holds the draws of Philox key (seed, s + i)
-    z = _keyed_normals(2024, 5, np.empty((3, 17)))
-    for i in range(3):
-        assert np.array_equal(z[i], _rng(2024, 5 + i).standard_normal(17))
+    # row i of a block starting at path s holds the draws of Philox key
+    # (seed, s + i), mod 2^64: from start 2^64 - 2 the path key wraps to 0
+    for seed, start in [(2024, 5), (0, 0), (2**63, 11), (2**64 - 1, 2**64 - 2)]:
+        z = _keyed_normals(seed, start, np.empty((4, 17)))
+        for i in range(4):
+            assert np.array_equal(z[i], _rng(seed, start + i).standard_normal(17)), (seed, start, i)
+
+
+def test_keyed_normals_carry_no_state_between_calls():
+    # a call right after one with another seed and row length gives a fresh call's rows
+    fresh = _keyed_normals(7, 3, np.empty((3, 9)))
+    _keyed_normals(2**64 - 1, 40, np.empty((2, 5)))
+    again = _keyed_normals(7, 3, np.empty((3, 9)))
+    assert np.array_equal(again, fresh)
 
 
 def test_sample_deterministic_path():
@@ -88,6 +100,14 @@ def test_mc_estimates_pinned(call, expected):
     est = call()
     assert math.isfinite(est.mean)
     assert est.mean == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+def test_mc_estimate_pinned_across_blocks_at_top_seed():
+    # 4100 paths span three blocks under a seed key above 2^63; frozen from the
+    # array-keyed implementation, so it pins every draw's bits
+    est = mc_laplace(0.1, 0.3, 0.05, 2.0, 4100, 64, seed=2**64 - 1)
+    assert est.mean == 0.8114148816259797
+    assert est.stderr == 0.0001155041219441989
 
 
 def test_mc_maturity_domain():

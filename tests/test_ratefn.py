@@ -139,11 +139,16 @@ def test_solve_xi_near_zeta_minus_two_matches_mpmath():
         assert abs(res.root - ref) <= 1e-9 * ref
 
 
-@pytest.mark.parametrize("b, zeta", [(1e4, 0.5), (50.0, 3.0), (1e3, -1.0)])
+@pytest.mark.parametrize(
+    "b, zeta", [(1e4, 0.5), (50.0, 3.0), (1e3, -1.0), (1e6, -1.0), (1e12, 0.0), (1e300, 0.0)]
+)
 def test_solve_xi_relative_residual_at_large_b(b, zeta):
-    # the residual 1 - b^2*(2*cos(xi) + zeta*sinc(xi))^2/(4*xi^2 + zeta^2) does
-    # not grow with b (the squared equation's read 3.5e-12, 7.3e-12, 1.6e-12)
+    # the residual (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi) + zeta*sinc(xi)))/(b*(2 + zeta))
+    # does not grow with b (the squared equation's read 3.5e-12, 7.3e-12, 1.6e-12 at
+    # the first three; 1 - 4*b^2*P^2/(zeta^2 - u) read 1.75e-10, 2.8e-4 and -inf at the
+    # last three, where R is exact)
     assert abs(solve_xi(b, zeta).residual) <= 1e-12
+    assert abs(rate_R(b, zeta).residual) <= 1e-12
 
 
 @pytest.mark.parametrize("zeta", [0.25, 1.0, -0.5, 2.0])
@@ -322,6 +327,9 @@ def test_jb_values_and_monotonicity():
             v = jb(0.1 * k, z)
             assert v > prev
             prev = v
+    # 2*b*(b*R): 2*b^2*R overflowed to inf at b = 1e300, where J_B = 4e300
+    assert abs(jb(1e300, 0.0) - 4e300) <= 1e-15 * 4e300
+    assert abs(jb(1e200, -1.0) - 4e200) <= 1e-15 * 4e200
 
 
 def test_negative_zeta_branch_routing():
