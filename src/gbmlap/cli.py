@@ -44,7 +44,7 @@ def _emit_json(payload: dict | list) -> None:
 
 
 def _mc_diagnostics(est: oracles.MCEstimate) -> dict:
-    """An estimate's fields other than its mean: standard error and reproduction key."""
+    """An estimate's fields other than its mean: standard error, reproduction key and timing."""
     return {k: v for k, v in asdict(est).items() if k != "mean"}
 
 

@@ -10,10 +10,12 @@ check:
   (seed, i) (Salmon et al., SC11), so the same seed gives the same bits:
   estimates are reproducible bit-for-bit for a given (seed, n_paths,
   n_steps), whatever the block size, and paths could be simulated in any
-  order.  Paths are simulated in blocks of 2048 rows, each costing one
-  cumulative sum and one exp per element: the mirror's integrand is
-  exp(2*drift)/e^s, with a second exp only where that ratio could leave
-  the range of normal floats.
+  order.  Paths are simulated in blocks of 1 MiB of draws (as many rows of
+  n_steps as fit, at least one), each costing one cumulative sum and one
+  exp per element: the mirror's integrand is exp(2*drift)/e^s, with a
+  second exp, and a second block, only where that ratio could leave the
+  range of normal floats.  A call's working memory is one block plus 8
+  bytes per path, whatever n_paths and n_steps.
 
 * Direct numerical solution of the two variational problems behind the
   rate functions: the Euler-Lagrange equation h'' = kappa * e^h with
@@ -30,7 +32,8 @@ check:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -48,7 +51,8 @@ __all__ = [
     "ibs_variational",
 ]
 
-_BLOCK = 2048
+# bytes of draws per block: one core's share of L2 holds it
+_BLOCK_BYTES = 1 << 20
 _U64 = (1 << 64) - 1
 # exp(x) is a finite, normal float64 for |x| below this (the smallest normal is e^-708.4)
 _EXP_NORMAL = 708.0
@@ -58,13 +62,20 @@ _W_SPREAD = 40.0
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Monte Carlo mean with standard error and full reproduction key."""
+    """Monte Carlo mean with standard error and full reproduction key.
+
+    elapsed_s is the call's wall-clock time and paths_per_s is n_paths over
+    it; both are 0 when the value is known without simulating, and neither
+    takes part in comparisons, so equal keys give equal estimates.
+    """
 
     mean: float
     stderr: float
     n_paths: int
     n_steps: int
     seed: int
+    elapsed_s: float = field(default=0.0, compare=False)
+    paths_per_s: float = field(default=0.0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,12 @@ class ShootingResult:
     shots: int = 0
 
 
-def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
-    """Fill row i of ``z`` with the N(0, 1) draws of path start+i.
+def _keyed_normals(seed: int):
+    """Return ``fill(start, z)``, which fills row i of ``z`` with the N(0, 1) draws of path start+i.
 
     Each path draws from its own Philox substream keyed (seed, path), so a
-    path's draws depend on neither the block size nor the other paths.
+    path's draws depend on neither the block size nor the other paths.  One
+    bit generator serves every block of a call.
     """
     # the state setter converts Python ints to uint64 exactly, also above 2^63,
     # and reads them faster than numpy arrays; counter 0 and an empty buffer
@@ -108,41 +120,52 @@ def _keyed_normals(seed: int, start: int, z: np.ndarray) -> np.ndarray:
     }
     bg = np.random.Philox()  # its state is replaced before each path's draws
     normals = np.random.Generator(bg).standard_normal
-    for i, row in enumerate(z):
-        key[1] = (start + i) & _U64
-        bg.state = state
-        normals(out=row)
-    return z
+
+    def fill(start: int, z: np.ndarray) -> np.ndarray:
+        for i, row in enumerate(z):
+            key[1] = (start + i) & _U64
+            bg.state = state
+            normals(out=row)
+        return z
+
+    return fill
 
 
 def _trapezoid(f: np.ndarray, dt: float) -> np.ndarray:
     return dt * (0.5 * (1.0 + f[:, -1]) + f[:, :-1].sum(axis=1))
 
 
-def _integrals(z: np.ndarray, sigma: float, a: float, T: float):
-    """Trapezoid samples of X_T from a block of draws, one path per row of ``z``.
+def _integrals(sigma: float, a: float, T: float, n_steps: int):
+    """Return ``integrals(z)``: trapezoid samples of X_T from a block of draws, one path per row.
 
-    Returns ``(x, x_mirror)``, the paths and their antithetic mirrors (the
-    same draws negated).  ``z`` is overwritten: one cumulative sum, the
-    scale and drift, and one exp are done in place.  The mirror's integrand
-    is exp(2*drift - s) where s = sigma*W + drift is the path's exponent, so
-    it is taken as exp(2*drift)/e^s with no second exp, unless exp(2*drift)
-    or e^s could leave the range of normal floats; that choice depends only
-    on (sigma, a, T, n_steps), so every block of one call makes the same one.
+    ``integrals(z)`` returns ``(x, x_mirror)``, the paths and their
+    antithetic mirrors (the same draws negated).  ``z`` is overwritten: one
+    cumulative sum, the scale and drift, and one exp are done in place.  The
+    mirror's integrand is exp(2*drift - s) where s = sigma*W + drift is the
+    path's exponent, so it is taken as exp(2*drift)/e^s with no second exp,
+    unless exp(2*drift) or e^s could leave the range of normal floats; that
+    choice depends only on (sigma, a, T, n_steps), so it is made once per call.
     """
-    n_steps = z.shape[1]
     dt = T / n_steps
     drift = (a - 0.5 * sigma * sigma) * dt * np.arange(1, n_steps + 1)
-    np.add.accumulate(z, axis=1, out=z)
-    z *= sigma * math.sqrt(dt)
+    scale = sigma * math.sqrt(dt)
     by_division = 2.0 * (np.abs(drift).max() + _W_SPREAD * abs(sigma) * math.sqrt(T)) < _EXP_NORMAL
-    mirror = None if by_division else np.exp(drift - z)
-    z += drift
-    np.exp(z, out=z)
-    x = _trapezoid(z, dt)
-    if mirror is None:
-        mirror = np.divide(np.exp(2.0 * drift), z, out=z)
-    return x, _trapezoid(mirror, dt)
+    growth = np.exp(2.0 * drift) if by_division else None
+
+    def integrals(z: np.ndarray):
+        np.add.accumulate(z, axis=1, out=z)
+        z *= scale
+        if growth is None:
+            mirror = np.subtract(drift, z)
+            np.exp(mirror, out=mirror)
+        z += drift
+        np.exp(z, out=z)
+        x = _trapezoid(z, dt)
+        if growth is not None:
+            mirror = np.divide(growth, z, out=z)
+        return x, _trapezoid(mirror, dt)
+
+    return integrals
 
 
 def _check_counts(n_paths: int, n_steps: int) -> None:
@@ -153,24 +176,41 @@ def _check_counts(n_paths: int, n_steps: int) -> None:
 
 
 def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed):
-    """Per-path payoff means over antithetic pairs; vectorized in blocks."""
+    """Per-path payoff means over antithetic pairs; vectorized in blocks of _BLOCK_BYTES."""
+    rows = max(1, _BLOCK_BYTES // (8 * n_steps))
+    normals = _keyed_normals(seed)
+    integrals = _integrals(sigma, a, T, n_steps)
     out = np.empty(n_paths)
-    z = np.empty((min(_BLOCK, n_paths), n_steps))
-    for start in range(0, n_paths, _BLOCK):
-        count = min(_BLOCK, n_paths - start)
-        x, mirror = _integrals(_keyed_normals(seed, start, z[:count]), sigma, a, T)
+    z = np.empty((min(rows, n_paths), n_steps))
+    for start in range(0, n_paths, rows):
+        count = min(rows, n_paths - start)
+        x, mirror = integrals(normals(start, z[:count]))
         out[start:start + count] = (payoff(x) + payoff(mirror)) / 2
     return out
 
 
-def _estimate(values: np.ndarray, n_steps: int, seed: int) -> MCEstimate:
+def _estimate(values: np.ndarray, n_steps: int, seed: int, started: float) -> MCEstimate:
+    """Mean and standard error of ``values``, timed from ``started`` (a perf_counter reading).
+
+    ``values`` is overwritten: the sample variance is taken in place, by the
+    operations of numpy's ``std(ddof=1)`` in their order (sum/n, subtract,
+    square, sum, divide by n - 1), so it gives the same bits with no second
+    n-sized array.
+    """
     n = values.size
+    mean = values.sum() / n
+    values -= mean
+    np.multiply(values, values, out=values)
+    stderr = math.sqrt(values.sum() / (n - 1)) / math.sqrt(n)
+    elapsed = time.perf_counter() - started
     return MCEstimate(
-        mean=float(values.mean()),
-        stderr=float(values.std(ddof=1) / math.sqrt(n)),
+        mean=float(mean),
+        stderr=stderr,
         n_paths=n,
         n_steps=n_steps,
         seed=seed,
+        elapsed_s=elapsed,
+        paths_per_s=n / elapsed,
     )
 
 
@@ -189,6 +229,7 @@ def mc_laplace(
     antithetic mirror (same draws negated), so the standard error is over
     n_paths independent pair means.  n_paths, n_steps >= 2, also at theta = 0.
     """
+    started = time.perf_counter()
     require_finite(theta=theta, sigma=sigma, a=a, T=T)
     if theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta}")
@@ -198,11 +239,12 @@ def mc_laplace(
     if theta == 0.0:
         return MCEstimate(1.0, 0.0, n_paths, n_steps, seed)
     vals = _mc_pair_means(lambda x: np.exp(-theta * x), sigma, a, T, n_paths, n_steps, seed)
-    return _estimate(vals, n_steps, seed)
+    return _estimate(vals, n_steps, seed, started)
 
 
 def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> MCEstimate:
     """Monte Carlo price of an arithmetic-average option (antithetic pairs)."""
+    started = time.perf_counter()
     _check_counts(n_paths, n_steps)
     a = inp.r - inp.q
     df = math.exp(-inp.r * inp.t)
@@ -213,7 +255,7 @@ def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> M
     else:
         payoff = lambda x: df * np.maximum(inp.k - scale_ * x, 0.0)
     vals = _mc_pair_means(payoff, inp.sigma, a, inp.t, n_paths, n_steps, seed)
-    return _estimate(vals, n_steps, seed)
+    return _estimate(vals, n_steps, seed, started)
 
 
 @dataclass(frozen=True)

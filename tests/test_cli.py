@@ -215,9 +215,13 @@ def test_mc_subcommand_deterministic(capsys):
     code, out1, _ = _run(capsys, *args)
     assert code == 0
     _, out2, _ = _run(capsys, *args)
-    assert out1 == out2
-    payload = json.loads(out1)
-    assert set(payload) == {"mean", "stderr", "n_paths", "n_steps", "seed"}
+    # the output is the estimate and its key, plus the call's timing
+    timing = {"elapsed_s", "paths_per_s"}
+    payload, again = json.loads(out1), json.loads(out2)
+    assert set(payload) == {"mean", "stderr", "n_paths", "n_steps", "seed"} | timing
+    assert payload["elapsed_s"] > 0.0 and payload["paths_per_s"] > 0.0
+    assert {k: v for k, v in payload.items() if k not in timing} == \
+        {k: v for k, v in again.items() if k not in timing}
 
 
 def test_mc_subcommand_rejects_counts_below_two_at_theta_zero(capsys):

@@ -2,6 +2,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,12 +11,15 @@ import numpy as np
 import pytest
 
 import gbmlap
+from gbmlap import oracles
 from gbmlap.asian import AsianInputs, OptionKind, a_fwd
 from gbmlap.dothan import moment_m1, moment_m2
 from gbmlap.errors import DomainError, ShootingFailed
 from gbmlap.oracles import (
+    _estimate,
     _integrals,
     _keyed_normals,
+    _mc_pair_means,
     ibs_variational,
     jb_variational,
     mc_asian_price,
@@ -26,8 +31,8 @@ from gbmlap.ratefn import jb
 
 def _sample_integrals(sigma, a, T, n_steps, seed, n_paths=1):
     """Trapezoid samples of X_T of paths 0..n_paths-1 of ``seed``, one sign each."""
-    z = _keyed_normals(seed, 0, np.empty((n_paths, n_steps)))
-    return _integrals(z, sigma, a, T)[0]
+    z = _keyed_normals(seed)(0, np.empty((n_paths, n_steps)))
+    return _integrals(sigma, a, T, n_steps)(z)[0]
 
 
 def _rng(seed, path):
@@ -40,17 +45,22 @@ def test_keyed_normals_are_per_path_substreams():
     # row i of a block starting at path s holds the draws of Philox key
     # (seed, s + i), mod 2^64: from start 2^64 - 2 the path key wraps to 0
     for seed, start in [(2024, 5), (0, 0), (2**63, 11), (2**64 - 1, 2**64 - 2)]:
-        z = _keyed_normals(seed, start, np.empty((4, 17)))
+        z = _keyed_normals(seed)(start, np.empty((4, 17)))
         for i in range(4):
             assert np.array_equal(z[i], _rng(seed, start + i).standard_normal(17)), (seed, start, i)
 
 
 def test_keyed_normals_carry_no_state_between_calls():
     # a call right after one with another seed and row length gives a fresh call's rows
-    fresh = _keyed_normals(7, 3, np.empty((3, 9)))
-    _keyed_normals(2**64 - 1, 40, np.empty((2, 5)))
-    again = _keyed_normals(7, 3, np.empty((3, 9)))
+    fresh = _keyed_normals(7)(3, np.empty((3, 9)))
+    _keyed_normals(2**64 - 1)(40, np.empty((2, 5)))
+    again = _keyed_normals(7)(3, np.empty((3, 9)))
     assert np.array_equal(again, fresh)
+    # one generator fills the blocks of a call: an earlier block, of any start
+    # or row length, leaves nothing behind
+    fill = _keyed_normals(7)
+    fill(40, np.empty((2, 5)))
+    assert np.array_equal(fill(3, np.empty((3, 9))), fresh)
 
 
 def test_sample_deterministic_path():
@@ -110,6 +120,57 @@ def test_mc_estimate_pinned_across_blocks_at_top_seed():
     assert est.stderr == 0.0001155041219441989
 
 
+@pytest.mark.parametrize(
+    "sigma, a, T",
+    [(0.3, 0.05, 2.0), (3.0, 0.0, 10.0)],
+    ids=["mirror-by-division", "mirror-by-exp"],
+)
+def test_mc_pair_means_independent_of_block_size(monkeypatch, sigma, a, T):
+    # 4100 paths of 64 steps: three blocks by default, against one row per
+    # block and one block for all; sigma*sqrt(T) = 9.5 takes the second exp
+    args = (lambda x: x, sigma, a, T, 4100, 64, 2**64 - 5)
+    default = _mc_pair_means(*args)
+    assert np.all(np.isfinite(default))
+    for block_bytes in (8 * 64, 64 << 20):
+        monkeypatch.setattr(oracles, "_BLOCK_BYTES", block_bytes)
+        assert np.array_equal(_mc_pair_means(*args), default), block_bytes
+
+
+def _peak_bytes(call):
+    # traced memory of a second call: a process's first call imports numpy.random
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mc_working_memory_is_one_block():
+    # 4096 paths of 512 steps (16 MiB of draws) once took an 8 MiB block;
+    # 1 MiB blocks and n_paths * 8 bytes of pair means leave under 2 MiB
+    assert _peak_bytes(lambda: mc_laplace(0.1, 0.1, 0.0, 1.0, 4096, 512, seed=1)) < 2 << 20
+    assert _peak_bytes(lambda: mc_asian_price(_C7_ASIAN, 4096, 256, seed=1)) < 2 << 20
+
+
+def test_mc_variance_takes_no_second_path_array():
+    # 1e6 paths of 8 steps: 8 MB of pair means, one 1 MiB block and its
+    # row-sized temporaries; a second 8 MB array would pass 15 MiB
+    n = 1_000_000
+    assert _peak_bytes(lambda: mc_laplace(0.1, 0.1, 0.0, 1.0, n, 8, seed=1)) < 8 * n + (3 << 20)
+
+
+@pytest.mark.parametrize("n", [2, 3, 2048, 99991])
+def test_estimate_matches_numpy_std(n):
+    # the in-place variance repeats numpy's std(ddof=1) operation by operation;
+    # a change in numpy's order of operations shows here
+    values = 1.0 + 0.3 * np.random.default_rng(n).standard_normal(n)
+    est = _estimate(values.copy(), 8, 1, time.perf_counter())
+    assert est.mean == values.mean()
+    assert est.stderr == values.std(ddof=1) / math.sqrt(n)
+
+
 def test_mc_maturity_domain():
     with pytest.raises(DomainError, match="T must be >= 0"):
         mc_laplace(0.1, 0.1, 0.0, -1.0, 100, 16, seed=1)
@@ -133,6 +194,7 @@ def test_mc_negative_sigma_is_the_mirror_path():
 def test_mc_laplace_theta_zero():
     est = mc_laplace(0.0, 0.1, 0.0, 1.0, 100, 16, seed=1)
     assert est.mean == 1.0 and est.stderr == 0.0
+    assert est.elapsed_s == 0.0 and est.paths_per_s == 0.0
 
 
 @pytest.mark.parametrize("n_paths, n_steps", [(-5, 16), (100, 0)])
@@ -146,6 +208,8 @@ def test_mc_laplace_reproducible():
     e1 = mc_laplace(0.1, 0.1, 0.0, 1.0, 20000, 64, seed=42)
     e2 = mc_laplace(0.1, 0.1, 0.0, 1.0, 20000, 64, seed=42)
     assert e1 == e2
+    # the timings differ from call to call and take no part in ==
+    assert e1.elapsed_s > 0.0 and e1.paths_per_s == e1.n_paths / e1.elapsed_s
     e3 = mc_laplace(0.1, 0.1, 0.0, 1.0, 20000, 64, seed=43)
     assert e1.mean != e3.mean
 
@@ -158,7 +222,7 @@ def test_mc_seeds_keep_exact_philox_keys():
         warnings.simplefilter("error")
         est = {s: mc_laplace(0.1, 0.3, 0.0, 1.0, 64, 8, seed=s).mean
                for s in (0, -1, 2**64 - 4096, -5000)}
-        z = _keyed_normals(-1, 0, np.empty((1, 8)))
+        z = _keyed_normals(-1)(0, np.empty((1, 8)))
     assert est[-1] != est[0]
     assert est[2**64 - 4096] != est[-5000]
     key = np.array([2**64 - 1, 0], dtype=np.uint64)
