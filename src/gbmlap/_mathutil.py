@@ -5,11 +5,13 @@ v = x^2, the variable of both rate functions' root equations; its slope
 is a Taylor series near v = 0, so no 0/0 is formed.  e^x, (e^x - 1)/x and
 its first derivative raise DomainError, naming x, where their value
 overflows; the divided difference of (e^x - 1)/x on (-2, 2) is summed as
-a power series.
+a power series.  ``as_float`` takes a public function's real argument
+into double precision.
 """
 
 import functools
 import math
+import numbers
 
 from .errors import DomainError
 
@@ -103,6 +105,24 @@ def expm1_over_x_dd(x: float, y: float) -> float:
         h = y * h + xp
         fact *= k + 2
     return total
+
+
+def as_float(x: float) -> float:
+    """x if it is a float (numpy's float64 is one), else float(x) for a real number.
+
+    A float32 or an int is converted once, at the public entry, so that
+    every step after it runs in double precision.  Raises DomainError for
+    a value that is not a real number or is outside the float range (an int
+    above 1.8e308).
+    """
+    if isinstance(x, float):
+        return x
+    if isinstance(x, numbers.Real):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise DomainError(f"expected a real number in the float range, got {type(x).__name__} {x!s:.40}")
 
 
 def require_finite(**values: float) -> None:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
+from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .ratefn import RateEval, _rate_eval, _root_result, _xi_bound
 from .rootfind import RootResult, solve_newton
@@ -75,6 +75,8 @@ class AsianInputs:
     kind: OptionKind
 
     def __post_init__(self):
+        for name in ("s0", "k", "r", "q", "sigma", "t"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         require_finite(s0=self.s0, k=self.k, r=self.r, q=self.q, sigma=self.sigma, t=self.t)
         if self.s0 <= 0.0 or self.k <= 0.0:
             raise DomainError("s0 and k must be > 0")
@@ -161,6 +163,7 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
     u = delta^2 by ``_ibs_solve_u``.  At the pivot x = 1 + zeta/2 the
     root 0 is returned after two evaluations.
     """
+    x, zeta = as_float(x), as_float(zeta)
     require_finite(x=x, zeta=zeta)
     if x < (1.0 + 0.5 * zeta) * (1.0 - 1e-12):
         raise BranchError(f"hyperbolic branch needs x >= 1 + zeta/2, got x={x}, zeta={zeta}")
@@ -181,6 +184,7 @@ def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     lost to rounding: x and zeta both tiny, as at (1e-21, 1e-21).  Small x
     alone resolves: at zeta = 0.1 the root is found down to x = 1e-300.
     """
+    x, zeta = as_float(x), as_float(zeta)
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"ibs_solve_xi requires x > 0, got {x}")
@@ -219,6 +223,7 @@ def rate_ibs(x: float, zeta: float) -> RateEval:
     the value.  The trigonometric value is not that sensitive to u, so its
     root resolves I_BS down to x = 1e-300 although S*P then misses x.
     """
+    x, zeta = as_float(x), as_float(zeta)
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"rate_ibs requires x > 0, got {x}")
@@ -236,6 +241,7 @@ def rate_ibs(x: float, zeta: float) -> RateEval:
 
 def a_fwd(s0: float, a: float, t: float) -> float:
     """Expected time-average of the asset: s0*(e^(a*t) - 1)/(a*t)."""
+    s0, a, t = as_float(s0), as_float(a), as_float(t)
     require_finite(s0=s0, a=a, t=t)
     if s0 <= 0.0 or t <= 0.0:
         raise DomainError("a_fwd requires s0 > 0 and t > 0")
@@ -272,6 +278,7 @@ def sigma_ln(k: float, s0: float, sigma: float, a: float, t: float) -> float:
     curvature is 1/V(zeta) (see ``_atm_curvature``); this gives
     sigma*sqrt(V(zeta))/x*, which is sigma/sqrt(3) at zeta = 0.
     """
+    k, s0, sigma, a, t = as_float(k), as_float(s0), as_float(sigma), as_float(a), as_float(t)
     require_finite(k=k, sigma=sigma)
     if k <= 0.0 or s0 <= 0.0:
         raise DomainError("sigma_ln requires k > 0 and s0 > 0")
@@ -295,6 +302,7 @@ def european_bs_price(
     an sd = vol*sqrt(t) that overflows to the sd -> inf limit, df*F for a
     call and df*K for a put.
     """
+    f, k, t, vol, df = as_float(f), as_float(k), as_float(t), as_float(vol), as_float(df)
     require_finite(f=f, k=k, t=t, vol=vol, df=df)
     if f <= 0.0 or k <= 0.0 or t <= 0.0 or df <= 0.0:
         raise DomainError("european_bs_price requires f, k, t, df > 0")
@@ -345,6 +353,7 @@ def otm_log_price_limit(
     (at K = S0 this is the rate-function value at unit moneyness, zero
     for zero drift).
     """
+    k, s0, sigma, a, t = as_float(k), as_float(s0), as_float(sigma), as_float(a), as_float(t)
     require_finite(k=k, s0=s0, sigma=sigma, a=a, t=t)
     if sigma <= 0.0 or t <= 0.0 or k <= 0.0 or s0 <= 0.0:
         raise DomainError("otm_log_price_limit requires k, s0, sigma, t > 0")

@@ -14,10 +14,12 @@ Five deterministic methods, each returning a BondQuote:
 
 The exact integrand is stabilized by writing both erfc terms of its
 amplitude q through the scaled function erfcx behind one shared factor
-e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2: one exp and two erfcx per
-node, so the amplitude decays like exp(-z^2/s) with no overflow (past
+e^(-(w^2 + c^2)), w = z/sqrt(s), c = sqrt(s)/2, so the amplitude decays
+like exp(-z^2/s) with no overflow.  That factor and the oscillator
+e^(i*f*sinh z) are one exponential, so the integrand costs one complex exp
+and one erfcx call on the stacked arguments w -+ c per node (past
 s = 2,704, where erfcx(w - c) would overflow, a two-term form with erfc
-is used).  The amplitude is entire, so by Cauchy the integral of
+and two exps is used).  The amplitude is entire, so by Cauchy the integral of
 sin(f*sinh z)*q(z) along the real axis equals one up the imaginary axis
 to a height h and then along Im z = h, where e^(i*f*sinh z) decays like
 e^(-f*sin(h)*cosh x) instead of oscillating (numerical steepest descent
@@ -26,12 +28,14 @@ in its simplest form; Huybrechs and Vandewalle, SIAM J. Numer. Anal. 44,
 g(z) = e^z*erfc(w + c) - e^(-z)*erfc(c - w) odd and real on the real
 axis, so g(it) is imaginary, Re q(it) = 2*cos(t), and the leg gives
 2*(1 - e^(-f*sin h))/f.  The horizontal leg is one Gauss-Kronrod G15/K31
-panel: one call to the amplitude, at 31 complex nodes, gives its coarse
+panel: one call to the integrand, at 31 complex nodes, gives its coarse
 and fine sums, and only a panel whose two sums disagree is bisected.
 The cost does not grow with T, and small s = sigma^2*T/2, where q falls
 from 2 to 0 within a few sqrt(s), is resolved.  A non-finite y or s, or
-a non-finite integrand value, raises DomainError.  Everything here is
-stateless.
+a non-finite integrand value, raises DomainError.  The exact price's
+set-up runs in Python floats, whatever scalar type its inputs have.
+Each public function here takes a float32 or an int argument as its float
+(``_mathutil.as_float``).  Everything here is stateless.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import exp, expm1_over_x, expm1_over_x_d1, expm1_over_x_dd, require_finite
+from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_d1, expm1_over_x_dd, require_finite
 from .errors import DomainError
 from .model import _check_params, _scaled
 from .ratefn import rate_R
@@ -180,28 +184,25 @@ def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
             + _refine(F, mid, hi, *right, 0.5 * tol, depth + 1, counts))
 
 
-def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol: float,
+def _contour_sum(F: Callable[[np.ndarray], np.ndarray], tol: float,
                  lo: complex, hi: complex) -> tuple[float, int, int, int]:
-    """Im integral F(z) dz, F = e^(i*freq*sinh z)*amplitude(z), along the segment lo -> hi.
+    """Im integral F(z) dz along the segment lo -> hi, for an F like ``_exact_integrand``'s.
 
-    With F entire and the amplitude real on the real axis, Cauchy moves
-    Im integral_0^inf F(x) dx = integral_0^inf sin(freq*sinh x)*amplitude(x) dx
+    With F = e^(i*freq*sinh z)*q(z) entire and q real on the real axis,
+    Cauchy moves Im integral_0^inf F(x) dx = integral_0^inf sin(freq*sinh x)*q(x) dx
     to the legs 0 -> ih -> ih + x_max:
 
         Re integral_0^h F(it) dt + Im integral_0^x_max F(x + ih) dx,
 
     where |e^(i*freq*sinh z)| is e^(-freq*sin t) on the first leg and
     e^(-freq*sin(h)*cosh x) on the second.  The first leg has a closed form
-    for the caller's amplitude; the caller passes the second, lo = ih and
+    for the caller's q; the caller passes the second, lo = ih and
     hi = x_max + ih, with an x_max that leaves a tail below tol/8.  It is
     one G15/K31 panel from one call to F, bisected while its two sums differ
     by more than tol/4.  Returns the value, the panels integrated, those
     that stopped at the refinement cap unconverged (their value is used as
     is) and the calls to F.
     """
-    def F(z: np.ndarray) -> np.ndarray:
-        return np.exp(1j * freq * np.sinh(z)) * amplitude(z)
-
     counts = [0, 0, 0]
     (coarse, fine), = _panel_sums(F, np.array([lo]), np.array([hi]), counts)
     value = _refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
@@ -210,6 +211,7 @@ def _contour_sum(amplitude: Callable[[np.ndarray], np.ndarray], freq: float, tol
 
 def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     """Price exp(-r0*T*R(b, zeta)) with (b, zeta) as ``model.scale`` forms them."""
+    r0, sigma, a, T = as_float(r0), as_float(sigma), as_float(a), as_float(T)
     _check_params("r0", r0, sigma, a, T)
     if r0 == 0.0:
         return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": a * T})
@@ -231,39 +233,50 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     )
 
 
-def _amplitude_form(s: float) -> str:
-    """Which form ``_exact_amplitude`` takes at s: "one_exp", or "two_term" past s = 2,704."""
-    return "one_exp" if 0.5 * math.sqrt(s) <= _ONE_EXP_C_MAX else "two_term"
+def _exact_integrand(s: float, freq: float) -> tuple[str, Callable[[np.ndarray], np.ndarray]]:
+    """F(z) = e^(i*freq*sinh z)*q(z) of ``bond_exact_zero_drift``, elementwise, and q's form.
 
-
-def _exact_amplitude(s: float) -> Callable[[np.ndarray], np.ndarray]:
-    """q(z) of ``bond_exact_zero_drift``, elementwise on real or complex z, for s = sigma^2*T/2.
-
-    With w = z/sqrt(s) and c = sqrt(s)/2, e^(-z)*erfc(w - c) and
+    With w = z/sqrt(s) and c = sqrt(s)/2, q's terms e^(-z)*erfc(w - c) and
     e^z*erfc(w + c) share the factor e^(-(w^2 + c^2)), so
 
-        q(z) = e^(-(w^2 + c^2)) * (erfcx(w - c) + erfcx(w + c)),
+        F(z) = e^(i*freq*sinh z - c^2 - w^2) * (erfcx(w - c) + erfcx(w + c)),
 
-    one exp and two erfcx per node.  erfcx(w - c) reaches about 2*e^(c^2),
-    so past c = _ONE_EXP_C_MAX (s above 2,704) the two-term form
-    e^(-z)*erfc(w - c) + e^(-(w^2 + c^2))*erfcx(w + c), whose first term
-    stays below 2*|e^(-z)|, is used instead.
+    one complex exp per node and one erfcx call on the stacked w -+ c: the
+    "one_exp" form.  erfcx(w - c) reaches about 2*e^(c^2), so past
+    c = _ONE_EXP_C_MAX (s above 2,704) the "two_term" form
+
+        F(z) = e^(i*freq*sinh z - z)*erfc(w - c) + e^(i*freq*sinh z - c^2 - w^2)*erfcx(w + c),
+
+    whose first term stays below 2*|e^(i*freq*sinh z - z)|, is used
+    instead, with two exps.  At freq = 0 the phase is left out and sinh is
+    not formed, so F is q itself, also on real z past |z| = 710.  Returns
+    the form's name and F.
     """
     from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
 
     sqrt_s = math.sqrt(s)
     c = 0.5 * sqrt_s
     c2 = c * c
-    if _amplitude_form(s) == "one_exp":
-        def amplitude(z: np.ndarray) -> np.ndarray:
+    i_freq = 1j * freq
+
+    def phase(z: np.ndarray) -> np.ndarray | float:
+        """i*freq*sinh(z), or 0.0 at freq = 0."""
+        return i_freq * np.sinh(z) if freq else 0.0
+
+    if c <= _ONE_EXP_C_MAX:
+        shifts = np.array([[-c], [c]])
+
+        def one_exp(z: np.ndarray) -> np.ndarray:
             w = z / sqrt_s
-            return np.exp(-c2 - w * w) * (_sp.erfcx(w - c) + _sp.erfcx(w + c))
-    else:
-        def amplitude(z: np.ndarray) -> np.ndarray:
-            t1 = np.exp(-z) * _sp.erfc((2.0 * z - s) / (2.0 * sqrt_s))
-            t2 = np.exp(-0.25 * s - z * z / s) * _sp.erfcx((s + 2.0 * z) / (2.0 * sqrt_s))
-            return t1 + t2
-    return amplitude
+            e = _sp.erfcx(w + shifts)
+            return np.exp(phase(z) - c2 - w * w) * (e[0] + e[1])
+        return "one_exp", one_exp
+
+    def two_term(z: np.ndarray) -> np.ndarray:
+        w = z / sqrt_s
+        p = phase(z)
+        return np.exp(p - z) * _sp.erfc(w - c) + np.exp(p - c2 - w * w) * _sp.erfcx(w + c)
+    return "two_term", two_term
 
 
 def _exact_cutoff(s: float, freq: float, h: float, tol: float) -> float:
@@ -323,7 +336,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
 
     algebraically equal to 2*e^(-z) + e^z*Erfc((s+2z)/(2 sqrt s))
     - e^(-z)*Erfc((s-2z)/(2 sqrt s)) but free of cancellation (see
-    ``_exact_amplitude``).  q is entire, so the integral runs up the
+    ``_exact_integrand``).  q is entire, so the integral runs up the
     imaginary axis to h = atan(sqrt(y)*s), near the saddle of
     e^(2i*sqrt(y)*sinh z - z^2/s), but at most 20/sqrt(y), then along
     Im z = h up to x_max, where a bound on the integrand drops below
@@ -336,29 +349,34 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     sqrt(y) times quad_tol, and ``yield_error_estimate`` =
     error_estimate/(T*price) bounds the yield's error to first order.
     Raises DomainError when y or s is zero or not finite in floating
-    point, or quad_tol is not > 0.
+    point, or quad_tol is not > 0.  The inputs are taken as Python floats,
+    and so are the diagnostics.
     """
+    r0, sigma, T, quad_tol = as_float(r0), as_float(sigma), as_float(T), as_float(quad_tol)
     _check_params("r0", r0, sigma, 0.0, T)
     if r0 == 0.0:
         raise DomainError("bond_exact_zero_drift requires r0 > 0")
     if not (quad_tol > 0.0):
         raise DomainError(f"quad_tol must be > 0, got {quad_tol}")
+    # the set-up runs in Python floats, also from numpy scalars, whose
+    # arithmetic costs several times more per step
+    r0, sigma, T, quad_tol = float(r0), float(sigma), float(T), float(quad_tol)
     y = 2.0 * r0 / (sigma * sigma)
     s = 0.5 * sigma * sigma * T
-    for name, v in (("y = 2*r0/sigma^2", y), ("s = sigma^2*T/2", s)):
-        if not (0.0 < v < math.inf):
-            raise DomainError(
-                f"{name} is {v:g} (r0={r0}, sigma={sigma}, T={T}); the exact quadrature "
-                f"needs it finite and > 0"
-            )
+    if not (0.0 < y < math.inf and 0.0 < s < math.inf):
+        name, v = ("y = 2*r0/sigma^2", y) if not 0.0 < y < math.inf else ("s = sigma^2*T/2", s)
+        raise DomainError(
+            f"{name} is {v:g} (r0={r0}, sigma={sigma}, T={T}); the exact quadrature "
+            f"needs it finite and > 0"
+        )
     sqrt_y = math.sqrt(y)
     f = 2.0 * sqrt_y
     # at most 20/sqrt(y): q grows like e^(h^2/s) up the imaginary axis, so at the
     # start of the horizontal leg it is below e^min(r0*T, 400/(r0*T))
     h = min(math.atan(sqrt_y * s), 20.0 / sqrt_y)
     x_max = _exact_cutoff(s, f, h, quad_tol)
-    value, n_panels, depth_cap_hits, n_calls = _contour_sum(
-        _exact_amplitude(s), f, quad_tol, 1j * h, x_max + 1j * h)
+    form, F = _exact_integrand(s, f)
+    value, n_panels, depth_cap_hits, n_calls = _contour_sum(F, quad_tol, 1j * h, x_max + 1j * h)
     price = 1.0 - sqrt_y * (_imaginary_leg(f, h) + value)
     err = sqrt_y * quad_tol
     if price <= err:
@@ -372,7 +390,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
         method=BondMethod.EXACT_QUADRATURE,
         yield_equiv=-math.log(price) / T,
         diagnostics={
-            "y": y, "s": s, "amplitude": _amplitude_form(s), "n_lobes": n_panels,
+            "y": y, "s": s, "amplitude": form, "n_lobes": n_panels,
             "error_estimate": err,
             "n_panels": n_panels, "depth_cap_hits": depth_cap_hits,
             "n_calls": n_calls, "height": h, "x_max": x_max,
@@ -383,6 +401,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
 
 def moment_m1(a: float, sigma: float, T: float) -> float:
     """First moment of the time integral: (e^(a*T) - 1)/a, limit T at a = 0."""
+    a, sigma, T = as_float(a), as_float(sigma), as_float(T)
     require_finite(a=a, sigma=sigma, T=T)
     if T <= 0.0:
         raise DomainError(f"T must be > 0, got {T}")
@@ -406,6 +425,7 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
 
     Raises DomainError where e^q, E or m2 overflows.
     """
+    a, sigma, T = as_float(a), as_float(sigma), as_float(T)
     require_finite(a=a, sigma=sigma, T=T)
     if T <= 0.0:
         raise DomainError(f"T must be > 0, got {T}")
@@ -432,6 +452,7 @@ def bond_small_rate(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     DomainError where the second-order term exceeds the first-order one,
     so that the truncated series says nothing about the price.
     """
+    r0, sigma, a, T = as_float(r0), as_float(sigma), as_float(a), as_float(T)
     _check_params("r0", r0, sigma, a, T)
     m1 = moment_m1(a, sigma, T)
     m2 = moment_m2(a, sigma, T)
@@ -462,6 +483,7 @@ def bond_taylor_small_T(r0: float, sigma: float, T: float) -> BondQuote:
     Raises DomainError once the truncated ratio is not positive, where
     sigma^2*r0*T^2 is too large for the expansion (it would price above 1).
     """
+    r0, sigma, T = as_float(r0), as_float(sigma), as_float(T)
     _check_params("r0", r0, sigma, 0.0, T)
     s2 = sigma * sigma
     t2 = s2 * r0 * T * T / 6.0
@@ -493,6 +515,7 @@ def bond_perpetual(r0: float, sigma: float, a: float) -> BondQuote:
     float range comes back as 0.0.  Raises DomainError where e^x*K_nu(x)
     is not a finite positive float.
     """
+    r0, sigma, a = as_float(r0), as_float(sigma), as_float(a)
     require_finite(r0=r0, sigma=sigma, a=a)
     if sigma <= 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._mathutil import require_finite
+from ._mathutil import as_float, require_finite
 from .errors import DomainError
 
 __all__ = ["ModelParams", "ScaledParams", "scale", "t_max"]
@@ -42,6 +42,8 @@ class ModelParams:
     theta: float
 
     def __post_init__(self):
+        for name in ("sigma", "a", "T", "theta"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         _check_params("theta", self.theta, self.sigma, self.a, self.T)
 
 
@@ -66,6 +68,8 @@ class ScaledParams:
     zeta: float
 
     def __post_init__(self):
+        for name in ("b", "zeta"):
+            object.__setattr__(self, name, as_float(getattr(self, name)))
         if not (0.0 <= self.b < math.inf and math.isfinite(self.zeta)):
             require_finite(b=self.b, zeta=self.zeta)
             raise DomainError(f"b must be >= 0, got {self.b}")
@@ -92,6 +96,7 @@ def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:
     radius R_b (the verified bound for the small-b series to converge),
     so T_max marks where the truncated series stops being usable.
     """
+    r0, sigma = as_float(r0), as_float(sigma)
     require_finite(r0=r0, sigma=sigma)
     if r0 <= 0.0:
         raise DomainError(f"r0 must be > 0, got {r0}")
@@ -101,6 +106,8 @@ def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:
         from .ratefn import convergence_radius
 
         threshold = 2.0 * convergence_radius()[1] ** 2
-    elif not (threshold > 0.0):
-        raise DomainError(f"threshold must be > 0, got {threshold}")
+    else:
+        threshold = as_float(threshold)
+        if not (threshold > 0.0):
+            raise DomainError(f"threshold must be > 0, got {threshold}")
     return math.sqrt(threshold / (sigma * sigma * r0))

@@ -32,13 +32,14 @@ check:
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
 
-from ._mathutil import expm1_over_x, require_finite
+from ._mathutil import as_float, expm1_over_x, require_finite
 from .asian import AsianInputs, OptionKind
 from .errors import DomainError, ShootingFailed
 
@@ -168,11 +169,24 @@ def _integrals(sigma: float, a: float, T: float, n_steps: int):
     return integrals
 
 
-def _check_counts(n_paths: int, n_steps: int) -> None:
+def _check_counts(n_paths: int, n_steps: int, seed: int) -> tuple[int, int, int]:
+    """n_paths, n_steps and seed as Python ints, numpy integers included.
+
+    Raises DomainError for a value that is not an integer (64.0 is not), or
+    a count below 2.
+    """
+    ints = []
+    for name, v in (("n_paths", n_paths), ("n_steps", n_steps), ("seed", seed)):
+        try:
+            ints.append(operator.index(v))
+        except TypeError:
+            raise DomainError(f"{name} must be an integer, got {v!r}") from None
+    n_paths, n_steps, seed = ints
     if n_paths < 2:
         raise DomainError(f"n_paths must be >= 2, got {n_paths}")
     if n_steps < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
+    return n_paths, n_steps, seed
 
 
 def _mc_pair_means(payoff, sigma, a, T, n_paths, n_steps, seed):
@@ -230,12 +244,13 @@ def mc_laplace(
     n_paths independent pair means.  n_paths, n_steps >= 2, also at theta = 0.
     """
     started = time.perf_counter()
+    theta, sigma, a, T = as_float(theta), as_float(sigma), as_float(a), as_float(T)
     require_finite(theta=theta, sigma=sigma, a=a, T=T)
     if theta < 0.0:
         raise DomainError(f"theta must be >= 0, got {theta}")
     if T < 0.0:
         raise DomainError(f"T must be >= 0, got {T}")
-    _check_counts(n_paths, n_steps)
+    n_paths, n_steps, seed = _check_counts(n_paths, n_steps, seed)
     if theta == 0.0:
         return MCEstimate(1.0, 0.0, n_paths, n_steps, seed)
     vals = _mc_pair_means(lambda x: np.exp(-theta * x), sigma, a, T, n_paths, n_steps, seed)
@@ -245,7 +260,7 @@ def mc_laplace(
 def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> MCEstimate:
     """Monte Carlo price of an arithmetic-average option (antithetic pairs)."""
     started = time.perf_counter()
-    _check_counts(n_paths, n_steps)
+    n_paths, n_steps, seed = _check_counts(n_paths, n_steps, seed)
     a = inp.r - inp.q
     df = math.exp(-inp.r * inp.t)
     scale_ = inp.s0 / inp.t
@@ -388,6 +403,7 @@ def jb_variational(b: float, zeta: float) -> ShootingResult:
     from h = zeta*t, and evaluating the objective on the collocation
     nodes.  Independent of the closed forms in ``ratefn``.
     """
+    b, zeta = as_float(b), as_float(zeta)
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
         raise DomainError(f"jb_variational requires b >= 0, got {b}")
@@ -409,6 +425,7 @@ def ibs_variational(x: float, zeta: float) -> ShootingResult:
     mu = (h'(0) - zeta)/x = alpha/x.  Independent of the closed forms in
     ``asian``.
     """
+    x, zeta = as_float(x), as_float(zeta)
     require_finite(x=x, zeta=zeta)
     if x <= 0.0:
         raise DomainError(f"ibs_variational requires x > 0, got {x}")

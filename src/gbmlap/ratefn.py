@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._mathutil import cosh_sinhc, expm1_over_x, require_finite
+from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval
 from .rootfind import RootResult, solve_newton
 
@@ -168,6 +168,7 @@ def solve_delta(b: float, zeta: float) -> RootResult:
     zeta*sinh(delta/2)/delta, solved for u = delta^2 (``_solve_u``); the
     residual is relative, 1 - 4*b^2*P^2/(zeta^2 - delta^2).
     """
+    b, zeta = as_float(b), as_float(zeta)
     require_finite(b=b, zeta=zeta)
     _check_zeta(zeta)
     if zeta == 0.0 or b <= 0.0:
@@ -191,6 +192,7 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     the equation's reach b*(2 + zeta): (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi)
     + zeta*sinc(xi)))/(b*(2 + zeta)).
     """
+    b, zeta = as_float(b), as_float(zeta)
     require_finite(b=b, zeta=zeta)
     if b <= 0.0:
         raise DomainError(f"solve_xi requires b > 0, got {b}")
@@ -240,6 +242,7 @@ def boundary_value(zeta: float) -> float:
     zeta -> 0.  Raises DomainError where the evaluation overflows (zeta
     above about 1e154).
     """
+    zeta = as_float(zeta)
     require_finite(zeta=zeta)
     _check_zeta(zeta)
     if abs(zeta) < 1e-5:
@@ -259,6 +262,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
     Raises DomainError on overflow, an underflowed bracket (``_solve_u``) or a
     value that is not positive and finite.
     """
+    b, zeta = as_float(b), as_float(zeta)
     require_finite(b=b, zeta=zeta)
     if b < 0.0:
         raise DomainError(f"rate_R requires b >= 0, got {b}")
@@ -289,6 +293,7 @@ def rate_R_series(b: float, order: int = 8) -> float:
     The series has a finite convergence radius (see
     ``convergence_radius``); truncations are only meaningful below it.
     """
+    b = as_float(b)
     require_finite(b=b)
     if order not in (2, 4, 6, 8):
         raise ValueError(f"order must be one of 2, 4, 6, 8, got {order}")
@@ -305,6 +310,7 @@ def rate_R_largeb(b: float) -> float:
     Coefficients verified against the full solve (errors 3e-5 at b=10,
     9e-7 at b=20, decaying like b^-5).
     """
+    b = as_float(b)
     require_finite(b=b)
     if b <= 0.0:
         raise DomainError(f"rate_R_largeb requires b > 0, got {b}")
@@ -319,6 +325,7 @@ def jb(b: float, zeta: float) -> float:
     Taken as 2*b*(b*R): b^2 overflows past b = 1.3e154, while b*R stays
     near 2 at large b.
     """
+    b = as_float(b)
     if b == 0.0:
         return 0.0
     return 2.0 * b * (b * rate_R(b, zeta).value)

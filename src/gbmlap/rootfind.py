@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ._mathutil import as_float
 from .errors import DomainError, MaxIterations, NoSignChange
 
 __all__ = ["RootResult", "solve_bracketed", "solve_newton"]
@@ -104,6 +105,7 @@ def solve_newton(
         NoSignChange: neither endpoint is a root and both have the same sign.
         MaxIterations: no convergence within ``max_iter`` evaluations.
     """
+    lo, hi, tol = as_float(lo), as_float(hi), as_float(tol)
     if not (tol > 0.0):
         raise DomainError(f"tol must be positive, got {tol}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:

@@ -293,7 +293,7 @@ def _sine_sinh_integral(a: float, tol: float) -> tuple[float, int]:
     level = math.log(8.0) - math.log(tol)
     x_max = max(math.asinh(1.0 / a), math.acosh(max(1.0, level / a)))
     value, _, depth_cap_hits, _ = dothan._contour_sum(
-        lambda z: np.exp(-z), a, tol, 1j * h, x_max + 1j * h)
+        lambda z: np.exp(1j * a * np.sinh(z) - z), tol, 1j * h, x_max + 1j * h)
     return 0.5 * dothan._imaginary_leg(a, h) + value, depth_cap_hits
 
 

@@ -14,8 +14,8 @@ from gbmlap.dothan import (
     _K31_WEIGHTS,
     BondMethod,
     _contour_sum,
-    _exact_amplitude,
     _exact_cutoff,
+    _exact_integrand,
     _imaginary_leg,
     _panel_sums,
     _refine,
@@ -78,6 +78,11 @@ def _two_term_amplitude(z, s):
             + np.exp(-0.25 * s - z * z / s) * special.erfcx((s + 2.0 * z) / (2.0 * sqrt_s)))
 
 
+def _amplitude(s):
+    """q(z) of the exact bond: its integrand's builder with the phase left out."""
+    return _exact_integrand(s, 0.0)[1]
+
+
 @pytest.mark.parametrize("s", [1e-4, 0.4, 25.0, 2600.0, 2900.0, 4000.0])
 def test_exact_amplitude_matches_two_term_form(s):
     # s = 2600 takes the one-exponent form, 2900 and 4000 the two-term one,
@@ -85,7 +90,7 @@ def test_exact_amplitude_matches_two_term_form(s):
     # underflow, where (w - c)^2 or z reaches about 745
     c = 0.5 * math.sqrt(s)
     z = np.random.default_rng(int(s * 10)).uniform(0.0, min(math.sqrt(s) * (28.0 + c), 760.0), 200)
-    new, old = _exact_amplitude(s)(z), _two_term_amplitude(z, s)
+    new, old = _amplitude(s)(z), _two_term_amplitude(z, s)
     assert np.isfinite(new).all()
     assert (np.abs(new - old) <= 1e-15 + 1e-13 * np.abs(old)).all()
 
@@ -103,6 +108,19 @@ def test_exact_quadrature_reports_amplitude_form():
     assert bond_exact_zero_drift(0.05, 0.5, 30000.0).diagnostics["amplitude"] == "two_term"
     q = bond_exact_zero_drift(0.05, 0.5, 20800.0)
     assert (q.diagnostics["s"], q.diagnostics["amplitude"]) == (2600.0, "one_exp")
+
+
+@pytest.mark.parametrize("r0, sigma, T", [(0.05, 0.3, 5.0), (0.1, 0.5, 10.0), (0.05, 0.5, 30000.0),
+                                           (1.23e-5, 0.00121, 0.00785), (0.05, 0.5, 200.0)])
+def test_exact_quadrature_numpy_scalars_give_the_float_price(r0, sigma, T):
+    # numpy scalars are taken as Python floats: the same price and diagnostics
+    # bit for bit, and every float in them a Python float
+    ref = bond_exact_zero_drift(r0, sigma, T)
+    q = bond_exact_zero_drift(np.float64(r0), np.float64(sigma), np.float64(T), np.float64(1e-9))
+    assert repr(q) == repr(ref)
+    d = q.diagnostics
+    assert all(type(v) is float for v in (q.price, q.yield_equiv, d["y"], d["s"], d["error_estimate"],
+                                          d["height"], d["x_max"], d["yield_error_estimate"]))
 
 
 def _imaginary_axis_rounding(s, t):
@@ -132,7 +150,7 @@ def test_exact_amplitude_real_part_on_imaginary_axis(s, t_frac):
     # t stays where e^(t^2/s - s/4) <= e^50 is finite; the bond's height keeps
     # t^2/s below min(r0*T, 400/(r0*T)) <= 20
     t = t_frac * min(0.5 * math.pi, math.sqrt(s * (50.0 + 0.25 * s)))
-    q = complex(_exact_amplitude(s)(np.array([1j * t]))[0])
+    q = complex(_amplitude(s)(np.array([1j * t]))[0])
     assert abs(q.real - 2.0 * math.cos(t)) <= _imaginary_axis_rounding(s, t)
 
 
@@ -152,11 +170,7 @@ def test_imaginary_leg_matches_numeric_leg(y, s):
     # tol plus h times the rounding of Re q(it) (|e^(-f*sin t)| <= 1 on the leg)
     f = 2.0 * math.sqrt(y)
     h = min(math.atan(math.sqrt(y) * s), 20.0 / math.sqrt(y))
-    amplitude = _exact_amplitude(s)
-
-    def F(z):
-        return np.exp(1j * f * np.sinh(z)) * amplitude(z)
-
+    F = _exact_integrand(s, f)[1]
     counts = [0, 0, 0]
     (coarse, fine), = _panel_sums(F, np.array([0j]), np.array([1j * h]), counts)
     numeric = _refine(F, 0j, 1j * h, coarse, fine, 1e-14, 0, counts)
@@ -192,15 +206,15 @@ def test_sine_sinh_bessel_identity(a):
     assert depth_cap_hits == 0
 
 
-@pytest.mark.parametrize("amplitude", [
+@pytest.mark.parametrize("integrand", [
     lambda z: np.full_like(z, np.nan),
-    lambda z: np.where(z > 2.0, np.inf, np.exp(-z)),
+    lambda z: np.where(z.real > 2.0, np.inf, np.exp(1j * np.sinh(z) - z)),
 ], ids=["nan", "inf-past-z2"])
-def test_quadrature_non_finite_integrand_raises(amplitude):
+def test_quadrature_non_finite_integrand_raises(integrand):
     # refining a NaN panel would recurse to the depth cap
     h = 0.5 * math.pi
     with pytest.raises(DomainError, match="integrand is not finite"):
-        _contour_sum(amplitude, 1.0, 1e-9, 1j * h, 4.0 + 1j * h)
+        _contour_sum(integrand, 1e-9, 1j * h, 4.0 + 1j * h)
 
 
 # (r0, sigma, T, n_lobes, n_panels, depth_cap_hits, summation, price) for the
@@ -307,7 +321,7 @@ def test_exact_amplitude_below_gaussian_tail_bound(s, h_frac, dx):
     # passes through subnormal floats, hence the absolute slack
     h = h_frac * min(0.5 * math.pi, math.sqrt(50.0 * s))
     x = dx * (s + 40.0 * math.sqrt(s) + 40.0)
-    q = abs(complex(_exact_amplitude(s)(np.array([complex(x, h)]))[0]))
+    q = abs(complex(_amplitude(s)(np.array([complex(x, h)]))[0]))
     bound = 2.0 * math.exp((h * h - x * x) / s - 0.25 * s)
     if x < 0.5 * s:
         bound += 2.0 * math.exp(-x)

@@ -1,7 +1,10 @@
-"""Every public entry point answers a NaN input with a named library error."""
+"""Every public entry point answers a NaN input with a named library error,
+and takes a float32 argument as the float of its value."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import gbmlap as g
@@ -56,6 +59,34 @@ def test_nan_argument_is_a_library_error(name, i):
     fn(*args)  # the unchanged point is accepted
     with pytest.raises(GbmlapError):
         fn(*args[:i], math.nan, *args[i + 1:])
+
+
+def _bits(result):
+    """repr of a result, which tells a float's every bit and its type; a
+    Monte Carlo estimate's timings are left out."""
+    if isinstance(result, g.MCEstimate):
+        result = dataclasses.replace(result, elapsed_s=0.0, paths_per_s=0.0)
+    return repr(result)
+
+
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_float32_arguments_give_the_float_result(name):
+    # float32 arithmetic once leaked into the solves: rate_R and bond_asymptotic
+    # raised MaxIterations (their 1e-15 width is below float32 resolution), and
+    # rate_ibs, the bond prices and the Asian price came back as float32 values;
+    # AsianInputs holds the Asian price's and mc_asian_price's floats
+    fn, args = _ENTRY_POINTS[name]
+    f32 = [np.float32(a) for a in args]
+    assert _bits(fn(*f32)) == _bits(fn(*[float(a) for a in f32]))
+
+
+@pytest.mark.parametrize("value", [10 ** 400, "0.5", 1j, None], ids=["int-past-range", "str", "complex", "None"])
+def test_argument_that_is_not_a_float_is_a_library_error(value):
+    # an int past the float range, a string, a complex number, None
+    with pytest.raises(DomainError, match="expected a real number"):
+        g.rate_R(value, 0.9)
+    with pytest.raises(DomainError, match="expected a real number"):
+        g.bond_exact_zero_drift(0.05, 0.3, value)
 
 
 

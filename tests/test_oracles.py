@@ -229,6 +229,27 @@ def test_mc_seeds_keep_exact_philox_keys():
     assert np.array_equal(z[0], np.random.Generator(np.random.Philox(key=key)).standard_normal(8))
 
 
+def test_mc_numpy_integer_counts_and_seed_give_the_int_bits():
+    # a numpy integer seed once raised OverflowError from np.int64 & (2^64 - 1)
+    ref = mc_laplace(0.1, 0.3, 0.05, 2.0, 300, 16, seed=3)
+    est = mc_laplace(0.1, 0.3, 0.05, 2.0, np.int64(300), np.int32(16), seed=np.int64(3))
+    assert (est.mean, est.stderr) == (ref.mean, ref.stderr)
+    assert type(est.seed) is type(est.n_paths) is type(est.n_steps) is int
+    top = mc_laplace(0.1, 0.3, 0.05, 2.0, 4100, 64, seed=np.uint64(2**64 - 1))
+    assert top.mean == 0.8114148816259797
+    assert mc_asian_price(_C7_ASIAN, 300, 16, seed=np.int64(7)) == mc_asian_price(_C7_ASIAN, 300, 16, seed=7)
+
+
+@pytest.mark.parametrize("n_paths, n_steps, seed", [(64.0, 8, 1), (64, np.float64(8.0), 1), (64, 8, 1.5),
+                                                    (64, 8, None)])
+def test_mc_non_integer_counts_and_seed_raise(n_paths, n_steps, seed):
+    # n_paths = 64.0 once raised a raw TypeError from range()
+    with pytest.raises(DomainError, match="must be an integer"):
+        mc_laplace(0.1, 0.3, 0.05, 2.0, n_paths, n_steps, seed)
+    with pytest.raises(DomainError, match="must be an integer"):
+        mc_asian_price(_C7_ASIAN, n_paths, n_steps, seed)
+
+
 def test_mc_laplace_drifted_scenario():
     # published reference 0.693 is printed to 3 decimals, so a half-ulp
     # allowance of 5e-4 is added to the 3-stderr band
