@@ -29,7 +29,12 @@ g(z) = e^z*erfc(w + c) - e^(-z)*erfc(c - w) odd and real on the real
 axis, so g(it) is imaginary, Re q(it) = 2*cos(t), and the leg gives
 2*(1 - e^(-f*sin h))/f.  The horizontal leg is one Gauss-Kronrod G15/K31
 panel: one call to the integrand, at 31 complex nodes, gives its coarse
-and fine sums, and only a panel whose two sums disagree is bisected.
+and fine sums, and only a panel whose two sums disagree is bisected, its
+two halves' sums coming from one call at 62 nodes.  The nodes are
+lo + length*offsets from one of two precomputed offset tables (``_PANEL``
+and ``_HALVES``), one product with the table's weights gives the sums,
+and the panel's end points and sums are Python complex numbers, so a
+price that takes one call makes few numpy calls besides the integrand's.
 The cost does not grow with T, and small s = sigma^2*T/2, where q falls
 from 2 to 0 within a few sqrt(s), is resolved.  A non-finite y or s, or
 a non-finite integrand value, raises DomainError.  The exact price's
@@ -125,13 +130,21 @@ _K31_WEIGHTS = np.array([
     0.06200956780067064, 0.05348152469092809, 0.04458975132476488, 0.03534636079137585,
     0.02546084732671532, 0.015007947329316122, 0.005377479872923349,
 ])
-# A panel's 31 nodes as fractions of its length from its start, and the
-# weights per unit length of its coarse (G15, on the 15 Gauss nodes) and fine
-# (K31, on all 31) sums
-_PANEL_OFFSETS = 0.5 + 0.5 * _K31_NODES
-_PANEL_WEIGHTS = np.zeros((31, 2))
+# The offset tables.  _PANEL: a panel's 31 nodes as fractions of its length
+# from its start, and the weights per unit length of its coarse (G15, on the 15
+# Gauss nodes) and fine (K31, on all 31) sums.  _HALVES: the 62 nodes of the
+# panel's two halves (the left half's 31, then the right's) as fractions of the
+# whole panel, and the weights of each half's coarse and fine sums per unit
+# length of the whole panel.  Both are complex, so that their products with a
+# complex length and with the integrand's values cast nothing per call
+_PANEL_OFFSETS = (0.5 + 0.5 * _K31_NODES).astype(complex)
+_PANEL_WEIGHTS = np.zeros((31, 2), complex)
 _PANEL_WEIGHTS[1::2, 0] = 0.5 * _GL_WEIGHTS
 _PANEL_WEIGHTS[:, 1] = 0.5 * _K31_WEIGHTS
+_HALVES_WEIGHTS = np.zeros((62, 4), complex)
+_HALVES_WEIGHTS[:31, :2] = _HALVES_WEIGHTS[31:, 2:] = 0.5 * _PANEL_WEIGHTS
+_PANEL = (_PANEL_OFFSETS, _PANEL_WEIGHTS)
+_HALVES = (np.concatenate((0.5 * _PANEL_OFFSETS, 0.5 + 0.5 * _PANEL_OFFSETS)), _HALVES_WEIGHTS)
 _MAX_DEPTH = 12
 # Largest c = sqrt(s)/2 at which the exact bond's amplitude uses the
 # one-exponent form: erfcx(w - c) reaches about 2*e^(c^2), which overflows
@@ -141,26 +154,26 @@ _ONE_EXP_C_MAX = 26.0
 _X_MAX_CAP = 700.0
 
 
-def _panel_sums(F: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray,
-                counts: list[int]) -> list[list[float]]:
-    """[coarse, fine] sums of Im integral F(z) dz along each segment lo -> hi.
+def _panel_sums(F: Callable[[np.ndarray], np.ndarray], lo: complex, length: complex,
+                table: tuple[np.ndarray, np.ndarray], counts: list[int]) -> list[float]:
+    """Coarse and fine sums of Im integral F(z) dz along the panel lo -> lo + length.
 
-    The coarse sum is the 15-point Gauss-Legendre rule in t, z = lo +
-    (hi - lo)*t, the fine sum its 31-point Kronrod extension, which reuses
-    the 15 Gauss nodes.  One call to F covers every panel (31 nodes each);
-    counts[2] is incremented per call.  Raises DomainError if any value of
-    F is not finite.
+    ``table`` is ``_PANEL`` or ``_HALVES``: F is called once, at the nodes
+    z = lo + length*offsets, and the product of its values with the table's
+    weights gives [coarse, fine] for the panel, or [coarse, fine] of its left
+    half followed by those of its right half.  The coarse sum is the 15-point
+    Gauss-Legendre rule, the fine sum its 31-point Kronrod extension, which
+    reuses the 15 Gauss nodes.  counts[2] is incremented per call.  Raises
+    DomainError if any value of F is not finite.
     """
-    length = hi - lo
-    z = length[:, None] * _PANEL_OFFSETS
-    z += lo[:, None]
-    v = F(z.ravel())
+    offsets, weights = table
+    z = length * offsets
+    z += lo
+    v = F(z)
     counts[2] += 1
     if not np.isfinite(v).all():
-        raise DomainError(f"the integrand is not finite between z = {lo[0]:g} and {hi[-1]:g}")
-    sums = v.reshape(-1, 31) @ _PANEL_WEIGHTS
-    sums *= length[:, None]
-    return sums.imag.tolist()
+        raise DomainError(f"the integrand is not finite between z = {lo:g} and {lo + length:g}")
+    return [(length * sum_).imag for sum_ in v.dot(weights).tolist()]
 
 
 def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
@@ -168,9 +181,10 @@ def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
     """Im integral F(z) dz along the panel lo -> hi from its coarse and fine sums.
 
     The fine (K31) sum is kept when it agrees with the coarse (G15) one;
-    otherwise both halves get their G15/K31 pair from one call to F (62
-    nodes) and are refined in turn.  counts[0] is incremented per panel,
-    counts[1] per panel that stops at the depth cap without agreement.
+    otherwise both halves get their G15/K31 pair from one call to F at the
+    62 nodes of the ``_HALVES`` table and are refined in turn.  counts[0] is
+    incremented per panel, counts[1] per panel that stops at the depth cap
+    without agreement.
     """
     counts[0] += 1
     if abs(fine - coarse) <= max(tol, 1e-13 * abs(fine)):
@@ -179,9 +193,9 @@ def _refine(F: Callable[[np.ndarray], np.ndarray], lo: complex, hi: complex,
         counts[1] += 1
         return fine
     mid = 0.5 * (lo + hi)
-    left, right = _panel_sums(F, np.array([lo, mid]), np.array([mid, hi]), counts)
-    return (_refine(F, lo, mid, *left, 0.5 * tol, depth + 1, counts)
-            + _refine(F, mid, hi, *right, 0.5 * tol, depth + 1, counts))
+    left_coarse, left_fine, right_coarse, right_fine = _panel_sums(F, lo, hi - lo, _HALVES, counts)
+    return (_refine(F, lo, mid, left_coarse, left_fine, 0.5 * tol, depth + 1, counts)
+            + _refine(F, mid, hi, right_coarse, right_fine, 0.5 * tol, depth + 1, counts))
 
 
 def _contour_sum(F: Callable[[np.ndarray], np.ndarray], tol: float,
@@ -198,13 +212,13 @@ def _contour_sum(F: Callable[[np.ndarray], np.ndarray], tol: float,
     e^(-freq*sin(h)*cosh x) on the second.  The first leg has a closed form
     for the caller's q; the caller passes the second, lo = ih and
     hi = x_max + ih, with an x_max that leaves a tail below tol/8.  It is
-    one G15/K31 panel from one call to F, bisected while its two sums differ
-    by more than tol/4.  Returns the value, the panels integrated, those
-    that stopped at the refinement cap unconverged (their value is used as
-    is) and the calls to F.
+    one G15/K31 panel from one call to F at the 31 nodes of the ``_PANEL``
+    table, bisected while its two sums differ by more than tol/4.  Returns
+    the value, the panels integrated, those that stopped at the refinement
+    cap unconverged (their value is used as is) and the calls to F.
     """
     counts = [0, 0, 0]
-    (coarse, fine), = _panel_sums(F, np.array([lo]), np.array([hi]), counts)
+    coarse, fine = _panel_sums(F, lo, hi - lo, _PANEL, counts)
     value = _refine(F, lo, hi, coarse, fine, 0.25 * tol, 0, counts)
     return value, counts[0], counts[1], counts[2]
 
@@ -249,11 +263,13 @@ def _exact_integrand(s: float, freq: float) -> tuple[str, Callable[[np.ndarray],
 
     whose first term stays below 2*|e^(i*freq*sinh z - z)|, is used
     instead, with two exps.  At freq = 0 the phase is left out and sinh is
-    not formed, so F is q itself, also on real z past |z| = 710.  Returns
-    the form's name and F.
+    not formed, so F is q itself, also on real z past |z| = 710.  scipy's
+    erfc and erfcx are bound, and the shifts -+c stacked, once per F.
+    Returns the form's name and F.
     """
     from scipy import special as _sp  # loaded here, so that importing gbmlap does not load it
 
+    erfc, erfcx = _sp.erfc, _sp.erfcx
     sqrt_s = math.sqrt(s)
     c = 0.5 * sqrt_s
     c2 = c * c
@@ -268,14 +284,14 @@ def _exact_integrand(s: float, freq: float) -> tuple[str, Callable[[np.ndarray],
 
         def one_exp(z: np.ndarray) -> np.ndarray:
             w = z / sqrt_s
-            e = _sp.erfcx(w + shifts)
+            e = erfcx(w + shifts)
             return np.exp(phase(z) - c2 - w * w) * (e[0] + e[1])
         return "one_exp", one_exp
 
     def two_term(z: np.ndarray) -> np.ndarray:
         w = z / sqrt_s
         p = phase(z)
-        return np.exp(p - z) * _sp.erfc(w - c) + np.exp(p - c2 - w * w) * _sp.erfcx(w + c)
+        return np.exp(p - z) * erfc(w - c) + np.exp(p - c2 - w * w) * erfcx(w + c)
     return "two_term", two_term
 
 

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,13 +13,14 @@ from gbmlap.dothan import (
     _GL_WEIGHTS,
     _K31_NODES,
     _K31_WEIGHTS,
+    _HALVES,
+    _PANEL,
     BondMethod,
     _contour_sum,
     _exact_cutoff,
     _exact_integrand,
     _imaginary_leg,
     _panel_sums,
-    _refine,
     bond_asymptotic,
     bond_exact_zero_drift,
     bond_perpetual,
@@ -27,7 +29,7 @@ from gbmlap.dothan import (
     moment_m1,
     moment_m2,
 )
-from gbmlap.errors import DomainError
+from gbmlap.errors import DomainError, GbmlapError
 from gbmlap.specfun import bessel_k
 from gbmlap.validation import Table3Row, _sine_sinh_integral, table3_row
 
@@ -55,13 +57,17 @@ def test_kronrod_table():
 
 
 def test_panel_sums_are_g15_and_k31():
-    # coarse = G15 and fine = K31 on each panel, for a polynomial of degree 46
-    # that G15 integrates wrongly and K31 exactly; the sums are of Im F dz
-    lo, hi = np.array([-1.0, -1.0, -0.5]), np.array([1.0, 0.0, 0.25])
+    # coarse = G15 and fine = K31 on two panels and on the halves of the first,
+    # for a polynomial of degree 46 that G15 integrates wrongly and K31 exactly;
+    # the sums are of Im F dz
+    def F(z):
+        return 1j * z ** 46
+
     counts = [0, 0, 0]
-    sums = _panel_sums(lambda z: 1j * z ** 46, lo, hi, counts)
-    assert counts == [0, 0, 1]
-    for (coarse, fine), a, b in zip(sums, lo, hi):
+    sums = (_panel_sums(F, -1.0, 2.0, _PANEL, counts) + _panel_sums(F, -0.5, 0.75, _PANEL, counts)
+            + _panel_sums(F, -1.0, 2.0, _HALVES, counts))
+    assert counts == [0, 0, 3]
+    for coarse, fine, a, b in zip(sums[0::2], sums[1::2], (-1.0, -0.5, -1.0, 0.0), (1.0, 0.25, 0.0, 1.0)):
         exact = (b ** 47 - a ** 47) / 47.0
         x = 0.5 * (a + b) + 0.5 * (b - a) * _GL_NODES
         assert abs(coarse - 0.5 * (b - a) * (_GL_WEIGHTS @ x ** 46)) <= 1e-14 * exact
@@ -166,15 +172,13 @@ def _leg_points(n):
 @pytest.mark.parametrize("y, s", _leg_points(60))
 def test_imaginary_leg_matches_numeric_leg(y, s):
     # the closed-form first leg against the G15/K31 panel that integrated it,
-    # refined to tol 1e-14, at the bond's height h; they differ by at most that
+    # refined to tol 1e-14 (a quarter of _contour_sum's tol), at the bond's height h; they differ by at most that
     # tol plus h times the rounding of Re q(it) (|e^(-f*sin t)| <= 1 on the leg)
     f = 2.0 * math.sqrt(y)
     h = min(math.atan(math.sqrt(y) * s), 20.0 / math.sqrt(y))
     F = _exact_integrand(s, f)[1]
-    counts = [0, 0, 0]
-    (coarse, fine), = _panel_sums(F, np.array([0j]), np.array([1j * h]), counts)
-    numeric = _refine(F, 0j, 1j * h, coarse, fine, 1e-14, 0, counts)
-    assert counts[1] == 0
+    numeric, _, depth_cap_hits, _ = _contour_sum(F, 4e-14, 0j, 1j * h)
+    assert depth_cap_hits == 0
     bound = 1e-14 + h * _imaginary_axis_rounding(s, h)
     assert abs(_imaginary_leg(f, h) - numeric) <= bound
 
@@ -215,6 +219,43 @@ def test_quadrature_non_finite_integrand_raises(integrand):
     h = 0.5 * math.pi
     with pytest.raises(DomainError, match="integrand is not finite"):
         _contour_sum(integrand, 1e-9, 1j * h, 4.0 + 1j * h)
+
+
+def _with_value_at(F, value, node, calls):
+    """F with `value` at `node` (to 1e-12 relative), recording each call's node count."""
+    def G(z):
+        calls.append(len(z))
+        v = F(z)
+        v[np.abs(z - node) <= 1e-12 * abs(node)] = value
+        return v
+    return G
+
+
+def _sine_sinh(z):
+    return np.exp(1j * np.sinh(z) - z)
+
+
+# a panel's first node, Kronrod-only (its G15 weight is 0), as a fraction of the panel
+_FIRST_NODE = 0.5 * (1.0 + _K31_NODES[0])
+
+
+@pytest.mark.parametrize("value, F, lo, hi, at, n_calls", [
+    (complex(math.nan, 0.0), _sine_sinh, 0.5j * math.pi, 4.0 + 0.5j * math.pi, _FIRST_NODE, [31]),
+    (complex(1.0, math.inf), _sine_sinh, 0.5j * math.pi, 4.0 + 0.5j * math.pi, _FIRST_NODE, [31]),
+    (complex(math.nan, 0.0), lambda z: np.exp(8j * z), 0j, 6.0 + 0j, 0.5 * _FIRST_NODE, [31, 62]),
+], ids=["nan-kronrod-only", "inf-imaginary-part", "nan-in-halves"])
+def test_quadrature_non_finite_node_raises_without_warning(value, F, lo, hi, at, n_calls):
+    # one bad value at a Kronrod-only node, in the imaginary part only, or at
+    # the left half's first node, which only the bisected halves' call has
+    # (e^(8i*z) on [0, 6] is bisected): the values are checked before any
+    # product with them could warn
+    calls = []
+    G = _with_value_at(F, value, lo + (hi - lo) * at, calls)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="integrand is not finite"):
+            _contour_sum(G, 1e-9, lo, hi)
+    assert calls == n_calls
 
 
 # (r0, sigma, T, n_lobes, n_panels, depth_cap_hits, summation, price) for the
@@ -308,6 +349,39 @@ def test_exact_quadrature_unrefined_sum_takes_one_call(r0, sigma, T):
     # imaginary leg is in closed form)
     d = bond_exact_zero_drift(r0, sigma, T).diagnostics
     assert (d["n_calls"], d["n_panels"], d["n_lobes"]) == (1, 1, 1)
+
+
+def test_exact_quadrature_bisected_panel():
+    # the horizontal leg's panel is bisected once: its halves come from one
+    # call of 62 nodes and both converge, three panels in two calls
+    q = bond_exact_zero_drift(0.01, 0.8, 5.0)
+    d = q.diagnostics
+    assert (d["n_calls"], d["n_panels"], d["depth_cap_hits"]) == (2, 3, 0)
+    assert abs(q.price - 0.9537919400283286) <= 2e-15 * 0.9537919400283286
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r0=_log_uniform(-12.0, 3.0), sigma=_log_uniform(-6.0, 2.0), T=_log_uniform(-8.0, 8.0),
+       quad_tol=_log_uniform(-13.0, -3.0))
+def test_exact_quadrature_accepted_domain(r0, sigma, T, quad_tol):
+    # every input either raises a library error or prices in (0, 1] with a
+    # finite yield, and a thousand times tighter tolerance moves the price by at
+    # most the coarse error estimate plus 2 ulp of 1
+    quotes = []
+    for tol in (quad_tol, 1e-3 * quad_tol):
+        try:
+            q = bond_exact_zero_drift(r0, sigma, T, tol)
+        except GbmlapError:
+            break
+        assert 0.0 < q.price <= 1.0 and math.isfinite(q.yield_equiv), q
+        quotes.append(q)
+    if len(quotes) == 2:
+        coarse, fine = quotes
+        assert abs(fine.price - coarse.price) <= coarse.diagnostics["error_estimate"] + 4.4e-16
 
 
 @settings(max_examples=300, deadline=None)
