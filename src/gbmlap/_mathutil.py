@@ -5,8 +5,9 @@ v = x^2, the variable of both rate functions' root equations; its slope
 is a Taylor series near v = 0, so no 0/0 is formed.  e^x, (e^x - 1)/x and
 its first derivative raise DomainError, naming x, where their value
 overflows; the divided difference of (e^x - 1)/x on (-2, 2) is summed as
-a power series.  ``as_float`` takes a public function's real argument
-into double precision.
+a power series.  ``as_float`` takes each real argument of a public function
+into double precision once; library calls go to private cores, which take
+checked floats.  np.float64 passes through, as a subclass of float.
 """
 
 import functools

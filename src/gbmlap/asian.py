@@ -30,8 +30,8 @@ from enum import Enum
 from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .ratefn import RateEval, _rate_eval, _root_result, _xi_bound
-from .rootfind import RootResult, solve_newton
-from .specfun import norm_cdf
+from .rootfind import RootResult, _solve_newton
+from .specfun import _norm_cdf
 
 __all__ = [
     "OptionKind",
@@ -148,7 +148,7 @@ def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float,
         xi_b = 0.5 * math.pi if x * math.pi ** 2 > 2.0 * zeta else _xi_bound(zeta)
         lo, hi = -4.0 * xi_b * xi_b, 0.0
     try:
-        res = solve_newton(fdf, lo, hi, tol=1e-15)
+        res = _solve_newton(fdf, lo, hi, 1e-15)
     except NoSignChange:  # the probed hyperbolic bracket always changes sign
         raise NoRootInInterval(
             f"the trigonometric bracket's sign change is lost to rounding at x={x}, zeta={zeta}"
@@ -223,9 +223,12 @@ def rate_ibs(x: float, zeta: float) -> RateEval:
     the value.  The trigonometric value is not that sensitive to u, so its
     root resolves I_BS down to x = 1e-300 although S*P then misses x.
     """
-    x, zeta = as_float(x), as_float(zeta)
-    require_finite(x=x, zeta=zeta)
-    if x <= 0.0:
+    return _rate_ibs(as_float(x), as_float(zeta))
+
+
+def _rate_ibs(x: float, zeta: float) -> RateEval:
+    if not (0.0 < x < math.inf and -math.inf < zeta < math.inf):  # x = k/s0 from a caller
+        require_finite(x=x, zeta=zeta)
         raise DomainError(f"rate_ibs requires x > 0, got {x}")
     u, residual, evals, _, _ = _ibs_solve_u(x, zeta, x > 1.0 + 0.5 * zeta)
     if u > 0.0 and not abs(residual) <= 1e-8 * x:
@@ -276,21 +279,28 @@ def sigma_ln(k: float, s0: float, sigma: float, a: float, t: float) -> float:
     Within a relative window of 1e-4 around K = A_fwd the 0/0 limit is
     taken from the quadratic behaviour of I_BS at its zero x*, whose
     curvature is 1/V(zeta) (see ``_atm_curvature``); this gives
-    sigma*sqrt(V(zeta))/x*, which is sigma/sqrt(3) at zeta = 0.
+    sigma*sqrt(V(zeta))/x*, which is sigma/sqrt(3) at zeta = 0.  Raises
+    DomainError naming k where k/A_fwd is 0 or inf in double precision.
     """
     k, s0, sigma, a, t = as_float(k), as_float(s0), as_float(sigma), as_float(a), as_float(t)
-    require_finite(k=k, sigma=sigma)
+    zeta = a * t
+    require_finite(k=k, s0=s0, sigma=sigma, a=a, t=t, zeta=zeta)
     if k <= 0.0 or s0 <= 0.0:
         raise DomainError("sigma_ln requires k > 0 and s0 > 0")
     if sigma <= 0.0:
         raise DomainError(f"sigma must be > 0, got {sigma}")
-    zeta = a * t
-    xstar = expm1_over_x(zeta)
-    log_m = math.log(k / (s0 * xstar))
+    return _sigma_ln(k, s0, sigma, zeta, s0 * expm1_over_x(zeta))[0]
+
+
+def _sigma_ln(k: float, s0: float, sigma: float, zeta: float, fwd: float) -> tuple[float, bool]:
+    m = k / fwd  # fwd = A_fwd; the flag returned is True for the ATM-window limit
+    if not 0.0 < m < math.inf:
+        raise DomainError(f"sigma_ln needs k/A_fwd in the float range, got k={k!r}, A_fwd={fwd!r}")
+    log_m = math.log(m)
     if abs(log_m) < _ATM_WINDOW:
-        return sigma / math.sqrt(_atm_curvature(zeta))
-    ibs = rate_ibs(k / s0, zeta).value
-    return sigma * abs(log_m) / math.sqrt(2.0 * ibs)
+        return sigma / math.sqrt(_atm_curvature(zeta)), True
+    ibs = _rate_ibs(k / s0, zeta).value
+    return sigma * abs(log_m) / math.sqrt(2.0 * ibs), False
 
 
 def european_bs_price(
@@ -298,9 +308,9 @@ def european_bs_price(
 ) -> float:
     """Undiscounted-forward Black formula: df*(F*N(d1) - K*N(d2)) for calls.
 
-    Puts by parity; vol = 0 degenerates to discounted intrinsic value, and
-    an sd = vol*sqrt(t) that overflows to the sd -> inf limit, df*F for a
-    call and df*K for a put.
+    Puts by parity.  An sd = vol*sqrt(t) of 0 gives the discounted intrinsic
+    value, and an sd that overflows the sd -> inf limit, df*F for a call and
+    df*K for a put; an F/K that underflows gives 0 for a call.
     """
     f, k, t, vol, df = as_float(f), as_float(k), as_float(t), as_float(vol), as_float(df)
     require_finite(f=f, k=k, t=t, vol=vol, df=df)
@@ -308,38 +318,49 @@ def european_bs_price(
         raise DomainError("european_bs_price requires f, k, t, df > 0")
     if vol < 0.0:
         raise DomainError(f"vol must be >= 0, got {vol}")
-    kind = OptionKind(kind)
-    if vol == 0.0:
+    return _european_bs_price(f, k, t, vol, df, OptionKind(kind))
+
+
+def _european_bs_price(f: float, k: float, t: float, vol: float, df: float,
+                       kind: OptionKind) -> float:
+    sd = vol * math.sqrt(t)
+    if sd == 0.0:
         intrinsic = max(f - k, 0.0) if kind is OptionKind.CALL else max(k - f, 0.0)
         return df * intrinsic
-    sd = vol * math.sqrt(t)
     if sd == math.inf:
         call = df * f
     else:
-        d1 = math.log(f / k) / sd + 0.5 * sd
+        m = f / k
+        d1 = (math.log(m) / sd if m > 0.0 else -math.inf) + 0.5 * sd
         d2 = d1 - sd
-        call = df * (f * norm_cdf(d1) - k * norm_cdf(d2))
+        call = df * (f * _norm_cdf(d1) - k * _norm_cdf(d2))
     if kind is OptionKind.CALL:
         return call
     return call - df * (f - k)
 
 
 def asian_price_approx(inp: AsianInputs) -> OptionQuote:
-    """Asian price as a European option at strike K with vol Sigma_LN."""
+    """Asian price as a European option at strike K with vol Sigma_LN, or its ATM limit."""
     a = inp.r - inp.q
-    fwd = a_fwd(inp.s0, a, inp.t)
-    vol = sigma_ln(inp.k, inp.s0, inp.sigma, a, inp.t)
+    zeta = a * inp.t
+    if not -math.inf < zeta < math.inf:  # a = r - q or a*t overflows
+        require_finite(a=a, zeta=zeta)
+    fwd = inp.s0 * expm1_over_x(zeta)
+    vol, atm_limit = _sigma_ln(inp.k, inp.s0, inp.sigma, zeta, fwd)
     df = math.exp(-inp.r * inp.t)
-    price = european_bs_price(fwd, inp.k, inp.t, vol, df, inp.kind)
+    if not (vol < math.inf and df > 0.0):
+        european_bs_price(fwd, inp.k, inp.t, vol, df, inp.kind)  # raises its argument error
+    price = _european_bs_price(fwd, inp.k, inp.t, vol, df, OptionKind(inp.kind))
     return OptionQuote(
         price=price,
         method="approx",
         diagnostics={
             "sigma_ln": vol,
             "a_fwd": fwd,
-            "zeta": a * inp.t,
+            "zeta": zeta,
             "moneyness": inp.k / inp.s0,
             "discount_factor": df,
+            "atm_limit": atm_limit,
         },
     )
 
@@ -362,4 +383,4 @@ def otm_log_price_limit(
         raise DomainError(f"call is not out-of-the-money: k={k} < s0={s0}")
     if kind is OptionKind.PUT and k > s0:
         raise DomainError(f"put is not out-of-the-money: k={k} > s0={s0}")
-    return -rate_ibs(k / s0, a * t).value
+    return -_rate_ibs(k / s0, a * t).value

@@ -55,7 +55,7 @@ import numpy as np
 from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_d1, expm1_over_x_dd, require_finite
 from .errors import DomainError
 from .model import _check_params, _scaled
-from .ratefn import rate_R
+from .ratefn import _rate_R
 
 __all__ = [
     "BondMethod",
@@ -230,7 +230,7 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     if r0 == 0.0:
         return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": a * T})
     b, zeta = _scaled(sigma, a, T, r0)
-    ev = rate_R(b, zeta)
+    ev = _rate_R(b, zeta)
     y = r0 * ev.value
     return BondQuote(
         price=math.exp(-y * T),
@@ -377,7 +377,8 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     # the set-up runs in Python floats, also from numpy scalars, whose
     # arithmetic costs several times more per step
     r0, sigma, T, quad_tol = float(r0), float(sigma), float(T), float(quad_tol)
-    y = 2.0 * r0 / (sigma * sigma)
+    s2 = sigma * sigma
+    y = 2.0 * r0 / s2 if s2 > 0.0 else math.inf
     s = 0.5 * sigma * sigma * T
     if not (0.0 < y < math.inf and 0.0 < s < math.inf):
         name, v = ("y = 2*r0/sigma^2", y) if not 0.0 < y < math.inf else ("s = sigma^2*T/2", s)
@@ -504,7 +505,10 @@ def bond_taylor_small_T(r0: float, sigma: float, T: float) -> BondQuote:
     s2 = sigma * sigma
     t2 = s2 * r0 * T * T / 6.0
     t3 = s2 * s2 * r0 * T * T * T / 24.0
-    t4 = (s2 * s2 * s2 * r0 / 120.0 - s2 * s2 * r0 * r0 / 15.0) * T ** 4
+    try:
+        t4 = (s2 * s2 * s2 * r0 / 120.0 - s2 * s2 * r0 * r0 / 15.0) * T ** 4
+    except OverflowError:
+        raise DomainError(f"short-maturity expansion is invalid: T^4 overflows at T={T}") from None
     ratio = 1.0 - t2 - t3 - t4
     if not ratio > 0.0:
         raise DomainError(

@@ -94,7 +94,8 @@ def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:
 
     The default threshold is 2*R_b^2 computed from the series convergence
     radius R_b (the verified bound for the small-b series to converge),
-    so T_max marks where the truncated series stops being usable.
+    so T_max marks where the truncated series stops being usable.  A
+    T_max past the float range, as where sigma^2*r0 underflows, is inf.
     """
     r0, sigma = as_float(r0), as_float(sigma)
     require_finite(r0=r0, sigma=sigma)
@@ -110,4 +111,5 @@ def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:
         threshold = as_float(threshold)
         if not (threshold > 0.0):
             raise DomainError(f"threshold must be > 0, got {threshold}")
-    return math.sqrt(threshold / (sigma * sigma * r0))
+    v = sigma * sigma * r0
+    return math.sqrt(threshold / v) if v > 0.0 else math.inf

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval
-from .rootfind import RootResult, solve_newton
+from .rootfind import RootResult, _solve_newton
 
 __all__ = [
     "Branch",
@@ -154,7 +154,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     if scale < sys.float_info.min:
         raise DomainError(f"the root's bracket underflows at b={b}, zeta={zeta}: its scale "
                           f"{scale:g} (zeta^2/4 or xi_max^2) is below the smallest normal float")
-    res = solve_newton(fdf, lo, hi, tol=1e-15)
+    res = _solve_newton(fdf, lo, hi, 1e-15)
     w, f, to_u = res.root, res.residual, 4.0 * scale
     u = w * to_u
     residual = f / (1.0 - w) if hyperbolic and w < 1.0 else f
@@ -245,6 +245,10 @@ def boundary_value(zeta: float) -> float:
     zeta = as_float(zeta)
     require_finite(zeta=zeta)
     _check_zeta(zeta)
+    return _boundary_value(zeta)
+
+
+def _boundary_value(zeta: float) -> float:
     if abs(zeta) < 1e-5:
         return 1.0 + 0.5 * zeta + zeta * zeta / 12.0
     p = 2.0 + zeta
@@ -262,17 +266,21 @@ def rate_R(b: float, zeta: float) -> RateEval:
     Raises DomainError on overflow, an underflowed bracket (``_solve_u``) or a
     value that is not positive and finite.
     """
-    b, zeta = as_float(b), as_float(zeta)
-    require_finite(b=b, zeta=zeta)
-    if b < 0.0:
-        raise DomainError(f"rate_R requires b >= 0, got {b}")
-    _check_zeta(zeta)
+    return _rate_R(as_float(b), as_float(zeta))
+
+
+def _rate_R(b: float, zeta: float) -> RateEval:
+    if not (0.0 <= b < math.inf and -2.0 < zeta < math.inf):  # b, zeta from ``model._scaled``
+        require_finite(b=b, zeta=zeta)
+        if b < 0.0:
+            raise DomainError(f"rate_R requires b >= 0, got {b}")
+        _check_zeta(zeta)
     if b == 0.0:
         return RateEval(expm1_over_x(zeta), Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
     try:
         u, residual, evals, _, _ = _solve_u(b, zeta, b * (2.0 + zeta) < abs(zeta))
         # exactly on the locus the closed form avoids the zeta/b^2 cancellation
-        value = _value(b, zeta, u) if u != 0.0 else boundary_value(zeta)
+        value = _value(b, zeta, u) if u != 0.0 else _boundary_value(zeta)
     except (OverflowError, ZeroDivisionError):
         raise DomainError(
             f"rate_R overflows double precision at b={b}, zeta={zeta} "
@@ -283,7 +291,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
 
 def rate_R_zero_drift(b: float) -> RateEval:
     """Zero-drift rate R(b, 0) = sin(2*lambda)/lambda - cos(lambda)^2: ``rate_R(b, 0)``."""
-    return rate_R(b, 0.0)
+    return _rate_R(as_float(b), 0.0)
 
 
 def rate_R_series(b: float, order: int = 8) -> float:
@@ -328,7 +336,7 @@ def jb(b: float, zeta: float) -> float:
     b = as_float(b)
     if b == 0.0:
         return 0.0
-    return 2.0 * b * (b * rate_R(b, zeta).value)
+    return 2.0 * b * (b * _rate_R(b, as_float(zeta)).value)
 
 
 @lru_cache(maxsize=1)
@@ -342,5 +350,5 @@ def convergence_radius() -> tuple[float, float]:
         t = math.tanh(y)
         return y * t - 1.0, t + y * (1.0 - t * t)
 
-    y0 = solve_newton(fdf, 0.5, 2.0, tol=1e-15).root
+    y0 = _solve_newton(fdf, 0.5, 2.0, 1e-15).root
     return y0, y0 / math.cosh(y0)

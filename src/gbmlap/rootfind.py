@@ -3,9 +3,9 @@
 One algorithm, the safeguarded Newton method ``rtsafe`` (Press et al.,
 *Numerical Recipes*, 3rd ed., section 9.4), behind two entry points:
 
-* ``solve_newton`` backs the closed-form roots and the convergence-radius
-  constant, whose equations have cheap analytic slopes.  One evaluation
-  is one call returning the value and the slope.
+* ``solve_newton`` checks its arguments for ``_solve_newton``, which the
+  closed-form roots and the convergence-radius constant call directly:
+  their equations have analytic slopes, and one evaluation returns both.
 * ``solve_bracketed`` is for callers' equations with no slope; no library
   module calls it.  It hands ``solve_newton`` the chord slope through the
   last two points evaluated (0 at the first point, which makes it bisect),
@@ -110,6 +110,10 @@ def solve_newton(
         raise DomainError(f"tol must be positive, got {tol}")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
+    return _solve_newton(fdf, lo, hi, tol, max_iter)
+
+
+def _solve_newton(fdf, lo: float, hi: float, tol: float, max_iter: int = 200) -> RootResult:
     fa, fb = fdf(lo)[0], fdf(hi)[0]
     evals = 2
     if abs(fa) <= tol:

@@ -32,4 +32,8 @@ def norm_cdf(x: float) -> float:
     x = as_float(x)
     if math.isnan(x):
         raise DomainError("norm_cdf requires x that is not NaN")
+    return _norm_cdf(x)
+
+
+def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)

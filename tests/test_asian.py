@@ -270,6 +270,45 @@ def test_sigma_ln_switchover_continuity():
         assert abs(direct - atm) < 1e-3 * sigma
 
 
+def _quote(k, r=0.05, t=1.0):
+    return asian_price_approx(AsianInputs(s0=100.0, k=k, r=r, q=0.0, sigma=0.3, t=t, kind=OptionKind.CALL))
+
+
+@pytest.mark.parametrize("r, t", [(0.05, 1.0), (0.0, 2.0), (-0.1, 5.0)])
+def test_asian_diagnostics_report_the_atm_window(r, t):
+    # the window is |log(K/A_fwd)| < 1e-4: inside it Sigma_LN is the limit sigma*sqrt(V)/x*
+    fwd = a_fwd(100.0, r, t)
+    for side, inside in ((1.0 - 0.5e-4, True), (1.0, True), (1.0 + 0.5e-4, True),
+                         (1.0 - 2e-4, False), (1.0 + 2e-4, False), (1.3, False)):
+        d = _quote(fwd * side, r, t).diagnostics
+        assert d["atm_limit"] is inside, side
+        assert d["sigma_ln"] == sigma_ln(fwd * side, 100.0, 0.3, r, t)
+
+
+@pytest.mark.parametrize("args, name", [
+    ((110.0, math.inf, 0.3, 0.05, 1.0), "s0"),
+    ((110.0, 100.0, 0.3, -math.inf, 1.0), "a"),
+    ((110.0, 100.0, 0.3, 0.05, -math.inf), "t"),
+    ((110.0, math.nan, 0.3, 0.05, 1.0), "s0"),
+    ((110.0, 100.0, 0.3, math.nan, 1.0), "a"),
+    ((110.0, 100.0, 0.3, 0.05, math.nan), "t"),
+    ((110.0, 100.0, 0.3, 1e308, 10.0), "zeta"),
+    ((5e-324, 100.0, 0.3, 0.05, 1.0), "k"),
+])
+def test_sigma_ln_names_the_argument_out_of_range(args, name):
+    # these raised "math domain error" or ZeroDivisionError, or named rate_ibs's x
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        sigma_ln(*args)
+
+
+def test_european_black_limit_when_forward_over_strike_underflows():
+    # F/K = 0 in double precision: d1 -> -inf, so the call is 0 and the put df*(K - F)
+    assert european_bs_price(5e-324, 110.0, 1.0, 0.3, 0.95, OptionKind.CALL) == 0.0
+    assert european_bs_price(5e-324, 110.0, 1.0, 0.3, 0.95, OptionKind.PUT) == 0.95 * 110.0
+    # sd = vol*sqrt(t) below the float range: the discounted intrinsic value
+    assert european_bs_price(120.0, 110.0, 1e-300, 1e-200, 0.95, OptionKind.CALL) == 0.95 * 10.0
+
+
 def test_sigma_ln_vs_mc_implied_vol():
     # invert the European proxy on a Monte Carlo Asian price; the asymptotic
     # equivalent vol should land within 5%

@@ -190,6 +190,9 @@ def test_asian_methods(capsys):
     )
     assert code == 0
     approx = json.loads(out)
+    assert set(approx["diagnostics"]) == {"sigma_ln", "a_fwd", "zeta", "moneyness", "discount_factor",
+                                          "atm_limit"}
+    assert approx["diagnostics"]["atm_limit"] is False
     code, out, _ = _run(
         capsys, "asian", "--s0", "100", "--k", "110", "--r", "0.05", "--sigma", "0.3",
         "--T", "1", "--kind", "call", "--method", "mc",
@@ -207,6 +210,14 @@ def test_asian_methods(capsys):
     payload = json.loads(out)
     assert payload["price"] is None
     assert abs(payload["diagnostics"]["log_price_limit"] + 0.63636749452524) < 1e-10
+
+
+def test_asian_strike_out_of_float_reach_names_k(capsys):
+    # k/A_fwd underflows to 0; this printed "error in asian: math domain error"
+    code, out, err = _run(capsys, "asian", "--s0", "100", "--k", "5e-324", "--sigma", "0.3",
+                          "--T", "1", "--kind", "put")
+    assert (code, out) == (1, "")
+    assert err.startswith("error in asian: ") and "k=5e-324" in err and err.count("\n") == 1
 
 
 def test_mc_subcommand_deterministic(capsys):

@@ -481,6 +481,7 @@ def test_exact_quadrature_rejects_bad_tolerance(quad_tol):
 @pytest.mark.parametrize("r0, sigma, T, name", [
     (1e300, 1e-5, 1.0, "y"),
     (0.1, 1e-160, 1.0, "y"),
+    (0.05, 1e-308, 1.0, "y"),  # sigma^2 underflows to 0: once a ZeroDivisionError
     (1e-300, 1e300, 1.0, "y"),
     (0.1, 10.0, 1e307, "s"),
     (1e-310, 1e-160, 1e-10, "s"),
@@ -706,6 +707,9 @@ def test_taylor_small_T():
     for r0, sigma, T in [(0.1, 1.0, 5.0), (0.1, 2.0, 3.0), (0.1, 50.0, 1e3)]:
         with pytest.raises(DomainError, match=r"sigma\^2\*r0\*T\^2"):
             bond_taylor_small_T(r0, sigma, T)
+    # T^4 past the float range raised OverflowError
+    with pytest.raises(DomainError, match=r"T\^4 overflows at T=1e\+308"):
+        bond_taylor_small_T(0.05, 0.3, 1e308)
 
 
 def test_perpetual_zero_drift_closed_form():

@@ -1,13 +1,17 @@
 """Every public entry point answers a NaN input with a named library error,
-and takes a float32 argument as the float of its value."""
+takes a float32 argument as the float of its value, and answers an extreme
+argument with a value or a named library error; a quote converts each of its
+arguments once."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import gbmlap as g
+from gbmlap._mathutil import as_float
 from gbmlap.errors import DomainError, GbmlapError
 
 _CALL = g.OptionKind.CALL
@@ -88,6 +92,53 @@ def test_argument_that_is_not_a_float_is_a_library_error(value):
     with pytest.raises(DomainError, match="expected a real number"):
         g.bond_exact_zero_drift(0.05, 0.3, value)
 
+
+
+_EXTREMES = [math.inf, -math.inf, 0.0, -0.0, 1e308, -1e308, 1e-308, 5e-324]
+# mc_laplace's numpy arithmetic warns of overflow at 1e308 before it raises
+_EXTREME_CASES = [case for case in _CASES if case[0] != "mc_laplace"]
+
+
+@pytest.mark.parametrize("name, i", _EXTREME_CASES, ids=[f"{name}-arg{i}" for name, i in _EXTREME_CASES])
+def test_extreme_argument_gives_a_value_or_a_library_error(name, i):
+    # sigma_ln, european_bs_price, t_max, the exact bond and the short-maturity
+    # expansion ended in a bare ValueError, ZeroDivisionError or OverflowError at
+    # eleven of these points; whether a value returned is finite is not checked here
+    fn, args = _ENTRY_POINTS[name]
+    bare = []
+    for value in _EXTREMES:
+        try:
+            fn(*args[:i], value, *args[i + 1:])
+        except GbmlapError:
+            pass
+        except Exception as exc:  # any other exception is the failure
+            bare.append(f"{value!r}: {type(exc).__name__}: {exc}")
+    assert not bare, bare
+
+
+def _as_float_calls(fn) -> int:
+    """Calls of ``as_float`` made while ``fn()`` runs."""
+    code, calls = as_float.__code__, [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls[0]
+
+
+def test_a_quote_converts_each_argument_once():
+    # library calls go to private cores that take checked floats; when every public
+    # function checked what the one above it had checked, these read 20, 9 and 5
+    inp = g.AsianInputs(100.0, 110.0, 0.05, 0.0, 0.3, 1.0, _CALL)
+    assert _as_float_calls(lambda: g.asian_price_approx(inp)) == 0
+    assert _as_float_calls(lambda: g.bond_asymptotic(0.05, 0.3, 0.02, 10.0)) == 4
+    assert _as_float_calls(lambda: g.rate_ibs(1.2, 0.1)) == 2
 
 
 # the bond prices and ModelParams share one set of input rules, with one text per broken rule

@@ -86,6 +86,13 @@ def test_t_max_monotone():
             prev = v
 
 
+def test_t_max_past_the_float_range_is_inf():
+    # sigma^2*r0 underflows to 0, where the division raised ZeroDivisionError
+    assert t_max(5e-324, 0.3) == math.inf
+    assert t_max(0.05, 1e-308) == math.inf
+    assert t_max(1e-300, 1e-5) == math.inf  # a subnormal product overflows the ratio
+
+
 def test_t_max_validation():
     with pytest.raises(DomainError):
         t_max(0.0, 0.3)
