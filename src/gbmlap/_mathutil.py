@@ -2,12 +2,13 @@
 
 ``cosh_sinhc`` gives cosh(x), sinh(x)/x and a slope as functions of
 v = x^2, the variable of both rate functions' root equations; its slope
-is a Taylor series near v = 0, so no 0/0 is formed.  e^x, (e^x - 1)/x and
-its first derivative raise DomainError, naming x, where their value
-overflows; the divided difference of (e^x - 1)/x on (-2, 2) is summed as
-a power series.  ``as_float`` takes each real argument of a public function
-into double precision once; library calls go to private cores, which take
-checked floats.  np.float64 passes through, as a subclass of float.
+is a Taylor series near v = 0, so no 0/0 is formed.  e^x and (e^x - 1)/x
+raise DomainError, naming x, where their value is not finite: where it
+overflows, and at x = inf, where (e^x - 1)/x is inf/inf; the divided
+difference of (e^x - 1)/x on (-2, 2) is summed as a power series.
+``as_float`` takes each real argument of a public function into double
+precision once; library calls go to private cores, which take checked
+floats.  np.float64 passes through, as a subclass of float.
 """
 
 import functools
@@ -44,14 +45,14 @@ def cosh_sinhc(v: float) -> tuple[float, float, float]:
 
 
 def _overflow_is_domain_error(fn):
-    """Raise DomainError naming x where ``fn(x)`` (e^x or a product with it) overflows."""
+    """Raise DomainError naming x where ``fn(x)`` (e^x or a ratio with it) is not finite."""
     @functools.wraps(fn)
     def guarded(x: float) -> float:
         try:
             value = fn(x)
         except OverflowError:
             value = math.inf
-        if math.isinf(value):
+        if not math.isfinite(value):
             raise DomainError(f"{fn.__name__} overflows double precision at exponent x = {x!r}")
         return value
     return guarded
@@ -69,26 +70,6 @@ def expm1_over_x(x: float) -> float:
     if x == 0.0:
         return 1.0
     return math.expm1(x) / x
-
-
-@_overflow_is_domain_error
-def expm1_over_x_d1(x: float) -> float:
-    """First derivative of (e^x - 1)/x, i.e. ((x-1)e^x + 1)/x^2."""
-    if abs(x) < 0.5:
-        # sum_{k>=1} k x^(k-1)/(k+1)!
-        total = 0.0
-        fact = 2.0  # (k+1)!
-        xp = 1.0  # x^(k-1)
-        k = 1
-        while True:
-            term = k * xp / fact
-            total += term
-            if abs(term) < 1e-19:
-                return total
-            k += 1
-            xp *= x
-            fact *= k + 1
-    return ((x - 1.0) * math.exp(x) + 1.0) / (x * x)
 
 
 def expm1_over_x_dd(x: float, y: float) -> float:

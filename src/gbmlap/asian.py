@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
+from ._mathutil import as_float, cosh_sinhc, exp, expm1_over_x, require_finite
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .ratefn import RateEval, _rate_eval, _root_result, _xi_bound
 from .rootfind import RootResult, _solve_newton
@@ -109,51 +109,45 @@ def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float,
     C and S are ``cosh_sinhc(u/4)``.  The left side increases in u, is
     1 + zeta/2 at u = 0 and equals S*P, with P = C + zeta*S/2 formed as in
     R's equation; it is solved as S*P/x = 1, so the root resolves x at any
-    scale.  Hyperbolic side: the upper end of the bracket is found by
-    quadrupling u from 1, its lower end is the last probe below the root
-    (or 0), the solver reuses both probes' values, and the count includes
-    every probe.  Trigonometric side: [-4*xi_b^2, 0], xi in [0, xi_b],
-    with xi_b = pi/2 where the left side there, 2*zeta/pi^2, is below x,
-    and else ``_xi_bound(zeta)``, where P <= 0 and the left side is at
-    most 0 < x.  Returns u, the residual S*P - x, the
-    evaluations, the final bracket and its factor 1.
+    scale.  Its value at u = 0, (1 + zeta/2)/x - 1, is a closed form and is
+    handed to the solver, not evaluated.  Hyperbolic side: the upper end of
+    the bracket is found by quadrupling u from 1, its lower end is the last
+    probe below the root (or 0), the solver takes both ends' values, and
+    the count is the probes plus the solver's own evaluations.
+    Trigonometric side: [-4*xi_b^2, 0], xi in [0, xi_b], with xi_b = pi/2
+    where the left side there, 2*zeta/pi^2, is below x, and else
+    ``_xi_bound(zeta)``, where P <= 0 and the left side is at most 0 < x.
+    Returns u, the residual S*P - x, the evaluations, the final bracket and
+    its factor 1.
     """
     a = 1.0 + 0.5 * zeta
     k = 1.0 / x
-    calls = 0
-    known = {}  # probe values at the bracket ends, handed to the solver once
+    f_0 = a * k - 1.0  # the equation at u = 0, where S = 1 and P = 1 + zeta/2
 
     def fdf(u: float) -> tuple[float, float]:
-        nonlocal calls
-        if u in known:
-            return known.pop(u)
-        calls += 1
         v = 0.25 * u
         _, s, d = cosh_sinhc(v)
         p = a * s + 2.0 * v * d
         return s * p * k - 1.0, 0.25 * k * (d * p + 0.5 * s * (s + zeta * d))
 
     if hyperbolic:
-        lo, hi = 0.0, 1.0
-        f_lo, f_hi = None, fdf(hi)
-        while f_hi[0] < 0.0:
+        lo, hi, f_lo, f_hi, probes = 0.0, 1.0, f_0, fdf(1.0)[0], 1
+        while f_hi < 0.0:
             lo, f_lo, hi = hi, f_hi, 4.0 * hi
             if hi > 490000.0:  # delta = sqrt(u) past 700, where cosh(delta) nears overflow
                 raise NoSignChange(f"no delta bracket below overflow for x={x}, zeta={zeta}")
-            f_hi = fdf(hi)
-        known[hi] = f_hi
-        if f_lo is not None:
-            known[lo] = f_lo
+            f_hi = fdf(hi)[0]
+            probes += 1
     else:
         xi_b = 0.5 * math.pi if x * math.pi ** 2 > 2.0 * zeta else _xi_bound(zeta)
-        lo, hi = -4.0 * xi_b * xi_b, 0.0
+        lo, hi, f_lo, f_hi, probes = -4.0 * xi_b * xi_b, 0.0, None, f_0, 0
     try:
-        res = _solve_newton(fdf, lo, hi, 1e-15)
+        res = _solve_newton(fdf, lo, hi, 1e-15, f_lo=f_lo, f_hi=f_hi)
     except NoSignChange:  # the probed hyperbolic bracket always changes sign
         raise NoRootInInterval(
             f"the trigonometric bracket's sign change is lost to rounding at x={x}, zeta={zeta}"
         ) from None
-    return res.root, res.residual * x, calls, res.bracket, 1.0
+    return res.root, res.residual * x, probes + res.iterations, res.bracket, 1.0
 
 
 def ibs_solve_delta(x: float, zeta: float) -> RootResult:
@@ -161,7 +155,7 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
 
     Requires x >= 1 + zeta/2 (the left side at delta = 0); solved for
     u = delta^2 by ``_ibs_solve_u``.  At the pivot x = 1 + zeta/2 the
-    root 0 is returned after two evaluations.
+    root 0 is returned after one evaluation, the probe at u = 1.
     """
     x, zeta = as_float(x), as_float(zeta)
     require_finite(x=x, zeta=zeta)
@@ -347,7 +341,7 @@ def asian_price_approx(inp: AsianInputs) -> OptionQuote:
         require_finite(a=a, zeta=zeta)
     fwd = inp.s0 * expm1_over_x(zeta)
     vol, atm_limit = _sigma_ln(inp.k, inp.s0, inp.sigma, zeta, fwd)
-    df = math.exp(-inp.r * inp.t)
+    df = exp(-inp.r * inp.t)
     if not (vol < math.inf and df > 0.0):
         european_bs_price(fwd, inp.k, inp.t, vol, df, inp.kind)  # raises its argument error
     price = _european_bs_price(fwd, inp.k, inp.t, vol, df, OptionKind(inp.kind))

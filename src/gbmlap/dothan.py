@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_d1, expm1_over_x_dd, require_finite
+from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_dd, require_finite
 from .errors import DomainError
 from .model import _check_params, _scaled
 from .ratefn import _rate_R
@@ -435,8 +435,8 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
     the divided difference (E(q + d) - E(q))/d, taken in the form that
     does not cancel:
 
-    * |d| < 1e-6: at its midpoint, E'(q + d/2), with a relative error O(d^2);
-    * |q| < 1 and |d| < 1: by E's power series (``expm1_over_x_dd``);
+    * |q| < 1 and |d| < 1: by E's power series (``expm1_over_x_dd``), which
+      holds its accuracy down to d = 0;
     * |q| >= 1 and |q + d| > |d|: as (e^q*E(d) - E(q))/(q + d);
     * elsewhere |d| >= 1/2, and the difference itself does not cancel.
 
@@ -448,9 +448,7 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
         raise DomainError(f"T must be > 0, got {T}")
     c = a + sigma * sigma
     q, d = a * T, c * T
-    if abs(d) < 1e-6:
-        m2 = 2.0 * T * T * expm1_over_x_d1((a + 0.5 * c) * T)
-    elif abs(q) < 1.0 and abs(d) < 1.0:
+    if abs(q) < 1.0 and abs(d) < 1.0:
         m2 = 2.0 * T * T * expm1_over_x_dd(q, q + d)
     elif abs(q) >= 1.0 and abs(q + d) > abs(d):
         m2 = 2.0 * T * T * (exp(q) * expm1_over_x(d) - expm1_over_x(q)) / (q + d)

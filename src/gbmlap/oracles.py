@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from ._mathutil import as_float, expm1_over_x, require_finite
+from ._mathutil import as_float, exp, expm1_over_x, require_finite
 from .asian import AsianInputs, OptionKind
 from .errors import DomainError, ShootingFailed
 
@@ -262,7 +262,7 @@ def mc_asian_price(inp: AsianInputs, n_paths: int, n_steps: int, seed: int) -> M
     started = time.perf_counter()
     n_paths, n_steps, seed = _check_counts(n_paths, n_steps, seed)
     a = inp.r - inp.q
-    df = math.exp(-inp.r * inp.t)
+    df = exp(-inp.r * inp.t)
     scale_ = inp.s0 / inp.t
 
     if inp.kind is OptionKind.CALL:

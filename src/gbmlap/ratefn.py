@@ -117,8 +117,10 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     relative; below b or |zeta| of about 1.5e-154, where zeta^2/4 or
     xi_max^2 is below the smallest normal float and the sign change is lost
     to rounding, DomainError is raised.  Exactly on the locus, b*(2 + zeta)
-    = |zeta|, u = 0 is returned with no evaluation, at any scale.  Returns
-    u, the relative residual, the evaluations, the final w bracket and u/w.
+    = |zeta|, u = 0 is returned with no evaluation, at any scale.  The end
+    w = 0 is a closed form, S = 1 and P = 1 + zeta/2 there, so it is handed
+    to the solver and not evaluated.  Returns u, the relative residual, the
+    evaluations, the final w bracket and u/w.
     The residual is 1 - 4*b^2*P^2/(zeta^2 - u) on the hyperbolic side and
     the solver's own (sqrt(zeta^2 - u) - 2*b*P)/(b*(2 + zeta)) on the
     trigonometric side, which stays finite at any b.
@@ -132,6 +134,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
         scale, lo, hi = 0.25 * z2, 0.0, 1.0
         b2 = b * b
         q = (2.0 * b / zeta) ** 2
+        f_lo, f_hi = 1.0 - q * a * a, None  # f at w = 0, where S = 1 and P = 1 + zeta/2
 
         def fdf(w: float) -> tuple[float, float]:
             v = w * scale
@@ -143,6 +146,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
         scale, lo, hi = xi_max * xi_max, -1.0, 0.0
         k, m = 1.0 / reach, 2.0 / a
         h1, h2 = 2.0 * scale * k, 0.25 * scale * m
+        f_lo, f_hi = None, math.sqrt(z2) * k - 1.0  # f at w = 0, where S = 1
 
         # (sqrt(zeta^2 - u) - 2*b*P)/reach, with P/(1 + zeta/2) = S + m*v*dS/dv
         def fdf(w: float) -> tuple[float, float]:
@@ -154,7 +158,7 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
     if scale < sys.float_info.min:
         raise DomainError(f"the root's bracket underflows at b={b}, zeta={zeta}: its scale "
                           f"{scale:g} (zeta^2/4 or xi_max^2) is below the smallest normal float")
-    res = _solve_newton(fdf, lo, hi, 1e-15)
+    res = _solve_newton(fdf, lo, hi, 1e-15, f_lo=f_lo, f_hi=f_hi)
     w, f, to_u = res.root, res.residual, 4.0 * scale
     u = w * to_u
     residual = f / (1.0 - w) if hyperbolic and w < 1.0 else f

@@ -6,6 +6,9 @@ One algorithm, the safeguarded Newton method ``rtsafe`` (Press et al.,
 * ``solve_newton`` checks its arguments for ``_solve_newton``, which the
   closed-form roots and the convergence-radius constant call directly:
   their equations have analytic slopes, and one evaluation returns both.
+  A caller that knows the value at a bracket end (the rate functions' root
+  equations at u = 0 are closed forms) passes it, and that end is neither
+  evaluated nor counted.
 * ``solve_bracketed`` is for callers' equations with no slope; no library
   module calls it.  It hands ``solve_newton`` the chord slope through the
   last two points evaluated (0 at the first point, which makes it bisect),
@@ -113,9 +116,13 @@ def solve_newton(
     return _solve_newton(fdf, lo, hi, tol, max_iter)
 
 
-def _solve_newton(fdf, lo: float, hi: float, tol: float, max_iter: int = 200) -> RootResult:
-    fa, fb = fdf(lo)[0], fdf(hi)[0]
-    evals = 2
+def _solve_newton(fdf, lo: float, hi: float, tol: float, max_iter: int = 200,
+                  f_lo: float | None = None, f_hi: float | None = None) -> RootResult:
+    """``solve_newton`` on checked floats; an end whose value f_lo or f_hi is given
+    is neither evaluated nor counted in ``iterations``."""
+    evals = (f_lo is None) + (f_hi is None)
+    fa = fdf(lo)[0] if f_lo is None else f_lo
+    fb = fdf(hi)[0] if f_hi is None else f_hi
     if abs(fa) <= tol:
         return RootResult(lo, fa, evals, (lo, hi))
     if abs(fb) <= tol:

@@ -35,8 +35,9 @@ def _bisect(f, lo, hi, n=200):
 def test_ibs_delta_boundary_and_oracle():
     for z in (0.0, 0.5, 1.0):
         assert abs(ibs_solve_delta(1.0 + 0.5 * z, z).root) < 1e-9
-        # the pivot root is the bracket's lower end, after two counted evaluations
-        assert ibs_solve_delta(1.0 + 0.5 * z, z).iterations == 2
+        # the pivot root is the bracket's lower end, whose value is a closed form:
+        # one counted evaluation, the probe at u = 1
+        assert ibs_solve_delta(1.0 + 0.5 * z, z).iterations == 1
     # bisection oracle on the monotone left side at x = 2, zeta = 0
     ref = _bisect(lambda d: math.sinh(d) / d - 2.0, 1e-9, 10.0)
     res = ibs_solve_delta(2.0, 0.0)
@@ -74,7 +75,7 @@ def test_ibs_delta_counts_every_evaluation(monkeypatch):
 def test_ibs_xi_boundary_and_oracle():
     for z in (0.0, 0.5):
         assert abs(ibs_solve_xi(1.0 + 0.5 * z, z).root) < 1e-9
-        assert ibs_solve_xi(1.0 + 0.5 * z, z).iterations == 2
+        assert ibs_solve_xi(1.0 + 0.5 * z, z).iterations == 1
     ref = _bisect(lambda t: math.sin(2.0 * t) / (2.0 * t) - 0.5, 1e-9, math.pi / 2 - 1e-9)
     res = ibs_solve_xi(0.5, 0.0)
     assert abs(res.root - ref) < 1e-12
@@ -214,6 +215,9 @@ def test_a_fwd():
     # e^(a*t) overflows double precision
     with pytest.raises(DomainError, match="x = 1000.0"):
         a_fwd(100.0, 1.0, 1000.0)
+    # a*t itself overflows to inf, where (e^x - 1)/x is inf/inf: this returned NaN
+    with pytest.raises(DomainError, match="x = inf"):
+        a_fwd(100.0, 1e308, 10.0)
 
 
 def test_sigma_ln_atm_limit():
@@ -395,3 +399,11 @@ def test_inputs_validation():
         AsianInputs(s0=100.0, k=100.0, r=0.0, q=0.0, sigma=-0.2, t=1.0, kind=OptionKind.CALL)
     with pytest.raises(DomainError):
         AsianInputs(s0=100.0, k=100.0, r=0.0, q=0.0, sigma=0.2, t=0.0, kind=OptionKind.CALL)
+
+
+def test_asian_discount_factor_overflow_names_the_exponent():
+    # a = r - q = 0 leaves A_fwd and Sigma_LN finite, but e^(-r*t) = e^1000
+    # overflows: this ended in a bare OverflowError ("math range error")
+    inp = AsianInputs(100.0, 110.0, r=-1000.0, q=-1000.0, sigma=0.3, t=1.0, kind=OptionKind.CALL)
+    with pytest.raises(DomainError, match="x = 1000.0"):
+        asian_price_approx(inp)

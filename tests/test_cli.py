@@ -220,6 +220,14 @@ def test_asian_strike_out_of_float_reach_names_k(capsys):
     assert err.startswith("error in asian: ") and "k=5e-324" in err and err.count("\n") == 1
 
 
+def test_asian_discount_factor_overflow_names_the_exponent(capsys):
+    # e^(-r*T) = e^1000 overflows; this printed "error in asian: math range error"
+    code, out, err = _run(capsys, "asian", "--s0", "100", "--k", "110", "--r", "-1000", "--q",
+                          "-1000", "--sigma", "0.3", "--T", "1", "--kind", "call")
+    assert (code, out) == (1, "")
+    assert err.startswith("error in asian: ") and "x = 1000.0" in err and err.count("\n") == 1
+
+
 def test_mc_subcommand_deterministic(capsys):
     args = ["mc", "--theta", "0.1", "--sigma", "0.1", "--T", "1",
             "--paths", "10000", "--steps", "32", "--seed", "42"]

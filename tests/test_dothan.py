@@ -635,6 +635,31 @@ def test_moment_m2_near_zero_c(a, sigma, T, ref):
     assert abs(moment_m2(a, sigma, T) - ref) <= 1e-13 * ref
 
 
+# (a, sigma, T, m2) with |c*T| below 1e-6, from 3,000 seeded points, where m2 at the
+# midpoint E'(q + d/2) erred by 1.6e-14 to 2.1e-14: five with |q| = |a*T| < 1 (E's power
+# series) and five with |q| >= 1 ((e^q*E(d) - E(q))/(q + d)), and the worst of an earlier
+# sweep; m2 = 2*T^2*(E(q + d) - E(q))/d in 60-digit arithmetic (mpmath)
+_M2_NEAR_C0_TO_THE_ULP = [
+    (-0.0007505521682780144, 0.02740675888367133, 1.729198170263282, 2.9875414026334832795),
+    (-3.8587695463032075e-05, 0.011474416060086853, 0.010737770560927718, 0.00011529972318050072622),
+    (-0.12727158600199084, 0.35673628032072485, 0.09237372883575591, 0.0084663185269413862056),
+    (-0.014167033473257096, 0.11902079745036429, 0.9207045389671229, 0.84036112490771311144),
+    (-2.6165697824552433e-05, 0.004697967809776237, 0.24394393446634455, 0.059508370121561460839),
+    (-0.9473012985926865, 0.9732936397158977, 1.2614430641883083, 0.74784985547288082914),
+    (-0.47962059927898393, 0.6925467663891564, 2.3079740284140806, 2.6388529559643089191),
+    (-1.4646012967430033, 1.2102065754253575, 0.7124373097544452, 0.261266306599262073),
+    (-0.051453759053839344, 0.22683428699953112, 28.751216218205908, 328.79633640335803785),
+    (-0.1714603529001988, 0.4140778756240636, 7.29498850186715, 24.195072011009244415),
+    (-0.7981296307680471, 0.8933387680745337, 0.012653578475195253, 0.0001590390606065264436),
+]
+
+
+@pytest.mark.parametrize("a, sigma, T, ref", _M2_NEAR_C0_TO_THE_ULP)
+def test_moment_m2_near_zero_c_to_the_ulp(a, sigma, T, ref):
+    assert abs((a + sigma * sigma) * T) < 1e-6
+    assert abs(moment_m2(a, sigma, T) - ref) <= 2e-15 * ref
+
+
 # (a, sigma, T, m2) with |c*T| >= 1e-6, c = a + sigma^2, in each form of the divided
 # difference: q = a*T large with d = c*T small (both signs), E's power series at
 # |q| < 1 and |d| < 1, (e^q*E(d) - E(q))/(q + d) at |q| >= 1, and the plain difference

@@ -273,6 +273,13 @@ def test_mc_asian_zero_vol_degenerates():
     assert abs(est.mean - ref) < 1e-4
 
 
+def test_mc_asian_discount_factor_overflow_names_the_exponent():
+    # e^(-r*t) = e^1000 overflows: this ended in a bare OverflowError ("math range error")
+    inp = AsianInputs(100.0, 110.0, r=-1000.0, q=-1000.0, sigma=0.3, t=1.0, kind=OptionKind.CALL)
+    with pytest.raises(DomainError, match="x = 1000.0"):
+        mc_asian_price(inp, 64, 16, seed=1)
+
+
 def test_mc_asian_put_payoff():
     inp = AsianInputs(s0=100.0, k=120.0, r=0.0, q=0.0, sigma=0.2, t=1.0, kind=OptionKind.PUT)
     est = mc_asian_price(inp, 50_000, 128, seed=23)

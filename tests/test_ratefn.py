@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gbmlap import reference
+from gbmlap.asian import rate_ibs
 from gbmlap.errors import BranchError, DomainError, NoRootInInterval
 from gbmlap.model import ModelParams, scale
 from gbmlap.ratefn import (
@@ -383,3 +384,71 @@ def test_rate_R_large_b_matches_mpmath(b, zeta, ref):
     # P = sqrt(zeta^2 - u)/(2*b) does not cancel; C + zeta*S/2 lost 4.7e-5 at
     # (1e12, 0.5), and a residual gate raised at (1e12, 0) and (1e20, 0)
     assert abs(rate_R(b, zeta).value - ref) <= 2e-15 * ref
+
+
+# (rate function, args, branch, value, root, residual, evaluations, ends skipped): seeded
+# points on every branch of R and I_BS, with the repr of value, root and residual and the
+# evaluation count of a solver that evaluated both bracket ends.  The end at u = 0 is a
+# closed form and is no longer evaluated, so each root with that end takes one evaluation
+# fewer; the locus takes none, and a probed I_BS bracket past u = 1 has no end at u = 0
+_ROOTS_WITH_AN_END_AT_U0 = [
+    # R, hyperbolic
+    (rate_R, (0.19636933858390598, 1.1392955570160823), "hyperbolic",
+     1.8105010096547893, 0.9235503497107905, 1.6189934702034607e-16, 5, 1),
+    (rate_R, (0.10767516979951257, 0.4169692470542744), "hyperbolic",
+     1.234249015622284, 0.323350251999098, 0.0, 5, 1),
+    (rate_R, (0.04431114930845019, -0.39529026373223053), "hyperbolic",
+     0.8256112483178768, 0.3885523177097972, -2.052891999761225e-16, 4, 1),
+    # R, trigonometric
+    (rate_R, (16.64547353642726, -0.9299411665802917), "trigonometric",
+     0.10406658126022243, 1.1064456790009614, 1.1102230246251565e-16, 6, 1),
+    (rate_R, (1.163738234901244, 0.6224081863206008), "trigonometric",
+     0.9518730476525535, 0.943668358502839, -1.1102230246251565e-16, 7, 1),
+    (rate_R, (0.09472088809563002, -0.07550187900956873), "trigonometric",
+     0.9604774285602631, 0.08260903958680729, 8.890457814381136e-17, 6, 1),
+    # R at zeta = 0
+    (rate_R, (0.4803663925648351, 0.0), "trigonometric",
+     0.9345021450968903, 0.4355237978579637, 1.0408340855860843e-16, 7, 1),
+    (rate_R, (39.04159043484976, 0.0), "trigonometric",
+     0.049649084973447874, 1.5315573904290976, 0.0, 6, 1),
+    # the locus, solved with no evaluation
+    (rate_R, (0.2, 0.5), "boundary",
+     1.2732056085723777, 0.0, 0.0, 0, 0),
+    (rate_R, (0.3333333333333333, -0.5), "boundary",
+     0.767930673966986, 0.0, 0.0, 0, 0),
+    # I_BS above the pivot, root below u = 1
+    (rate_ibs, (1.566163622929667, 0.893055066302574), "hyperbolic",
+     0.0011678155227210496, 0.75582804971247, 0.0, 6, 1),
+    (rate_ibs, (1.012873255067144, -0.147218333125114), "hyperbolic",
+     0.011181956949706215, 0.7242993086635543, -2.2490304176051445e-16, 6, 1),
+    # I_BS bracketed by probes past u = 1: no end at u = 0
+    (rate_ibs, (46.5970274547197, 0.5394528611089848), "hyperbolic",
+     11.47034636748783, 6.291999761962704, 1.0346618551864073e-14, 11, 0),
+    (rate_ibs, (48.577773613071635, 1.0946646671099591), "hyperbolic",
+     9.301679678093793, 6.247649619947936, 0.0, 11, 0),
+    # I_BS below the pivot, the last root past pi/2
+    (rate_ibs, (0.8949979062469077, 1.335123206368974), "trigonometric",
+     0.9199680480250745, 1.0266807886480516, 1.9872945650132482e-16, 7, 1),
+    (rate_ibs, (0.8559396600980228, -0.09989230315038866), "trigonometric",
+     0.01767722475251845, 0.3862829413736888, 0.0, 7, 1),
+    (rate_ibs, (0.1, 1.0), "trigonometric",
+     19.718300212575876, 1.6934982978505297, -1.1102230246251566e-17, 8, 1),
+    # I_BS at the pivot
+    (rate_ibs, (1.0343014049011423, 0.06860280980228461), "boundary",
+     8.773010565293546e-07, 0.0, 0.0, 2, 1),
+    (rate_ibs, (1.4255845193573329, 0.8511690387146658), "boundary",
+     0.012728407370058759, 0.0, 0.0, 2, 1),
+    # I_BS's zero
+    (rate_ibs, (1.0867031796272353, 0.16405468847226162), "hyperbolic",
+     1.0408340855860843e-16, 0.16405468847226745, 2.412965781911048e-16, 5, 1),
+]
+
+
+@pytest.mark.parametrize("fn, args, branch, value, root, residual, evals, skipped",
+                         _ROOTS_WITH_AN_END_AT_U0)
+def test_closed_form_end_keeps_every_bit_and_skips_one_evaluation(
+        fn, args, branch, value, root, residual, evals, skipped):
+    ev = fn(*args)
+    assert ev.branch.value == branch
+    assert (repr(ev.value), repr(ev.root), repr(ev.residual)) == (repr(value), repr(root), repr(residual))
+    assert ev.evals == evals - skipped

@@ -132,6 +132,29 @@ def test_endpoint_within_tol_is_the_root():
         assert res.root == 1.0 and 0.0 < abs(res.residual) <= 1e-15 and res.iterations == 2
 
 
+def test_given_end_value_is_neither_evaluated_nor_counted():
+    # the private solver takes an end's value from its caller: the same root and
+    # residual from the same steps, with one evaluation fewer and none at that end
+    from gbmlap.rootfind import _solve_newton
+
+    seen = []
+
+    def fdf(x):
+        seen.append(x)
+        return x * x - 2.0, 2.0 * x
+
+    both = _solve_newton(fdf, 0.0, 2.0, 1e-15)
+    for given, ends in ((0.0, {"f_lo": -2.0}), (2.0, {"f_hi": 2.0})):
+        seen.clear()
+        res = _solve_newton(fdf, 0.0, 2.0, 1e-15, **ends)
+        assert given not in seen and len(seen) == res.iterations == both.iterations - 1
+        assert (res.root, res.residual, res.bracket) == (both.root, both.residual, both.bracket)
+    # an end within tol is the root with no evaluation at all
+    seen.clear()
+    res = _solve_newton(fdf, 0.0, 2.0, 1e-15, f_lo=0.0, f_hi=2.0)
+    assert (res.root, res.iterations, seen) == (0.0, 0, [])
+
+
 def test_max_iterations_raises():
     # a step function never meets the residual criterion, so convergence is
     # by bracket width alone, which needs ~50 bisections at tol 1e-15
