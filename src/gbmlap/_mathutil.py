@@ -9,6 +9,14 @@ difference of (e^x - 1)/x on (-2, 2) is summed as a power series.
 ``as_float`` takes each real argument of a public function into double
 precision once; library calls go to private cores, which take checked
 floats.  np.float64 passes through, as a subclass of float.
+
+Each argument rule is stated here once, with one text per broken rule:
+``finite_floats`` passes every argument through ``as_float`` and names
+the first that is not finite ("x must be finite, got nan"),
+``require_finite`` does the same for floats already converted, and
+``require_positive`` and ``require_nonnegative`` name the first argument
+that breaks their sign rule ("x must be > 0, got -1.0", "x must be >= 0,
+got -1.0").
 """
 
 import functools
@@ -107,8 +115,29 @@ def as_float(x: float) -> float:
     raise DomainError(f"expected a real number in the float range, got {type(x).__name__} {x!s:.40}")
 
 
+def finite_floats(**values: float) -> tuple[float, ...]:
+    """The arguments through ``as_float``, in order; DomainError names the first non-finite one."""
+    floats = dict(zip(values, map(as_float, values.values())))
+    require_finite(**floats)
+    return tuple(floats.values())
+
+
 def require_finite(**values: float) -> None:
     """Raise DomainError naming the first non-finite argument."""
     for name, v in values.items():
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
+
+
+def require_positive(**values: float) -> None:
+    """Raise DomainError naming the first argument that is not > 0."""
+    for name, v in values.items():
+        if not v > 0.0:
+            raise DomainError(f"{name} must be > 0, got {v}")
+
+
+def require_nonnegative(**values: float) -> None:
+    """Raise DomainError naming the first argument that is not >= 0."""
+    for name, v in values.items():
+        if not v >= 0.0:
+            raise DomainError(f"{name} must be >= 0, got {v}")

@@ -27,7 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from ._mathutil import as_float, cosh_sinhc, exp, expm1_over_x, require_finite
+from ._mathutil import (as_float, cosh_sinhc, exp, expm1_over_x, finite_floats, require_finite,
+                        require_nonnegative, require_positive)
 from .errors import BranchError, DomainError, NoRootInInterval, NoSignChange
 from .ratefn import RateEval, _rate_eval, _root_result, _xi_bound
 from .rootfind import RootResult, _solve_newton
@@ -75,15 +76,10 @@ class AsianInputs:
     kind: OptionKind
 
     def __post_init__(self):
-        for name in ("s0", "k", "r", "q", "sigma", "t"):
-            object.__setattr__(self, name, as_float(getattr(self, name)))
-        require_finite(s0=self.s0, k=self.k, r=self.r, q=self.q, sigma=self.sigma, t=self.t)
-        if self.s0 <= 0.0 or self.k <= 0.0:
-            raise DomainError("s0 and k must be > 0")
-        if self.sigma <= 0.0:
-            raise DomainError(f"sigma must be > 0, got {self.sigma}")
-        if self.t <= 0.0:
-            raise DomainError(f"t must be > 0, got {self.t}")
+        names = ("s0", "k", "r", "q", "sigma", "t")
+        for name, v in zip(names, finite_floats(**{n: getattr(self, n) for n in names})):
+            object.__setattr__(self, name, v)
+        require_positive(s0=self.s0, k=self.k, sigma=self.sigma, t=self.t)
 
 
 # kept for perfbench/workloads.py, which keys outputs on `asian.IbsEval is type(out)`
@@ -151,15 +147,16 @@ def _ibs_solve_u(x: float, zeta: float, hyperbolic: bool) -> tuple[float, float,
 
 
 def ibs_solve_delta(x: float, zeta: float) -> RootResult:
-    """Root delta >= 0 of sinh(d)/d + 2*zeta*sinh^2(d/2)/d^2 = x.
+    """Root delta >= 0 of sinh(d)/d + 2*zeta*sinh^2(d/2)/d^2 = x, for x > 0.
 
-    Requires x >= 1 + zeta/2 (the left side at delta = 0); solved for
-    u = delta^2 by ``_ibs_solve_u``.  At the pivot x = 1 + zeta/2 the
+    The branch test is ``rate_ibs``'s: BranchError is raised where
+    x < 1 + zeta/2 (the left side at delta = 0) in floating point.  Solved
+    for u = delta^2 by ``_ibs_solve_u``.  At the pivot x == 1 + zeta/2 the
     root 0 is returned after one evaluation, the probe at u = 1.
     """
-    x, zeta = as_float(x), as_float(zeta)
-    require_finite(x=x, zeta=zeta)
-    if x < (1.0 + 0.5 * zeta) * (1.0 - 1e-12):
+    x, zeta = finite_floats(x=x, zeta=zeta)
+    require_positive(x=x)
+    if x < 1.0 + 0.5 * zeta:
         raise BranchError(f"hyperbolic branch needs x >= 1 + zeta/2, got x={x}, zeta={zeta}")
     return _root_result(*_ibs_solve_u(x, zeta, True))
 
@@ -167,22 +164,21 @@ def ibs_solve_delta(x: float, zeta: float) -> RootResult:
 def ibs_solve_xi(x: float, zeta: float) -> RootResult:
     """Root xi >= 0 of sin(2*xi)/(2*xi)*(1 + zeta*tan(xi)/(2*xi)) = x, below P's first zero.
 
-    Requires 0 < x <= 1 + zeta/2.  Solved in the pole-free form
-    sinc(2*xi) + zeta*sinc(xi)^2/2 = x, for u = -4*xi^2 (``_ibs_solve_u``).
-    The left side falls from 1 + zeta/2 at xi = 0 to 0 at the first zero
-    of P = cos(xi) + zeta*sin(xi)/(2*xi), so every x in the domain has a
-    root xi in [0, that zero), with a positive log argument P in the closed
-    form: xi <= pi/2 for x > 2*zeta/pi^2 (the left side at pi/2), and past
-    pi/2 below that when zeta > 0.  At the pivot x = 1 + zeta/2 the root
+    The branch test is ``rate_ibs``'s: BranchError is raised where
+    x > 1 + zeta/2 in floating point, and x must be > 0.  Solved in the
+    pole-free form sinc(2*xi) + zeta*sinc(xi)^2/2 = x, for u = -4*xi^2
+    (``_ibs_solve_u``).  The left side falls from 1 + zeta/2 at xi = 0 to 0
+    at the first zero of P = cos(xi) + zeta*sin(xi)/(2*xi), so every x in
+    the domain has a root xi in [0, that zero), with a positive log argument
+    P in the closed form: xi <= pi/2 for x > 2*zeta/pi^2 (the left side at
+    pi/2), and past pi/2 below that when zeta > 0.  At the pivot x == 1 + zeta/2 the root
     is 0.  NoRootInInterval is raised where the bracket's sign change is
     lost to rounding: x and zeta both tiny, as at (1e-21, 1e-21).  Small x
     alone resolves: at zeta = 0.1 the root is found down to x = 1e-300.
     """
-    x, zeta = as_float(x), as_float(zeta)
-    require_finite(x=x, zeta=zeta)
-    if x <= 0.0:
-        raise DomainError(f"ibs_solve_xi requires x > 0, got {x}")
-    if x > (1.0 + 0.5 * zeta) * (1.0 + 1e-12):
+    x, zeta = finite_floats(x=x, zeta=zeta)
+    require_positive(x=x)
+    if x > 1.0 + 0.5 * zeta:
         raise BranchError(f"trigonometric branch needs x <= 1 + zeta/2, got x={x}, zeta={zeta}")
     return _root_result(*_ibs_solve_u(x, zeta, False))
 
@@ -223,7 +219,7 @@ def rate_ibs(x: float, zeta: float) -> RateEval:
 def _rate_ibs(x: float, zeta: float) -> RateEval:
     if not (0.0 < x < math.inf and -math.inf < zeta < math.inf):  # x = k/s0 from a caller
         require_finite(x=x, zeta=zeta)
-        raise DomainError(f"rate_ibs requires x > 0, got {x}")
+        require_positive(x=x)
     u, residual, evals, _, _ = _ibs_solve_u(x, zeta, x > 1.0 + 0.5 * zeta)
     if u > 0.0 and not abs(residual) <= 1e-8 * x:
         raise DomainError(
@@ -238,10 +234,8 @@ def _rate_ibs(x: float, zeta: float) -> RateEval:
 
 def a_fwd(s0: float, a: float, t: float) -> float:
     """Expected time-average of the asset: s0*(e^(a*t) - 1)/(a*t)."""
-    s0, a, t = as_float(s0), as_float(a), as_float(t)
-    require_finite(s0=s0, a=a, t=t)
-    if s0 <= 0.0 or t <= 0.0:
-        raise DomainError("a_fwd requires s0 > 0 and t > 0")
+    s0, a, t = finite_floats(s0=s0, a=a, t=t)
+    require_positive(s0=s0, t=t)
     return s0 * expm1_over_x(a * t)
 
 
@@ -276,13 +270,10 @@ def sigma_ln(k: float, s0: float, sigma: float, a: float, t: float) -> float:
     sigma*sqrt(V(zeta))/x*, which is sigma/sqrt(3) at zeta = 0.  Raises
     DomainError naming k where k/A_fwd is 0 or inf in double precision.
     """
-    k, s0, sigma, a, t = as_float(k), as_float(s0), as_float(sigma), as_float(a), as_float(t)
+    k, s0, sigma, a, t = finite_floats(k=k, s0=s0, sigma=sigma, a=a, t=t)
     zeta = a * t
-    require_finite(k=k, s0=s0, sigma=sigma, a=a, t=t, zeta=zeta)
-    if k <= 0.0 or s0 <= 0.0:
-        raise DomainError("sigma_ln requires k > 0 and s0 > 0")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    require_finite(zeta=zeta)
+    require_positive(k=k, s0=s0, sigma=sigma, t=t)
     return _sigma_ln(k, s0, sigma, zeta, s0 * expm1_over_x(zeta))[0]
 
 
@@ -306,12 +297,9 @@ def european_bs_price(
     value, and an sd that overflows the sd -> inf limit, df*F for a call and
     df*K for a put; an F/K that underflows gives 0 for a call.
     """
-    f, k, t, vol, df = as_float(f), as_float(k), as_float(t), as_float(vol), as_float(df)
-    require_finite(f=f, k=k, t=t, vol=vol, df=df)
-    if f <= 0.0 or k <= 0.0 or t <= 0.0 or df <= 0.0:
-        raise DomainError("european_bs_price requires f, k, t, df > 0")
-    if vol < 0.0:
-        raise DomainError(f"vol must be >= 0, got {vol}")
+    f, k, t, vol, df = finite_floats(f=f, k=k, t=t, vol=vol, df=df)
+    require_positive(f=f, k=k, t=t, df=df)
+    require_nonnegative(vol=vol)
     return _european_bs_price(f, k, t, vol, df, OptionKind(kind))
 
 
@@ -368,13 +356,16 @@ def otm_log_price_limit(
     (at K = S0 this is the rate-function value at unit moneyness, zero
     for zero drift).
     """
-    k, s0, sigma, a, t = as_float(k), as_float(s0), as_float(sigma), as_float(a), as_float(t)
-    require_finite(k=k, s0=s0, sigma=sigma, a=a, t=t)
-    if sigma <= 0.0 or t <= 0.0 or k <= 0.0 or s0 <= 0.0:
-        raise DomainError("otm_log_price_limit requires k, s0, sigma, t > 0")
+    return -_otm_rate(k, s0, sigma, a, t, kind).value
+
+
+def _otm_rate(k: float, s0: float, sigma: float, a: float, t: float, kind: OptionKind) -> RateEval:
+    """I_BS(K/S0) with its branch, after ``otm_log_price_limit``'s argument checks."""
+    k, s0, sigma, a, t = finite_floats(k=k, s0=s0, sigma=sigma, a=a, t=t)
+    require_positive(k=k, s0=s0, sigma=sigma, t=t)
     kind = OptionKind(kind)
     if kind is OptionKind.CALL and k < s0:
         raise DomainError(f"call is not out-of-the-money: k={k} < s0={s0}")
     if kind is OptionKind.PUT and k > s0:
         raise DomainError(f"put is not out-of-the-money: k={k} > s0={s0}")
-    return -_rate_ibs(k / s0, a * t).value
+    return _rate_ibs(k / s0, a * t)

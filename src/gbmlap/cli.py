@@ -111,13 +111,12 @@ def _cmd_asian(args, parser) -> int:
         quote = asian.OptionQuote(price=est.mean, method="mc", diagnostics=_mc_diagnostics(est))
     else:  # otm-limit
         a = args.r - args.q
-        limit = asian.otm_log_price_limit(args.k, args.s0, args.sigma, a, args.T, inp.kind)
-        ev = asian.rate_ibs(args.k / args.s0, a * args.T)
+        ev = asian._otm_rate(args.k, args.s0, args.sigma, a, args.T, inp.kind)
         quote = asian.OptionQuote(
             price=None,
             method="otm-limit",
             diagnostics={
-                "log_price_limit": limit,
+                "log_price_limit": -ev.value,
                 "scaled_by": "sigma^2*T",
                 "moneyness": args.k / args.s0,
                 "zeta": a * args.T,

@@ -52,7 +52,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_dd, require_finite
+from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_dd, finite_floats, require_positive
 from .errors import DomainError
 from .model import _check_params, _scaled
 from .ratefn import _rate_R
@@ -370,10 +370,7 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
     """
     r0, sigma, T, quad_tol = as_float(r0), as_float(sigma), as_float(T), as_float(quad_tol)
     _check_params("r0", r0, sigma, 0.0, T)
-    if r0 == 0.0:
-        raise DomainError("bond_exact_zero_drift requires r0 > 0")
-    if not (quad_tol > 0.0):
-        raise DomainError(f"quad_tol must be > 0, got {quad_tol}")
+    require_positive(r0=r0, quad_tol=quad_tol)
     # the set-up runs in Python floats, also from numpy scalars, whose
     # arithmetic costs several times more per step
     r0, sigma, T, quad_tol = float(r0), float(sigma), float(T), float(quad_tol)
@@ -418,10 +415,8 @@ def bond_exact_zero_drift(r0: float, sigma: float, T: float,
 
 def moment_m1(a: float, sigma: float, T: float) -> float:
     """First moment of the time integral: (e^(a*T) - 1)/a, limit T at a = 0."""
-    a, sigma, T = as_float(a), as_float(sigma), as_float(T)
-    require_finite(a=a, sigma=sigma, T=T)
-    if T <= 0.0:
-        raise DomainError(f"T must be > 0, got {T}")
+    a, sigma, T = finite_floats(a=a, sigma=sigma, T=T)
+    require_positive(T=T)
     return T * expm1_over_x(a * T)
 
 
@@ -442,10 +437,8 @@ def moment_m2(a: float, sigma: float, T: float) -> float:
 
     Raises DomainError where e^q, E or m2 overflows.
     """
-    a, sigma, T = as_float(a), as_float(sigma), as_float(T)
-    require_finite(a=a, sigma=sigma, T=T)
-    if T <= 0.0:
-        raise DomainError(f"T must be > 0, got {T}")
+    a, sigma, T = finite_floats(a=a, sigma=sigma, T=T)
+    require_positive(T=T)
     c = a + sigma * sigma
     q, d = a * T, c * T
     if abs(q) < 1.0 and abs(d) < 1.0:
@@ -533,12 +526,8 @@ def bond_perpetual(r0: float, sigma: float, a: float) -> BondQuote:
     float range comes back as 0.0.  Raises DomainError where e^x*K_nu(x)
     is not a finite positive float.
     """
-    r0, sigma, a = as_float(r0), as_float(sigma), as_float(a)
-    require_finite(r0=r0, sigma=sigma, a=a)
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    if r0 <= 0.0:
-        raise DomainError(f"bond_perpetual requires r0 > 0, got {r0}")
+    r0, sigma, a = finite_floats(r0=r0, sigma=sigma, a=a)
+    require_positive(r0=r0, sigma=sigma)
     if a >= 0.5 * sigma * sigma:
         raise DomainError(
             f"no finite perpetual price: a={a} >= sigma^2/2={0.5 * sigma * sigma}"

@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._mathutil import as_float, require_finite
-from .errors import DomainError
+from ._mathutil import as_float, finite_floats, require_finite, require_nonnegative, require_positive
 
 __all__ = ["ModelParams", "ScaledParams", "scale", "t_max"]
 
@@ -53,11 +52,8 @@ def _check_params(name: str, theta: float, sigma: float, a: float, T: float) -> 
             and -math.inf < a < math.inf):
         return
     require_finite(**{name: theta}, sigma=sigma, a=a, T=T)
-    if theta < 0.0:
-        raise DomainError(f"{name} must be >= 0, got {theta}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
-    raise DomainError(f"T must be > 0, got {T}")
+    require_nonnegative(**{name: theta})
+    require_positive(sigma=sigma, T=T)
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class ScaledParams:
             object.__setattr__(self, name, as_float(getattr(self, name)))
         if not (0.0 <= self.b < math.inf and math.isfinite(self.zeta)):
             require_finite(b=self.b, zeta=self.zeta)
-            raise DomainError(f"b must be >= 0, got {self.b}")
+            require_nonnegative(b=self.b)
 
 
 def _scaled(sigma: float, a: float, T: float, theta: float) -> tuple[float, float]:
@@ -97,19 +93,14 @@ def t_max(r0: float, sigma: float, threshold: float | None = None) -> float:
     so T_max marks where the truncated series stops being usable.  A
     T_max past the float range, as where sigma^2*r0 underflows, is inf.
     """
-    r0, sigma = as_float(r0), as_float(sigma)
-    require_finite(r0=r0, sigma=sigma)
-    if r0 <= 0.0:
-        raise DomainError(f"r0 must be > 0, got {r0}")
-    if sigma <= 0.0:
-        raise DomainError(f"sigma must be > 0, got {sigma}")
+    r0, sigma = finite_floats(r0=r0, sigma=sigma)
+    require_positive(r0=r0, sigma=sigma)
     if threshold is None:
         from .ratefn import convergence_radius
 
         threshold = 2.0 * convergence_radius()[1] ** 2
     else:
         threshold = as_float(threshold)
-        if not (threshold > 0.0):
-            raise DomainError(f"threshold must be > 0, got {threshold}")
+        require_positive(threshold=threshold)
     v = sigma * sigma * r0
     return math.sqrt(threshold / v) if v > 0.0 else math.inf

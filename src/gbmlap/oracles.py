@@ -39,7 +39,7 @@ from functools import cache
 
 import numpy as np
 
-from ._mathutil import as_float, exp, expm1_over_x, require_finite
+from ._mathutil import exp, expm1_over_x, finite_floats, require_nonnegative, require_positive
 from .asian import AsianInputs, OptionKind
 from .errors import DomainError, ShootingFailed
 
@@ -244,12 +244,8 @@ def mc_laplace(
     n_paths independent pair means.  n_paths, n_steps >= 2, also at theta = 0.
     """
     started = time.perf_counter()
-    theta, sigma, a, T = as_float(theta), as_float(sigma), as_float(a), as_float(T)
-    require_finite(theta=theta, sigma=sigma, a=a, T=T)
-    if theta < 0.0:
-        raise DomainError(f"theta must be >= 0, got {theta}")
-    if T < 0.0:
-        raise DomainError(f"T must be >= 0, got {T}")
+    theta, sigma, a, T = finite_floats(theta=theta, sigma=sigma, a=a, T=T)
+    require_nonnegative(theta=theta, T=T)
     n_paths, n_steps, seed = _check_counts(n_paths, n_steps, seed)
     if theta == 0.0:
         return MCEstimate(1.0, 0.0, n_paths, n_steps, seed)
@@ -403,10 +399,8 @@ def jb_variational(b: float, zeta: float) -> ShootingResult:
     from h = zeta*t, and evaluating the objective on the collocation
     nodes.  Independent of the closed forms in ``ratefn``.
     """
-    b, zeta = as_float(b), as_float(zeta)
-    require_finite(b=b, zeta=zeta)
-    if b < 0.0:
-        raise DomainError(f"jb_variational requires b >= 0, got {b}")
+    b, zeta = finite_floats(b=b, zeta=zeta)
+    require_nonnegative(b=b)
     if b == 0.0:
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)
     kappa = 2.0 * b * b
@@ -425,10 +419,8 @@ def ibs_variational(x: float, zeta: float) -> ShootingResult:
     mu = (h'(0) - zeta)/x = alpha/x.  Independent of the closed forms in
     ``asian``.
     """
-    x, zeta = as_float(x), as_float(zeta)
-    require_finite(x=x, zeta=zeta)
-    if x <= 0.0:
-        raise DomainError(f"ibs_variational requires x > 0, got {x}")
+    x, zeta = finite_floats(x=x, zeta=zeta)
+    require_positive(x=x)
     xstar = expm1_over_x(zeta)
     if abs(x - xstar) <= 1e-12 * max(1.0, xstar):
         return ShootingResult(0.0, zeta, 0.0, 0, 0.0)

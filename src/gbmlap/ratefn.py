@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from ._mathutil import as_float, cosh_sinhc, expm1_over_x, require_finite
+from ._mathutil import (as_float, cosh_sinhc, expm1_over_x, finite_floats, require_finite,
+                        require_nonnegative, require_positive)
 from .errors import BranchError, DomainError, NoRootInInterval
 from .rootfind import RootResult, _solve_newton
 
@@ -166,20 +167,20 @@ def _solve_u(b: float, zeta: float, hyperbolic: bool) -> tuple[float, float, int
 
 
 def solve_delta(b: float, zeta: float) -> RootResult:
-    """Root delta in [0, |zeta|] of the hyperbolic-branch equation.
+    """Root delta in [0, |zeta|] of the hyperbolic-branch equation, for b > 0 and zeta > -2.
 
     The equation is zeta^2 - delta^2 = 4*b^2*P^2 with P = cosh(delta/2) +
     zeta*sinh(delta/2)/delta, solved for u = delta^2 (``_solve_u``); the
-    residual is relative, 1 - 4*b^2*P^2/(zeta^2 - delta^2).
+    residual is relative, 1 - 4*b^2*P^2/(zeta^2 - delta^2).  The branch
+    test is ``rate_R``'s: BranchError is raised where b*(2 + zeta) > |zeta|
+    in floating point, so at zeta = 0 for every b, and exactly on the locus
+    b*(2 + zeta) == |zeta| the root is 0.
     """
-    b, zeta = as_float(b), as_float(zeta)
-    require_finite(b=b, zeta=zeta)
+    b, zeta = finite_floats(b=b, zeta=zeta)
     _check_zeta(zeta)
-    if zeta == 0.0 or b <= 0.0:
-        raise BranchError(f"hyperbolic branch needs zeta != 0 and b > 0, got b={b}, zeta={zeta}")
-    thr = abs(zeta) / (2.0 + zeta)
-    if b > thr * (1.0 + 1e-12):
-        raise BranchError(f"b={b} exceeds the branch boundary {thr} for zeta={zeta}")
+    require_positive(b=b)
+    if b * (2.0 + zeta) > abs(zeta):
+        raise BranchError(f"b={b} exceeds the branch boundary {abs(zeta) / (2.0 + zeta)} for zeta={zeta}")
     return _root_result(*_solve_u(b, zeta, True))
 
 
@@ -191,15 +192,14 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     b*(2*cos(xi) + zeta*sinc(xi)), for u = -4*xi^2 (``_solve_u``).  That
     drops the double zero at xi = 0 and the roots where the log argument
     2*xi*cos(xi) + zeta*sin(xi) of the closed form is not positive.  xi = 0
-    is returned on the branch boundary; NoRootInInterval is raised when b
-    is on its hyperbolic side or zeta <= -2.  The residual is relative to
-    the equation's reach b*(2 + zeta): (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi)
-    + zeta*sinc(xi)))/(b*(2 + zeta)).
+    is returned on the branch boundary; NoRootInInterval is raised where
+    b*(2 + zeta) < |zeta| in floating point, ``rate_R``'s test for its
+    hyperbolic side, which also holds for zeta <= -2.  b must be > 0.  The
+    residual is relative to the equation's reach b*(2 + zeta):
+    (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi) + zeta*sinc(xi)))/(b*(2 + zeta)).
     """
-    b, zeta = as_float(b), as_float(zeta)
-    require_finite(b=b, zeta=zeta)
-    if b <= 0.0:
-        raise DomainError(f"solve_xi requires b > 0, got {b}")
+    b, zeta = finite_floats(b=b, zeta=zeta)
+    require_positive(b=b)
     if b * (2.0 + zeta) < abs(zeta):
         raise NoRootInInterval(
             f"no trigonometric root for b={b}, zeta={zeta}: "
@@ -246,8 +246,7 @@ def boundary_value(zeta: float) -> float:
     zeta -> 0.  Raises DomainError where the evaluation overflows (zeta
     above about 1e154).
     """
-    zeta = as_float(zeta)
-    require_finite(zeta=zeta)
+    (zeta,) = finite_floats(zeta=zeta)
     _check_zeta(zeta)
     return _boundary_value(zeta)
 
@@ -276,8 +275,7 @@ def rate_R(b: float, zeta: float) -> RateEval:
 def _rate_R(b: float, zeta: float) -> RateEval:
     if not (0.0 <= b < math.inf and -2.0 < zeta < math.inf):  # b, zeta from ``model._scaled``
         require_finite(b=b, zeta=zeta)
-        if b < 0.0:
-            raise DomainError(f"rate_R requires b >= 0, got {b}")
+        require_nonnegative(b=b)
         _check_zeta(zeta)
     if b == 0.0:
         return RateEval(expm1_over_x(zeta), Branch.ZERO_DRIFT, root=0.0, residual=0.0, evals=0)
@@ -305,8 +303,7 @@ def rate_R_series(b: float, order: int = 8) -> float:
     The series has a finite convergence radius (see
     ``convergence_radius``); truncations are only meaningful below it.
     """
-    b = as_float(b)
-    require_finite(b=b)
+    (b,) = finite_floats(b=b)
     if order not in (2, 4, 6, 8):
         raise ValueError(f"order must be one of 2, 4, 6, 8, got {order}")
     b2 = b * b
@@ -322,10 +319,8 @@ def rate_R_largeb(b: float) -> float:
     Coefficients verified against the full solve (errors 3e-5 at b=10,
     9e-7 at b=20, decaying like b^-5).
     """
-    b = as_float(b)
-    require_finite(b=b)
-    if b <= 0.0:
-        raise DomainError(f"rate_R_largeb requires b > 0, got {b}")
+    (b,) = finite_floats(b=b)
+    require_positive(b=b)
     q = math.pi * math.pi / 4.0
     inv = 1.0 / b
     return 2.0 * inv - q * inv * inv * (1.0 - inv + inv * inv)

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from ._mathutil import as_float
+from ._mathutil import as_float, require_positive
 from .errors import DomainError, MaxIterations, NoSignChange
 
 __all__ = ["RootResult", "solve_bracketed", "solve_newton"]
@@ -109,8 +109,7 @@ def solve_newton(
         MaxIterations: no convergence within ``max_iter`` evaluations.
     """
     lo, hi, tol = as_float(lo), as_float(hi), as_float(tol)
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be positive, got {tol}")
+    require_positive(tol=tol)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
         raise DomainError(f"invalid bracket [{lo}, {hi}]")
     return _solve_newton(fdf, lo, hi, tol, max_iter)

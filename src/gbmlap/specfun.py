@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 
-from ._mathutil import as_float
+from ._mathutil import as_float, finite_floats, require_nonnegative, require_positive
 from .errors import DomainError
 
 __all__ = ["bessel_k", "norm_cdf"]
@@ -16,12 +16,13 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def bessel_k(nu: float, x: float) -> float:
-    """Modified Bessel function of the second kind K_nu(x) for x > 0, nu >= 0."""
-    nu, x = as_float(nu), as_float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"bessel_k requires x > 0, got {x!r}")
-    if nu < 0.0 or not math.isfinite(nu):
-        raise DomainError(f"bessel_k requires nu >= 0, got {nu!r} (use K_-nu = K_nu)")
+    """Modified Bessel function of the second kind K_nu(x) for finite x > 0 and nu >= 0.
+
+    For nu < 0 take K_-nu = K_nu.
+    """
+    nu, x = finite_floats(nu=nu, x=x)
+    require_positive(x=x)
+    require_nonnegative(nu=nu)
     from scipy.special import kv  # loaded on first use, not with gbmlap
 
     return float(kv(nu, x))

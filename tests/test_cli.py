@@ -212,6 +212,19 @@ def test_asian_methods(capsys):
     assert abs(payload["diagnostics"]["log_price_limit"] + 0.63636749452524) < 1e-10
 
 
+def test_otm_limit_solves_i_bs_once(capsys, monkeypatch):
+    # the limit and the branch come from one solve; the limit and the branch
+    # were each solved on their own
+    from gbmlap import asian
+
+    solve, calls = asian._ibs_solve_u, []
+    monkeypatch.setattr(asian, "_ibs_solve_u", lambda *a: calls.append(a) or solve(*a))
+    code, out, _ = _run(capsys, "asian", "--s0", "100", "--k", "200", "--sigma", "0.2",
+                        "--T", "1", "--kind", "call", "--method", "otm-limit")
+    assert code == 0 and json.loads(out)["diagnostics"]["branch"] == "hyperbolic"
+    assert len(calls) == 1
+
+
 def test_asian_strike_out_of_float_reach_names_k(capsys):
     # k/A_fwd underflows to 0; this printed "error in asian: math domain error"
     code, out, err = _run(capsys, "asian", "--s0", "100", "--k", "5e-324", "--sigma", "0.3",

@@ -1,9 +1,11 @@
 """Every public entry point answers a NaN input with a named library error,
 takes a float32 argument as the float of its value, and answers an extreme
 argument with a value or a named library error; a quote converts each of its
-arguments once."""
+arguments once; and each broken argument rule has one text, naming the argument
+and its value."""
 
 import dataclasses
+import inspect
 import math
 import sys
 
@@ -174,3 +176,79 @@ def test_bond_input_rules_share_one_text(name, arg, value, text):
     with pytest.raises(DomainError) as exc:
         fn(**{**point, arg: value})
     assert str(exc.value) == text.format(rate)
+
+
+# each argument rule has one text, naming the argument and its value:
+# (entry point, argument, bad value, message)
+_RULES = [
+    ("AsianInputs", "s0", -1.0, "s0 must be > 0, got -1.0"),
+    ("AsianInputs", "k", -5.0, "k must be > 0, got -5.0"),
+    ("AsianInputs", "sigma", 0.0, "sigma must be > 0, got 0.0"),
+    ("AsianInputs", "t", 0.0, "t must be > 0, got 0.0"),
+    ("AsianInputs", "r", math.nan, "r must be finite, got nan"),
+    ("a_fwd", "s0", 0.0, "s0 must be > 0, got 0.0"),
+    ("a_fwd", "t", -1.0, "t must be > 0, got -1.0"),
+    ("a_fwd", "a", math.inf, "a must be finite, got inf"),
+    ("sigma_ln", "k", 0.0, "k must be > 0, got 0.0"),
+    ("sigma_ln", "s0", -100.0, "s0 must be > 0, got -100.0"),
+    ("sigma_ln", "sigma", 0.0, "sigma must be > 0, got 0.0"),
+    ("sigma_ln", "t", math.nan, "t must be finite, got nan"),
+    ("sigma_ln", "t", 0.0, "t must be > 0, got 0.0"),
+    ("european_bs_price", "f", 0.0, "f must be > 0, got 0.0"),
+    ("european_bs_price", "k", -1.0, "k must be > 0, got -1.0"),
+    ("european_bs_price", "t", 0.0, "t must be > 0, got 0.0"),
+    ("european_bs_price", "df", 0.0, "df must be > 0, got 0.0"),
+    ("european_bs_price", "vol", -0.1, "vol must be >= 0, got -0.1"),
+    ("otm_log_price_limit", "k", 0.0, "k must be > 0, got 0.0"),
+    ("otm_log_price_limit", "s0", 0.0, "s0 must be > 0, got 0.0"),
+    ("otm_log_price_limit", "sigma", 0.0, "sigma must be > 0, got 0.0"),
+    ("otm_log_price_limit", "t", 0.0, "t must be > 0, got 0.0"),
+    ("ibs_solve_delta", "x", 0.0, "x must be > 0, got 0.0"),
+    ("ibs_solve_delta", "zeta", math.inf, "zeta must be finite, got inf"),
+    ("ibs_solve_xi", "x", -1.0, "x must be > 0, got -1.0"),
+    ("rate_ibs", "x", 0.0, "x must be > 0, got 0.0"),
+    ("solve_delta", "b", 0.0, "b must be > 0, got 0.0"),
+    ("solve_delta", "zeta", -2.0, "zeta must be > -2, got -2.0"),
+    ("solve_xi", "b", -0.5, "b must be > 0, got -0.5"),
+    ("solve_lambda", "b", 0.0, "b must be > 0, got 0.0"),
+    ("rate_R", "b", -0.5, "b must be >= 0, got -0.5"),
+    ("rate_R", "zeta", -3.0, "zeta must be > -2, got -3.0"),
+    ("rate_R_zero_drift", "b", -0.5, "b must be >= 0, got -0.5"),
+    ("jb", "b", -0.5, "b must be >= 0, got -0.5"),
+    ("boundary_value", "zeta", math.nan, "zeta must be finite, got nan"),
+    ("boundary_value", "zeta", -2.0, "zeta must be > -2, got -2.0"),
+    ("rate_R_series", "b", math.inf, "b must be finite, got inf"),
+    ("rate_R_largeb", "b", 0.0, "b must be > 0, got 0.0"),
+    ("moment_m1", "T", 0.0, "T must be > 0, got 0.0"),
+    ("moment_m2", "T", -1.0, "T must be > 0, got -1.0"),
+    ("bond_perpetual", "r0", 0.0, "r0 must be > 0, got 0.0"),
+    ("bond_perpetual", "sigma", -0.3, "sigma must be > 0, got -0.3"),
+    ("bond_exact_zero_drift", "r0", 0.0, "r0 must be > 0, got 0.0"),
+    ("bond_exact_zero_drift", "quad_tol", 0.0, "quad_tol must be > 0, got 0.0"),
+    ("t_max", "r0", 0.0, "r0 must be > 0, got 0.0"),
+    ("t_max", "sigma", -0.3, "sigma must be > 0, got -0.3"),
+    ("t_max", "threshold", 0.0, "threshold must be > 0, got 0.0"),
+    ("ScaledParams", "b", -0.5, "b must be >= 0, got -0.5"),
+    ("mc_laplace", "theta", -0.1, "theta must be >= 0, got -0.1"),
+    ("mc_laplace", "T", -1.0, "T must be >= 0, got -1.0"),
+    ("jb_variational", "b", -0.5, "b must be >= 0, got -0.5"),
+    ("ibs_variational", "x", 0.0, "x must be > 0, got 0.0"),
+    ("bessel_k", "nu", -1.0, "nu must be >= 0, got -1.0"),
+    ("bessel_k", "x", 0.0, "x must be > 0, got 0.0"),
+    ("bessel_k", "x", math.inf, "x must be finite, got inf"),
+    ("solve_newton", "tol", 0.0, "tol must be > 0, got 0.0"),
+    ("solve_bracketed", "tol", -1e-14, "tol must be > 0, got -1e-14"),
+]
+
+
+@pytest.mark.parametrize("name, arg, value, text", _RULES,
+                         ids=[f"{c[0]}-{c[1]}={c[2]}" for c in _RULES])
+def test_each_broken_rule_has_one_text(name, arg, value, text):
+    # these read "s0 and k must be > 0", "a_fwd requires s0 > 0 and t > 0",
+    # "european_bs_price requires f, k, t, df > 0" and the like, several with no value
+    fn, args = _ENTRY_POINTS[name]
+    params = list(inspect.signature(getattr(g, name)).parameters)
+    i = params.index(arg) - (name in ("solve_newton", "solve_bracketed"))  # after f or fdf
+    with pytest.raises(DomainError) as exc:
+        fn(*args[:i], value, *args[i + 1:])
+    assert str(exc.value) == text

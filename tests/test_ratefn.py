@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gbmlap import reference
-from gbmlap.asian import rate_ibs
+from gbmlap.asian import ibs_solve_delta, ibs_solve_xi, rate_ibs
 from gbmlap.errors import BranchError, DomainError, NoRootInInterval
 from gbmlap.model import ModelParams, scale
 from gbmlap.ratefn import (
@@ -98,6 +98,25 @@ def test_solve_xi_no_root_on_hyperbolic_side():
         solve_xi(0.1, 1.0)  # below the branch boundary
     with pytest.raises(NoRootInInterval):
         solve_xi(0.5, -2.5)  # pathological drift
+
+
+@pytest.mark.parametrize("zeta", [0.5, 1.0, -0.5])
+def test_root_helpers_use_the_rate_functions_branch_test(zeta):
+    # with 1e-12 of slack the helpers accepted points 5e-13 past the locus or the
+    # pivot and failed there: solve_delta with NoSignChange, the I_BS helpers with
+    # NoRootInInterval
+    thr, pivot = abs(zeta) / (2.0 + zeta), 1.0 + 0.5 * zeta
+    for helper, rate, inside, outside in (
+        (solve_delta, rate_R, thr * (1.0 - 5e-13), thr * (1.0 + 5e-13)),
+        (ibs_solve_delta, rate_ibs, pivot * (1.0 + 5e-13), pivot * (1.0 - 5e-13)),
+        (ibs_solve_xi, rate_ibs, pivot * (1.0 - 5e-13), pivot * (1.0 + 5e-13)),
+    ):
+        assert helper(inside, zeta).root == rate(inside, zeta).root
+        with pytest.raises(BranchError):
+            helper(outside, zeta)
+    # exactly on the locus (thr*(2 + zeta) == |zeta| at these zeta) and the pivot
+    for helper, x in ((solve_delta, thr), (ibs_solve_delta, pivot), (ibs_solve_xi, pivot)):
+        assert helper(x, zeta).root == 0.0
 
 
 @settings(max_examples=60, deadline=None)
