@@ -29,7 +29,7 @@ from dataclasses import asdict
 
 from . import __version__, asian, dothan, oracles, ratefn, reference
 from .asian import AsianInputs, OptionKind
-from .errors import GbmlapError
+from .errors import DomainError, GbmlapError
 from .model import t_max
 from .validation import run_checks, table1_row, table3_row
 
@@ -87,6 +87,9 @@ def _cmd_bond(args, parser) -> int:
         est = oracles.mc_laplace(
             args.r0, args.sigma, args.a, args.T, args.paths, args.steps, args.seed
         )
+        if not est.mean > 0.0:
+            raise DomainError(f"the Monte Carlo mean underflows to {est.mean!r}, "
+                              "so the yield -log(mean)/T is not finite")
         q = dothan.BondQuote(
             price=est.mean,
             method=dothan.BondMethod.MONTE_CARLO,

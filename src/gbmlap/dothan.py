@@ -52,7 +52,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._mathutil import as_float, exp, expm1_over_x, expm1_over_x_dd, finite_floats, require_positive
+from ._mathutil import (as_float, exp, expm1_over_x, expm1_over_x_dd, finite_floats, require_finite,
+                        require_positive)
 from .errors import DomainError
 from .model import _check_params, _scaled
 from .ratefn import _rate_R
@@ -228,7 +229,10 @@ def bond_asymptotic(r0: float, sigma: float, a: float, T: float) -> BondQuote:
     r0, sigma, a, T = as_float(r0), as_float(sigma), as_float(a), as_float(T)
     _check_params("r0", r0, sigma, a, T)
     if r0 == 0.0:
-        return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": a * T})
+        zeta = a * T
+        if not -math.inf < zeta < math.inf:  # a*T overflows; a and T are finite here
+            require_finite(zeta=zeta)
+        return BondQuote(1.0, BondMethod.ASYMPTOTIC, 0.0, {"b": 0.0, "zeta": zeta})
     b, zeta = _scaled(sigma, a, T, r0)
     ev = _rate_R(b, zeta)
     y = r0 * ev.value

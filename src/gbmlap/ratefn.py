@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from ._mathutil import (as_float, cosh_sinhc, expm1_over_x, finite_floats, require_finite,
                         require_nonnegative, require_positive)
-from .errors import BranchError, DomainError, NoRootInInterval
+from .errors import BranchError, DomainError
 from .rootfind import RootResult, _solve_newton
 
 __all__ = [
@@ -191,20 +191,18 @@ def solve_xi(b: float, zeta: float) -> RootResult:
     zeta*sin(xi))^2, solved unsquared, sqrt(4*xi^2 + zeta^2) =
     b*(2*cos(xi) + zeta*sinc(xi)), for u = -4*xi^2 (``_solve_u``).  That
     drops the double zero at xi = 0 and the roots where the log argument
-    2*xi*cos(xi) + zeta*sin(xi) of the closed form is not positive.  xi = 0
-    is returned on the branch boundary; NoRootInInterval is raised where
-    b*(2 + zeta) < |zeta| in floating point, ``rate_R``'s test for its
-    hyperbolic side, which also holds for zeta <= -2.  b must be > 0.  The
-    residual is relative to the equation's reach b*(2 + zeta):
+    2*xi*cos(xi) + zeta*sin(xi) of the closed form is not positive.  b must
+    be > 0 and zeta > -2.  The branch test is ``rate_R``'s: BranchError is
+    raised where b*(2 + zeta) < |zeta| in floating point, and exactly on
+    the locus b*(2 + zeta) == |zeta| the root is 0.  The residual is
+    relative to the equation's reach b*(2 + zeta):
     (sqrt(4*xi^2 + zeta^2) - b*(2*cos(xi) + zeta*sinc(xi)))/(b*(2 + zeta)).
     """
     b, zeta = finite_floats(b=b, zeta=zeta)
+    _check_zeta(zeta)
     require_positive(b=b)
     if b * (2.0 + zeta) < abs(zeta):
-        raise NoRootInInterval(
-            f"no trigonometric root for b={b}, zeta={zeta}: "
-            "b is on the hyperbolic side or zeta <= -2"
-        )
+        raise BranchError(f"b={b} is below the branch boundary {abs(zeta) / (2.0 + zeta)} for zeta={zeta}")
     return _root_result(*_solve_u(b, zeta, False))
 
 
@@ -330,12 +328,13 @@ def jb(b: float, zeta: float) -> float:
     """Variational rate J_B(b, zeta) = 2*b^2*R(b, zeta) >= 0.
 
     Taken as 2*b*(b*R): b^2 overflows past b = 1.3e154, while b*R stays
-    near 2 at large b.
+    near 2 at large b.  J_B is 0 at b = 0 for every zeta that ``rate_R``
+    accepts; any other zeta raises ``rate_R``'s error.
     """
-    b = as_float(b)
-    if b == 0.0:
+    b, zeta = as_float(b), as_float(zeta)
+    if b == 0.0 and -2.0 < zeta < math.inf:
         return 0.0
-    return 2.0 * b * (b * _rate_R(b, as_float(zeta)).value)
+    return 2.0 * b * (b * _rate_R(b, zeta).value)
 
 
 @lru_cache(maxsize=1)

@@ -386,6 +386,10 @@ def test_otm_log_price_limit():
     # K = S0 sits on the boundary; the zero-drift rate function vanishes there
     assert otm_log_price_limit(100.0, 100.0, 0.2, 0.0, 1.0, OptionKind.CALL) == 0.0
     assert otm_log_price_limit(100.0, 100.0, 0.2, 0.0, 1.0, OptionKind.PUT) == 0.0
+    # x = K/S0 = 0.1 is below 2*zeta/pi^2 at zeta = 1, so the I_BS root is past pi/2
+    assert abs(otm_log_price_limit(10.0, 100.0, 0.3, 1.0, 1.0, OptionKind.PUT) + 19.7183002126) <= 1e-8
+    # moneyness 1e-10: I_BS from P = x/S, where the root sits next to P's zero
+    assert math.isfinite(otm_log_price_limit(1e-8, 100.0, 0.3, 0.1, 1.0, OptionKind.PUT))
     with pytest.raises(DomainError):
         otm_log_price_limit(90.0, 100.0, 0.2, 0.0, 1.0, OptionKind.CALL)
     with pytest.raises(DomainError):

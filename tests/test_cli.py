@@ -33,6 +33,11 @@ def test_rate_json_at_large_b(capsys):
     payload = json.loads(out)
     assert abs(payload["residual"]) <= 1e-15
     assert abs(payload["J_B"] - 4e300) <= 1e-15 * 4e300
+    # at b = 1e12, P is taken from the root equation: R within 1e-15 of mpmath's
+    # 2*sin(xi)/b - (xi/b)^2
+    code, out, _ = _run(capsys, "rate", "--b", "1e12", "--zeta", "0")
+    assert code == 0
+    assert abs(json.loads(out)["R"] - 1.9999999999975326e-12) <= 1e-15 * 1.9999999999975326e-12
 
 
 def test_rate_numerical_error_exit_code(capsys):
@@ -42,27 +47,39 @@ def test_rate_numerical_error_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, text",
     [
-        ["rate", "--b", "0.01", "--zeta", "2000"],
-        ["rate", "--b", "1e-300", "--zeta", "0.5"],
+        (["rate", "--b", "0.01", "--zeta", "2000"], "rate_R overflows"),
+        (["rate", "--b", "1e-300", "--zeta", "0.5"], "rate_R overflows"),
         # b = 1 lies on the boundary locus, where R at zeta = 1e300 is not representable
-        ["rate", "--b", "1", "--zeta", "1e300"],
-        ["bond", "--method", "perpetual", "--r0", "0.05", "--sigma", "0.1", "--a", "-10"],
-        ["bond", "--method", "taylor", "--r0", "0.1", "--sigma", "50", "--T", "1e3"],
-        ["bond", "--method", "small-r0", "--r0", "0.1", "--sigma", "0.3", "--T", "1e4"],
-        ["bond", "--method", "small-r0", "--r0", "0.05", "--sigma", "0.8", "--T", "30"],
-        ["asian", "--s0", "100", "--k", "110", "--r", "1", "--sigma", "0.3", "--T", "1000",
-         "--kind", "call"],
+        (["rate", "--b", "1", "--zeta", "1e300"], "boundary_value overflows"),
+        (["bond", "--method", "perpetual", "--r0", "0.05", "--sigma", "0.1", "--a", "-10"],
+         "perpetual price not representable"),
+        (["bond", "--method", "taylor", "--r0", "0.1", "--sigma", "50", "--T", "1e3"],
+         "short-maturity expansion is invalid"),
+        (["bond", "--method", "small-r0", "--r0", "0.1", "--sigma", "0.3", "--T", "1e4"],
+         "exponent x = 900.0"),
+        (["bond", "--method", "small-r0", "--r0", "0.05", "--sigma", "0.8", "--T", "30"],
+         "second-order term"),
+        # zeta = a*T overflows at r0 = 0, as it does at r0 > 0; this printed a JSON error about inf
+        (["bond", "--r0", "0", "--sigma", "0.3", "--a", "1e308", "--T", "10"],
+         "zeta must be finite, got inf"),
+        # the Monte Carlo mean underflows to 0; this printed "math domain error"
+        (["bond", "--method", "mc", "--r0", "1e6", "--sigma", "0.3", "--T", "10", "--paths", "10",
+          "--steps", "4", "--seed", "1"], "the Monte Carlo mean underflows to 0.0"),
+        (["asian", "--s0", "100", "--k", "110", "--r", "1", "--sigma", "0.3", "--T", "1000",
+          "--kind", "call"], "exponent x = 1000.0"),
     ],
     ids=["rate-zeta-overflow", "rate-tiny-b", "rate-boundary-overflow", "bond-perpetual-gamma", "bond-taylor-exp",
-         "bond-small-r0-moment", "bond-small-r0-divergent", "asian-forward"],
+         "bond-small-r0-moment", "bond-small-r0-divergent", "bond-zero-rate-zeta-overflow", "bond-mc-underflow",
+         "asian-forward"],
 )
-def test_numerical_failure_exit_code(capsys, argv):
+def test_numerical_failure_exit_code(capsys, argv, text):
     code, out, err = _run(capsys, *argv)
     assert code == 1
     assert out == ""
     assert err.startswith(f"error in {argv[0]}: ") and err.count("\n") == 1
+    assert text in err
 
 
 def test_emit_json_refuses_nan():
@@ -238,7 +255,7 @@ def test_asian_discount_factor_overflow_names_the_exponent(capsys):
     code, out, err = _run(capsys, "asian", "--s0", "100", "--k", "110", "--r", "-1000", "--q",
                           "-1000", "--sigma", "0.3", "--T", "1", "--kind", "call")
     assert (code, out) == (1, "")
-    assert err.startswith("error in asian: ") and "x = 1000.0" in err and err.count("\n") == 1
+    assert err.startswith("error in asian: ") and "exponent x = 1000.0" in err and err.count("\n") == 1
 
 
 def test_mc_subcommand_deterministic(capsys):

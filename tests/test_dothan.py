@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gbmlap import reference
+import gbmlap
+from gbmlap import dothan, reference
 from gbmlap.dothan import (
     _GL_NODES,
     _GL_WEIGHTS,
@@ -199,6 +200,11 @@ def test_exact_quadrature_reproduces_published_prices():
         q = bond_exact_zero_drift(0.1, sigma, T)
         assert abs(q.price - b_pub) <= 2e-6, (T, sigma, q.price)
         assert abs(q.yield_equiv + math.log(q.price) / T) < 1e-15
+    # the exact bond's contour is the only quadrature path: no generic sine-sinh
+    # quadrature or its result type is left in the package or in dothan
+    names = [n for m in (gbmlap, dothan) for n in dir(m)
+             if n.endswith("_quadrature") or n.startswith("Quadrature")]
+    assert not names, names
 
 
 @pytest.mark.parametrize("a", [0.1, 0.5, 1.0, 2.0, 4.0, 5.0, 10.0, 2.0 * math.sqrt(20.0)])
@@ -470,6 +476,9 @@ def test_exact_yield_error_estimate():
     # yield's estimate says so
     q = bond_exact_zero_drift(0.001, 1e-4, 0.001)
     assert q.diagnostics["yield_error_estimate"] >= 0.4 * q.yield_equiv
+    # at s = sigma^2*T/2 = 5.7e-9 the yield is r0 to first order, not 0
+    q = bond_exact_zero_drift(1.23e-5, 0.00121, 0.00785)
+    assert abs(q.yield_equiv - 1.23e-5) <= 1e-6 * 1.23e-5
 
 
 @pytest.mark.parametrize("quad_tol", [0.0, -1e-9])
@@ -695,6 +704,8 @@ def test_small_rate_quote():
     assert abs(q2.price - qe.price) < 1e-4
     # the second-order truncation is an upper bound on the true price
     assert qe.price <= q2.price
+    # a = -sigma^2, so c = a + sigma^2 = 0 (m2's power series at d = c*T = 0); 50-digit price
+    assert abs(bond_small_rate(0.01, 0.3, -0.09, 5.0).price - 0.96066780919437516) <= 1e-14
 
 
 def test_small_rate_divergent_series_is_domain_error():

@@ -35,6 +35,8 @@ _ENTRY_POINTS = {
     "rate_R_series": (g.rate_R_series, (0.1,)),
     "rate_R_largeb": (g.rate_R_largeb, (5.0,)),
     "jb": (g.jb, (0.5, 0.9)),
+    # J_B is 0 at b = 0, but zeta keeps rate_R's rules there
+    "jb_at_b_zero": (lambda zeta: g.jb(0.0, zeta), (0.9,)),
     "boundary_value": (g.boundary_value, (0.5,)),
     "AsianInputs": (lambda *a: g.AsianInputs(*a, _CALL), (100.0, 110.0, 0.05, 0.0, 0.3, 1.0)),
     "ibs_solve_delta": (g.ibs_solve_delta, (1.5, 0.1)),
@@ -210,6 +212,7 @@ _RULES = [
     ("solve_delta", "b", 0.0, "b must be > 0, got 0.0"),
     ("solve_delta", "zeta", -2.0, "zeta must be > -2, got -2.0"),
     ("solve_xi", "b", -0.5, "b must be > 0, got -0.5"),
+    ("solve_xi", "zeta", -2.0, "zeta must be > -2, got -2.0"),
     ("solve_lambda", "b", 0.0, "b must be > 0, got 0.0"),
     ("rate_R", "b", -0.5, "b must be >= 0, got -0.5"),
     ("rate_R", "zeta", -3.0, "zeta must be > -2, got -3.0"),

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gbmlap import reference
 from gbmlap.asian import ibs_solve_delta, ibs_solve_xi, rate_ibs
-from gbmlap.errors import BranchError, DomainError, NoRootInInterval
+from gbmlap.errors import BranchError, DomainError
 from gbmlap.model import ModelParams, scale
 from gbmlap.ratefn import (
     Branch,
@@ -94,9 +94,9 @@ def test_solve_xi_published_values():
 
 
 def test_solve_xi_no_root_on_hyperbolic_side():
-    with pytest.raises(NoRootInInterval):
+    with pytest.raises(BranchError):
         solve_xi(0.1, 1.0)  # below the branch boundary
-    with pytest.raises(NoRootInInterval):
+    with pytest.raises(DomainError, match="zeta must be > -2"):
         solve_xi(0.5, -2.5)  # pathological drift
 
 
@@ -104,10 +104,11 @@ def test_solve_xi_no_root_on_hyperbolic_side():
 def test_root_helpers_use_the_rate_functions_branch_test(zeta):
     # with 1e-12 of slack the helpers accepted points 5e-13 past the locus or the
     # pivot and failed there: solve_delta with NoSignChange, the I_BS helpers with
-    # NoRootInInterval
+    # NoRootInInterval; solve_xi raised NoRootInInterval on the hyperbolic side
     thr, pivot = abs(zeta) / (2.0 + zeta), 1.0 + 0.5 * zeta
     for helper, rate, inside, outside in (
         (solve_delta, rate_R, thr * (1.0 - 5e-13), thr * (1.0 + 5e-13)),
+        (solve_xi, rate_R, thr * (1.0 + 5e-13), thr * (1.0 - 5e-13)),
         (ibs_solve_delta, rate_ibs, pivot * (1.0 + 5e-13), pivot * (1.0 - 5e-13)),
         (ibs_solve_xi, rate_ibs, pivot * (1.0 - 5e-13), pivot * (1.0 + 5e-13)),
     ):
@@ -115,7 +116,7 @@ def test_root_helpers_use_the_rate_functions_branch_test(zeta):
         with pytest.raises(BranchError):
             helper(outside, zeta)
     # exactly on the locus (thr*(2 + zeta) == |zeta| at these zeta) and the pivot
-    for helper, x in ((solve_delta, thr), (ibs_solve_delta, pivot), (ibs_solve_xi, pivot)):
+    for helper, x in ((solve_delta, thr), (solve_xi, thr), (ibs_solve_delta, pivot), (ibs_solve_xi, pivot)):
         assert helper(x, zeta).root == 0.0
 
 
